@@ -5,8 +5,8 @@
 // measures what that buys operationally:
 //   1. snapshot/restore cost vs world size (save is a deep POD copy; cost
 //      should scale linearly with assets + in-flight frames),
-//   2. the identity matrix — 8 seeds x workers {1,2,8} x spatial index
-//      on/off, every restore digest-checked against its uninterrupted run,
+//   2. the identity matrix — 8 seeds x workers {1,2,8}, every restore
+//      digest-checked against its uninterrupted run,
 //   3. branched what-if execution: snapshot an adversarial scenario at
 //      t = 0.9T and fan K escalation variants out on the ParallelRunner,
 //      vs naively re-simulating each variant from t = 0. Every branch must
@@ -135,7 +135,7 @@ class BeaconDriver final : public sim::Checkpointable {
   bool started_ = false;
 };
 
-/// One adversarial stack, deterministic from (seed, population, grid). The
+/// One adversarial stack, deterministic from (seed, population). The
 /// campaign covers the interesting snapshot windows: jamming [40, 80) s,
 /// Sybil waves at 30 s and 70 s, a mass kill at 90 s.
 struct Scenario {
@@ -146,13 +146,12 @@ struct Scenario {
   security::AttackInjector attacks;
   BeaconDriver beacon;
 
-  Scenario(std::uint64_t seed, std::size_t population, bool use_grid)
+  Scenario(std::uint64_t seed, std::size_t population)
       : side(90.0 * std::sqrt(static_cast<double>(population))),
         net(sim, net::ChannelModel(2.0, 0.2), sim::Rng(seed ^ 0xBE9C0DEULL)),
         world(sim, net, {{0, 0}, {side, side}}, sim::Rng(seed)),
         attacks(world),
         beacon(sim, net) {
-    net.set_spatial_index_enabled(use_grid);
     sim::Rng layout(seed * 2654435761ULL + 7);
     for (std::size_t i = 0; i < population; ++i) {
       sim::Rng maker = layout.child(i);
@@ -232,7 +231,7 @@ int main() {
       "rewind_run_ms", "identical");
   for (const std::size_t population : {std::size_t{250}, std::size_t{1000},
                                        std::size_t{4000}}) {
-    Scenario s(kSeedBase, population, true);
+    Scenario s(kSeedBase, population);
     s.sim.run_until(sim::SimTime::seconds(20));
 
     WallTimer save_t;
@@ -257,16 +256,16 @@ int main() {
         rewind_run_ms, identical ? "yes" : "NO");
   }
 
-  // ---- 2. Identity matrix: seeds x workers x spatial index ------------
+  // ---- 2. Identity matrix: seeds x workers -----------------------------
   const auto seeds = sim::ParallelRunner::seed_range(kSeedBase, 8);
-  const auto matrix_body = [](sim::ReplicationContext& ctx, bool use_grid) {
-    Scenario source(ctx.seed, 48, use_grid);
+  const auto matrix_body = [](sim::ReplicationContext& ctx) {
+    Scenario source(ctx.seed, 48);
     source.sim.run_until(sim::SimTime::seconds(55));  // mid-jam, mid-wave
     const sim::Snapshot snap = source.sim.checkpoint().save();
     source.sim.run_until(sim::SimTime::seconds(90));
     const std::uint64_t uninterrupted = source.digest();
 
-    Scenario branch(ctx.seed, 48, use_grid);
+    Scenario branch(ctx.seed, 48);
     branch.sim.checkpoint().restore(snap);
     branch.sim.run_until(sim::SimTime::seconds(90));
     const std::uint64_t fresh = branch.digest();
@@ -285,30 +284,19 @@ int main() {
   };
 
   row("");
-  row("%-10s %-8s %-14s %-18s", "workers", "grid", "mismatches", "merged_digest");
+  row("%-10s %-14s %-18s", "workers", "mismatches", "merged_digest");
   std::uint64_t matrix_reference = 0;
   bool matrix_identical = true;
-  bool first_config = true;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const bool use_grid : {true, false}) {
-      const sim::ParallelRunner runner(workers);
-      const auto outcome = runner.run<std::uint64_t>(
-          seeds, [&matrix_body, use_grid](sim::ReplicationContext& ctx) {
-            return matrix_body(ctx, use_grid);
-          });
-      std::uint64_t mismatches = outcome.failures;
-      for (const auto& r : outcome.replications) mismatches += r.payload;
-      const std::uint64_t digest = outcome.merged.digest();
-      if (first_config) {
-        matrix_reference = digest;
-        first_config = false;
-      }
-      const bool ok = mismatches == 0 && digest == matrix_reference;
-      matrix_identical = matrix_identical && ok;
-      row("%-10zu %-8s %-14llu %016llx%s", workers, use_grid ? "on" : "off",
-          static_cast<unsigned long long>(mismatches),
-          static_cast<unsigned long long>(digest), ok ? "" : "  << DIVERGED");
-    }
+    const auto outcome = sim::ParallelRunner(workers).run<std::uint64_t>(seeds, matrix_body);
+    std::uint64_t mismatches = outcome.failures;
+    for (const auto& r : outcome.replications) mismatches += r.payload;
+    const std::uint64_t digest = outcome.merged.digest();
+    if (workers == 1) matrix_reference = digest;
+    const bool ok = mismatches == 0 && digest == matrix_reference;
+    matrix_identical = matrix_identical && ok;
+    row("%-10zu %-14llu %016llx%s", workers, static_cast<unsigned long long>(mismatches),
+        static_cast<unsigned long long>(digest), ok ? "" : "  << DIVERGED");
   }
   all_identical = all_identical && matrix_identical;
 
@@ -331,7 +319,7 @@ int main() {
   const auto naive = fan.run<std::uint64_t>(
       sim::ParallelRunner::seed_range(0, kBranches),
       [&variant](sim::ReplicationContext& ctx) {
-        Scenario s(kSeedBase + 1, kBranchPopulation, true);
+        Scenario s(kSeedBase + 1, kBranchPopulation);
         s.sim.run_until(sim::SimTime::seconds(90));
         variant(s.attacks, ctx.index);
         s.sim.run_until(sim::SimTime::seconds(100));
@@ -340,13 +328,13 @@ int main() {
   const double naive_ms = naive_t.ms();
 
   WallTimer branched_t;
-  Scenario trunk(kSeedBase + 1, kBranchPopulation, true);
+  Scenario trunk(kSeedBase + 1, kBranchPopulation);
   trunk.sim.run_until(sim::SimTime::seconds(90));
   const sim::Snapshot branch_point = trunk.sim.checkpoint().save();
   const auto branched = fan.run<std::uint64_t>(
       sim::ParallelRunner::seed_range(0, kBranches),
       [&variant, &branch_point](sim::ReplicationContext& ctx) {
-        Scenario s(kSeedBase + 1, kBranchPopulation, true);
+        Scenario s(kSeedBase + 1, kBranchPopulation);
         s.sim.checkpoint().restore(branch_point);
         variant(s.attacks, ctx.index);
         s.sim.run_until(sim::SimTime::seconds(100));
@@ -374,7 +362,7 @@ int main() {
   const std::string journal_path = "BENCH_checkpoint_journal.tmp";
   std::remove(journal_path.c_str());
   const auto resume_body = [](sim::ReplicationContext& ctx) {
-    Scenario s(ctx.seed, 48, true);
+    Scenario s(ctx.seed, 48);
     s.sim.run_until(sim::SimTime::seconds(60));
     ctx.metrics.merge_from(s.net.metrics());
     return s.digest();
@@ -433,7 +421,7 @@ int main() {
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"matrix\": {\"seeds\": %zu, \"workers\": [1, 2, 8], "
-                 "\"grid\": [true, false], \"all_identical\": %s},\n",
+                 "\"all_identical\": %s},\n",
                  seeds.size(), matrix_identical ? "true" : "false");
     std::fprintf(f,
                  "  \"fanout\": {\"branches\": %zu, \"population\": %zu, "

@@ -73,10 +73,8 @@ NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer
     }
   }
   grid_.insert(id, position);
-  if (use_incremental_) {
-    links_.add_node();
-    attach_links(id);
-  }
+  links_.add_node();
+  attach_links(id);
   invalidate_routes();
   return id;
 }
@@ -92,12 +90,9 @@ void Network::set_position(NodeId id, sim::Vec2 p) {
     positions_[id] = p;
     return;
   }
-  // Incremental mode patches the edge store and learns whether any link
-  // appeared/vanished as a byproduct; rebuild mode only answers the
-  // question. Both must run BEFORE the slab position and grid move so the
+  // Patch the edge store BEFORE the slab position and grid move, so the
   // 3x3 neighborhood of `from` still contains the node's old candidates.
-  const bool changed = use_incremental_ ? patch_links_for_move(id, from, p)
-                                        : neighbor_set_changed(id, from, p);
+  const bool changed = patch_links_for_move(id, from, p);
   positions_[id] = p;
   grid_.move(id, from, p);
   // Region-scoped invalidation: a move that gains or loses no link leaves
@@ -112,10 +107,10 @@ void Network::set_node_up(NodeId id, bool up) {
   up_[id] = up ? 1 : 0;
   if (up) {
     grid_.insert(id, positions_[id]);
-    if (use_incremental_) attach_links(id);
+    attach_links(id);
   } else {
     grid_.remove(id, positions_[id]);
-    if (use_incremental_) detach_links(id);
+    detach_links(id);
   }
   invalidate_routes();
 }
@@ -126,10 +121,8 @@ void Network::set_gateway(NodeId id, bool on) {
   if (up_[id]) {
     // Affected links are exactly the cross-layer links to other live
     // in-range gateways: same-layer links ignore the flag, and a non-
-    // gateway peer blocks the bridge regardless. Candidates come from the
-    // grid unconditionally (it indexes every live node whatever use_grid_
-    // says), exactly like patch_links_for_move, so the changed/unchanged
-    // answer — and with it the epoch — is identical in every mode.
+    // gateway peer blocks the bridge regardless; the 3x3 grid
+    // neighborhood holds every candidate in range.
     const sim::Vec2 p = positions_[id];
     const RadioProfile& pr = profiles_[id];
     scratch_.clear();
@@ -138,12 +131,10 @@ void Network::set_gateway(NodeId id, bool on) {
       if (other == id || layers_[other] == layers_[id] || !gateway_[other]) continue;
       if (!channel_.in_range(p, pr, positions_[other], profiles_[other])) continue;
       changed = true;
-      if (use_incremental_) {
-        if (on) {
-          links_.add_edge_sorted(id, other, sim::distance(p, positions_[other]));
-        } else {
-          links_.remove_edge(id, other);
-        }
+      if (on) {
+        links_.add_edge_sorted(id, other, sim::distance(p, positions_[other]));
+      } else {
+        links_.remove_edge(id, other);
       }
     }
   }
@@ -151,38 +142,9 @@ void Network::set_gateway(NodeId id, bool on) {
   if (changed) invalidate_routes();
 }
 
-bool Network::neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) const {
-  const RadioProfile& pr = profiles_[id];
-  const auto differs = [&](NodeId other) {
-    return channel_.in_range(from, pr, positions_[other], profiles_[other]) !=
-           channel_.in_range(to, pr, positions_[other], profiles_[other]);
-  };
-  if (!use_grid_) {
-    for (NodeId other = 0; other < node_count(); ++other) {
-      if (other == id || !up_[other] || !link_allowed(id, other)) continue;
-      if (differs(other)) return true;
-    }
-    return false;
-  }
-  // Any node whose membership differs is in range of `from` or of `to`, so
-  // the union of the two 3x3 neighborhoods covers all candidates.
-  scratch_.clear();
-  grid_.neighborhood(from, scratch_);
-  grid_.neighborhood(to, scratch_);
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()), scratch_.end());
-  for (const NodeId other : scratch_) {
-    if (other == id || !link_allowed(id, other)) continue;
-    if (differs(other)) return true;
-  }
-  return false;
-}
-
 bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
-  // Candidates come from the grid unconditionally: the grid indexes every
-  // live node regardless of use_grid_, and any node whose in-range
-  // relationship with `id` can flip lies in the 3x3 neighborhood of `from`
-  // or of `to` (covering invariant).
+  // Any node whose in-range relationship with `id` can flip lies in the
+  // 3x3 neighborhood of `from` or of `to` (covering invariant).
   scratch_.clear();
   grid_.neighborhood(from, scratch_);
   grid_.neighborhood(to, scratch_);
@@ -232,14 +194,8 @@ void Network::detach_links(NodeId id) {
 
 std::vector<NodeId> Network::nodes_near(sim::Vec2 p, double radius) const {
   std::vector<NodeId> out;
-  if (use_grid_) {
-    grid_.near(p, radius, out);
-    std::sort(out.begin(), out.end());
-  } else {
-    for (NodeId id = 0; id < node_count(); ++id) {
-      if (up_[id]) out.push_back(id);
-    }
-  }
+  grid_.near(p, radius, out);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -380,26 +336,19 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
   const sim::Vec2 sp = positions_[src];
   const RadioProfile& spr = profiles_[src];
   std::size_t put_on_air = 0;
-  const auto offer = [&](NodeId other) {
-    if (other == src || !up_[other] || !link_allowed(src, other)) return;
-    if (!channel_.in_range(sp, spr, positions_[other], profiles_[other])) {
-      return;
-    }
+  // Cell size >= max range, so the 3x3 neighborhood covers every
+  // receiver. Candidates are offered in ascending NodeId order, which fixes
+  // the order the per-receiver loss draws consume the RNG stream. Copied
+  // into scratch_ because drop/transmit hooks run synchronously inside the
+  // loop and must not be able to invalidate the memo mid-walk; the same
+  // hooks can take a candidate down, hence the liveness re-check.
+  const std::vector<NodeId>& hood = grid_.neighborhood_sorted(sp);
+  scratch_.assign(hood.begin(), hood.end());
+  for (const NodeId other : scratch_) {
+    if (other == src || !up_[other] || !link_allowed(src, other)) continue;
+    if (!channel_.in_range(sp, spr, positions_[other], profiles_[other])) continue;
     Message copy = msg;
     if (transmit(src, other, std::move(copy), nullptr)) ++put_on_air;
-  };
-  if (use_grid_) {
-    // Cell size >= max range, so the 3x3 neighborhood covers every
-    // receiver. Candidates are offered in ascending NodeId order — the
-    // brute-force scan order — so the per-receiver loss draws consume the
-    // RNG stream identically and delivery traces stay bit-identical.
-    // Copied into scratch_ because drop/transmit hooks run synchronously
-    // inside offer() and must not be able to invalidate the memo mid-walk.
-    const std::vector<NodeId>& hood = grid_.neighborhood_sorted(sp);
-    scratch_.assign(hood.begin(), hood.end());
-    for (const NodeId other : scratch_) offer(other);
-  } else {
-    for (NodeId other = 0; other < node_count(); ++other) offer(other);
   }
   return put_on_air;
 }
@@ -407,11 +356,7 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
 const ShortestPaths& Network::cached_paths(NodeId src) {
   RouteCacheEntry& entry = route_cache_.at(src);
   if (entry.epoch != topology_epoch_) {
-    // Incremental mode runs Dijkstra straight over the live edge store; the
-    // rebuild baseline pays a full connectivity reconstruction per (source,
-    // epoch) — the cost the store exists to delete.
-    entry.paths = use_incremental_ ? links_.shortest_paths(src)
-                                   : connectivity().shortest_paths(src);
+    entry.paths = links_.shortest_paths(src);
     entry.epoch = topology_epoch_;
   }
   return entry.paths;
@@ -453,60 +398,23 @@ bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
   return transmit(src, path[1], std::move(msg), tail.empty() ? nullptr : &tail);
 }
 
-Topology Network::connectivity() const {
-  if (use_incremental_) return links_;
-  return full_connectivity();
-}
-
-const Topology& Network::topology_view() const {
-  if (use_incremental_) return links_;
-  view_scratch_ = full_connectivity();
-  return view_scratch_;
-}
-
-void Network::set_incremental_connectivity_enabled(bool on) {
-  if (use_incremental_ == on) return;
-  use_incremental_ = on;
-  // Enabling mid-run seeds the store with one full rebuild; disabling
-  // releases it (the rebuild paths never read it).
-  links_ = on ? full_connectivity() : Topology();
-}
-
 Topology Network::full_connectivity() const {
-  // Edges are collected into a flat scratch list (reused across snapshots,
-  // so rebuilds allocate nothing once warm) and the Topology is built in
-  // one bulk pass with exact-size adjacency reserves. The list order is
-  // the brute-force edge order (a ascending, then b > a ascending), so
-  // the adjacency lists — and every tie-break downstream in Dijkstra —
-  // are bit-identical between the grid, O(n^2), and incremental paths
-  // (the store keeps its lists id-sorted for the same reason).
+  // Edges are collected into a flat scratch list (reused across restores,
+  // so the build allocates nothing once warm) and the Topology is built in
+  // one bulk pass with exact-size adjacency reserves. The list order (a
+  // ascending, then b > a ascending) leaves every adjacency list id-sorted,
+  // the invariant the patched store keeps. Grid neighborhoods come from
+  // the per-cell sorted memo: all nodes sharing a cell share one gathered
+  // + sorted candidate list.
   edge_scratch_.clear();
-  if (use_grid_) {
-    // Grid neighborhoods via the per-cell sorted memo: all nodes sharing a
-    // cell share one gathered + sorted candidate list, and the memo
-    // carries over to later snapshots while membership is unchanged.
-    for (NodeId a = 0; a < node_count(); ++a) {
-      if (!up_[a]) continue;
-      for (const NodeId b : grid_.neighborhood_sorted(positions_[a])) {
-        if (b <= a) continue;
-        if (!link_allowed(a, b)) continue;
-        if (channel_.in_range(positions_[a], profiles_[a], positions_[b],
-                              profiles_[b])) {
-          edge_scratch_.push_back(
-              {a, b, sim::distance(positions_[a], positions_[b])});
-        }
-      }
-    }
-  } else {
-    for (NodeId a = 0; a < node_count(); ++a) {
-      if (!up_[a]) continue;
-      for (NodeId b = a + 1; b < node_count(); ++b) {
-        if (!up_[b] || !link_allowed(a, b)) continue;
-        if (channel_.in_range(positions_[a], profiles_[a], positions_[b],
-                              profiles_[b])) {
-          edge_scratch_.push_back(
-              {a, b, sim::distance(positions_[a], positions_[b])});
-        }
+  for (NodeId a = 0; a < node_count(); ++a) {
+    if (!up_[a]) continue;
+    for (const NodeId b : grid_.neighborhood_sorted(positions_[a])) {
+      if (b <= a) continue;
+      if (!link_allowed(a, b)) continue;
+      if (channel_.in_range(positions_[a], profiles_[a], positions_[b],
+                            profiles_[b])) {
+        edge_scratch_.push_back({a, b, sim::distance(positions_[a], positions_[b])});
       }
     }
   }
@@ -625,7 +533,7 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
     if (up_[n]) grid_.insert(n, positions_[n]);
   }
   // The edge store is derived state: reseed it from the restored slabs.
-  links_ = use_incremental_ ? full_connectivity() : Topology();
+  links_ = full_connectivity();
 
   // Re-park every in-flight frame and queue its delivery re-arm under the
   // frame's original FIFO seq. reserve() first: &p.event must stay valid

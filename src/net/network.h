@@ -72,17 +72,16 @@ class Network : public sim::SerializableCheckpointable {
   // --- Layers -------------------------------------------------------------
   // Links form only within a layer, except between two gateway nodes,
   // which bridge any pair of layers (explicit inter-layer edges). The
-  // predicate is applied uniformly by transmit/broadcast, the incremental
-  // edge store, and every connectivity rebuild, so all modes stay
-  // digest-identical.
+  // predicate is applied uniformly by transmit/broadcast, the edge store,
+  // and the restore-time reseed.
 
   LayerId layer(NodeId id) const { return layers_.at(id); }
   bool is_gateway(NodeId id) const { return gateway_.at(id) != 0; }
   /// Promotes/demotes a node as an inter-layer gateway. Affected links are
   /// exactly the cross-layer links to other live in-range gateways; the
   /// topology epoch is bumped only if at least one such link appeared or
-  /// vanished (a flip with no cross-layer peer in range changes nothing —
-  /// mode-identically, so flat-network digests are unaffected).
+  /// vanished (a flip with no cross-layer peer in range changes nothing,
+  /// so flat-network digests are unaffected).
   void set_gateway(NodeId id, bool on);
 
   /// Takes a node offline: it neither sends, receives, nor forwards.
@@ -100,7 +99,8 @@ class Network : public sim::SerializableCheckpointable {
   /// Returns number of frames put on the air.
   std::size_t broadcast(NodeId src, Message msg);
 
-  /// Multi-hop unicast along the current shortest path (hop count metric).
+  /// Multi-hop unicast along the current shortest path, where a path's
+  /// length is the sum of its link distances (Dijkstra, not hop count).
   /// Each hop is a real frame subject to loss; on a lost hop the message
   /// dies (upper layers retry if they care). Returns false if no route —
   /// including unknown node ids (dropped kNoRoute, mirroring route_exists)
@@ -113,44 +113,18 @@ class Network : public sim::SerializableCheckpointable {
 
   // --- Introspection ----------------------------------------------------
 
-  /// Snapshot of the current connectivity graph among live nodes (edge
-  /// weight = distance). With incremental maintenance on (the default)
-  /// this copies the persistent edge store — O(edges), no node scan; with
-  /// it off the graph is rebuilt from grid neighborhoods (O(n * density))
-  /// or the O(n^2) brute scan per the spatial-index flag. All paths
-  /// produce bit-identical topologies.
-  Topology connectivity() const;
+  /// Copy of the current connectivity graph among live nodes (edge weight
+  /// = distance): the persistent edge store, which add_node / set_position
+  /// / set_node_up / set_gateway patch from grid neighborhood deltas, so
+  /// this is O(edges) with no node scan. Adjacency lists are ascending by
+  /// neighbor id.
+  Topology connectivity() const { return links_; }
 
-  /// Borrowed view of the current connectivity graph, valid until the next
-  /// Network mutation. With incremental maintenance on this is a reference
-  /// to the live edge store — O(1), no copy, no scan; with it off every
-  /// call rebuilds into an internal scratch graph (the full-rebuild
-  /// baseline cost, kept honest for the bench).
-  const Topology& topology_view() const;
+  /// Borrowed view of the same graph — O(1), no copy — valid until the
+  /// next Network mutation.
+  const Topology& topology_view() const { return links_; }
 
-  /// Enables/disables the uniform-grid spatial index (default: enabled).
-  /// The grid is maintained either way; the flag selects how geometric
-  /// queries (broadcast fan-out, connectivity rebuilds, nodes_near,
-  /// set_position relationship checks) enumerate candidates. Observable
-  /// behavior — topologies, delivery traces, metric digests — is
-  /// bit-identical in both modes; only wall time differs. The brute-force
-  /// mode exists as the equivalence/bench baseline.
-  void set_spatial_index_enabled(bool on) { use_grid_ = on; }
-  bool spatial_index_enabled() const { return use_grid_; }
   const SpatialGrid& spatial_grid() const { return grid_; }
-
-  /// Enables/disables incremental connectivity maintenance (default:
-  /// enabled). When on, add_node / set_position / set_node_up compute the
-  /// changed edge set from the grid's 3x3 neighborhood diff and patch a
-  /// persistent edge store, so connectivity views and route rebuilds never
-  /// re-scan all N nodes. When off, every connectivity() call rebuilds
-  /// from scratch — the full-rebuild baseline, kept alive for
-  /// digest-equivalence testing (same bar as the grid-vs-brute contract).
-  /// Observable behavior — topologies, epochs, routes, digests — is
-  /// bit-identical in both modes; only wall time differs. Toggling on
-  /// mid-run pays one full rebuild to seed the store.
-  void set_incremental_connectivity_enabled(bool on);
-  bool incremental_connectivity_enabled() const { return use_incremental_; }
 
   /// Monotone counter bumped whenever the connectivity graph may have
   /// changed (node added, liveness flipped, or a move that changed at
@@ -162,9 +136,10 @@ class Network : public sim::SerializableCheckpointable {
 
   /// Live-node candidates within `radius` of `p`, ascending NodeId order.
   /// This is a SUPERSET gathered from grid cells intersecting the disc
-  /// (the whole node table in brute-force mode): callers apply their own
-  /// exact distance filter, which keeps their selection — and any RNG draw
-  /// order downstream of it — identical in both modes.
+  /// (every live node for a radius wider than the occupied grid, including
+  /// an infinite one): callers apply their own exact distance filter, in
+  /// id order, so their selection and any RNG draws downstream of it do
+  /// not depend on how wide the superset was.
   std::vector<NodeId> nodes_near(sim::Vec2 p, double radius) const;
 
   ChannelModel& channel() { return channel_; }
@@ -303,25 +278,17 @@ class Network : public sim::SerializableCheckpointable {
   bool link_allowed(NodeId a, NodeId b) const {
     return layers_[a] == layers_[b] || (gateway_[a] && gateway_[b]);
   }
-  /// True iff moving `id` from `from` to `to` changes the in-range
-  /// relationship with at least one other live node. Grid and brute-force
-  /// modes compute the identical answer (the grid only narrows which
-  /// candidates need the exact in_range check). Used by the full-rebuild
-  /// mode only; incremental mode learns the same answer as a byproduct of
-  /// patching the edge store.
-  bool neighbor_set_changed(NodeId id, sim::Vec2 from, sim::Vec2 to) const;
 
-  /// Full-scan connectivity rebuild (grid neighborhoods or brute force per
-  /// use_grid_) — the baseline the incremental store must stay
-  /// bit-identical to, and the seed for the store on enable/restore.
+  /// Bulk connectivity build from grid neighborhoods: reseeds the edge
+  /// store on restore, where patching from a delta is impossible.
   Topology full_connectivity() const;
   /// Patches links_ for a move of live node `id` (must run BEFORE the slab
   /// position and grid are updated): the union of the two 3x3
   /// neighborhoods covers every node whose in-range relationship can flip.
   /// Weights of retained edges are refreshed to the new distance, so the
   /// store tracks link-metric drift exactly like a from-scratch rebuild.
-  /// Returns whether any edge appeared or vanished — the same answer
-  /// neighbor_set_changed gives, so epoch bumps are mode-identical.
+  /// Returns whether any edge appeared or vanished, i.e. whether the
+  /// topology epoch must bump.
   bool patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to);
   /// Adds every edge of a node that just came up / joined (grid must
   /// already contain it).
@@ -377,24 +344,21 @@ class Network : public sim::SerializableCheckpointable {
   // neighborhood covers every possible link.
   SpatialGrid grid_;
   double max_range_m_ = 0.0;
-  bool use_grid_ = true;
   /// Candidate scratch buffer for grid queries (avoids an allocation per
   /// broadcast); mutable because const queries reuse it.
   mutable std::vector<NodeId> scratch_;
-  /// Edge scratch for full connectivity rebuilds — reused so rebuilds stop
-  /// allocating once warm; mutable for the same reason as scratch_.
+  /// Edge scratch for the restore-time bulk build — reused so repeated
+  /// restores stop allocating once warm; mutable for the same reason as
+  /// scratch_.
   mutable std::vector<Edge> edge_scratch_;
 
   /// Persistent connectivity edge store, patched in place by add_node /
-  /// set_position / set_node_up while use_incremental_ is on. Adjacency
-  /// lists are kept sorted ascending by neighbor id — the exact order a
-  /// full rebuild produces — so copies, Dijkstra tie-breaks, and digests
-  /// are bit-identical to the rebuild paths. Derived state: never saved,
-  /// reseeded by a full rebuild on restore/enable.
+  /// set_position / set_node_up / set_gateway. Adjacency lists are kept
+  /// sorted ascending by neighbor id — the order a from-scratch build in
+  /// (a, b > a) pair order produces — so Dijkstra tie-breaks and digests
+  /// do not depend on the order edges were patched in. Derived state:
+  /// never saved, reseeded by full_connectivity on restore.
   Topology links_;
-  bool use_incremental_ = true;
-  /// Rebuild-mode scratch for topology_view(); mutable pure cache.
-  mutable Topology view_scratch_;
 
   // Shortest-path cache keyed by source, invalidated by epoch bumps.
   std::uint64_t topology_epoch_ = 0;

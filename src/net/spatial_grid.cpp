@@ -84,8 +84,18 @@ const std::vector<NodeId>& SpatialGrid::neighborhood_sorted(sim::Vec2 p) const {
 }
 
 void SpatialGrid::near(sim::Vec2 p, double radius, std::vector<NodeId>& out) const {
-  const std::int32_t r =
-      static_cast<std::int32_t>(std::ceil(std::max(radius, 0.0) * inv_cell_));
+  // Half-width of the query square in cells, kept in double: an infinite,
+  // NaN (std::max passes it through) or huge radius must never reach the
+  // int cast. A square with more cells than are occupied is cheaper to
+  // answer by walking the occupied cells, which returns every id (still a
+  // superset); the negated compare sends NaN down that path too.
+  const double half = std::ceil(std::max(radius, 0.0) * inv_cell_);
+  const double side = 2.0 * half + 1.0;
+  if (!(side * side <= static_cast<double>(cells_.size()))) {
+    for (const auto& [key, ids] : cells_) out.insert(out.end(), ids.begin(), ids.end());
+    return;
+  }
+  const auto r = static_cast<std::int32_t>(half);
   const std::int32_t cx = coord(p.x), cy = coord(p.y);
   for (std::int32_t dy = -r; dy <= r; ++dy) {
     for (std::int32_t dx = -r; dx <= r; ++dx) {

@@ -60,7 +60,9 @@ class SpatialGrid {
   std::uint64_t cell_key(sim::Vec2 p) const { return key(coord(p.x), coord(p.y)); }
 
   /// Appends every id in cells intersecting the disc (p, radius) — a
-  /// superset of the ids within `radius` of `p`, unsorted.
+  /// superset of the ids within `radius` of `p`, unsorted. When the
+  /// covering square spans more cells than are occupied (a huge, infinite
+  /// or NaN radius) it appends every indexed id instead.
   void near(sim::Vec2 p, double radius, std::vector<NodeId>& out) const;
 
   /// Appends the ids in cells at exactly Chebyshev ring `r` around the

@@ -138,13 +138,11 @@ struct CheckpointScenario {
   security::AttackInjector attacks;
   TrafficDriver traffic;
 
-  explicit CheckpointScenario(std::uint64_t seed, bool use_grid = true,
-                              std::size_t population = 36)
+  explicit CheckpointScenario(std::uint64_t seed, std::size_t population = 36)
       : net(sim, net::ChannelModel(2.0, 0.2), sim::Rng(seed ^ 0xBADC0DEULL)),
         world(sim, net, {{0, 0}, {900, 900}}, sim::Rng(seed)),
         attacks(world),
         traffic(sim, net, sim::Duration::millis(500)) {
-    net.set_spatial_index_enabled(use_grid);
     sim::Rng layout(seed * 2654435761ULL + 1);
     for (std::size_t i = 0; i < population; ++i) {
       sim::Rng maker = layout.child(i);

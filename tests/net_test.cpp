@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -14,6 +16,7 @@
 #include "net/reliable.h"
 #include "net/spatial_grid.h"
 #include "net/topology.h"
+#include "net_oracle.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -26,6 +29,7 @@ using sim::Rng;
 using sim::Simulator;
 using sim::SimTime;
 using sim::Vec2;
+using iobt::testing::brute_connectivity;
 
 // ------------------------------------------------------------- Topology ----
 
@@ -397,33 +401,28 @@ void expect_identical_topologies(const Topology& got, const Topology& want,
   }
 }
 
-/// Drives `mutate(net)` over incremental / rebuild / brute substrates fed
-/// the identical op sequence and checks topology + epoch identity.
+/// Edge pairs without weights: a move that keeps every link still drifts
+/// the weights, but must not bump the topology epoch.
+std::vector<std::pair<NodeId, NodeId>> edge_pairs(const Topology& t) {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  for (const Edge& e : t.edges()) out.emplace_back(e.a, e.b);
+  return out;
+}
+
+/// Drives `mutate(net, ops)` for 60 rounds and checks after each that the
+/// patched edge store (both the copy and the borrowed view) is identical
+/// to the brute-force oracle, neighbor order and exact weights included.
 template <typename Mutate>
 void run_maintenance_equivalence(Mutate mutate) {
-  Simulator sim_inc, sim_reb, sim_brute;
-  Network inc{sim_inc, ChannelModel(2.0, 0.0), Rng(7)};
-  Network reb{sim_reb, ChannelModel(2.0, 0.0), Rng(7)};
-  Network brute{sim_brute, ChannelModel(2.0, 0.0), Rng(7)};
-  reb.set_incremental_connectivity_enabled(false);
-  brute.set_incremental_connectivity_enabled(false);
-  brute.set_spatial_index_enabled(false);
+  Simulator sim;
+  Network net{sim, ChannelModel(2.0, 0.0), Rng(7)};
   Rng ops(0xC0FFEE);
-  const auto step = [&](Network& n) {
-    Rng r = ops;  // each substrate consumes an identical private copy
-    mutate(n, r);
-  };
   for (int round = 0; round < 60; ++round) {
-    step(inc);
-    step(reb);
-    step(brute);
-    ops = ops.child(round);
-    ASSERT_EQ(inc.topology_epoch(), reb.topology_epoch()) << "round " << round;
-    ASSERT_EQ(inc.topology_epoch(), brute.topology_epoch()) << "round " << round;
-    const Topology want = reb.connectivity();
-    expect_identical_topologies(inc.connectivity(), want, "inc vs rebuild");
-    expect_identical_topologies(inc.topology_view(), want, "view vs rebuild");
-    expect_identical_topologies(brute.connectivity(), want, "brute vs rebuild");
+    mutate(net, ops);
+    const Topology want = brute_connectivity(net);
+    expect_identical_topologies(net.connectivity(), want, "store vs oracle");
+    expect_identical_topologies(net.topology_view(), want, "view vs oracle");
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -460,27 +459,6 @@ TEST(NetworkIncremental, StoreMatchesRebuildUnderLivenessChurnAndGrowth) {
       n.set_position(id, {r.uniform(0, 800), r.uniform(0, 800)});
     }
   });
-}
-
-TEST_F(NetFixture, IncrementalToggleMidRunSeedsAndReleasesStore) {
-  Rng r(5);
-  for (int i = 0; i < 20; ++i) add({r.uniform(0, 500), r.uniform(0, 500)});
-  net.set_incremental_connectivity_enabled(false);
-  EXPECT_FALSE(net.incremental_connectivity_enabled());
-  for (int i = 0; i < 10; ++i) {
-    net.set_position(static_cast<NodeId>(i), {r.uniform(0, 500), r.uniform(0, 500)});
-  }
-  const Topology baseline = net.connectivity();
-  // Enabling mid-run seeds the store with one full rebuild.
-  net.set_incremental_connectivity_enabled(true);
-  expect_identical_topologies(net.connectivity(), baseline, "after enable");
-  // And it tracks further churn.
-  net.set_node_up(3, false);
-  net.set_position(7, {r.uniform(0, 500), r.uniform(0, 500)});
-  net.set_incremental_connectivity_enabled(false);
-  const Topology want = net.connectivity();
-  net.set_incremental_connectivity_enabled(true);
-  expect_identical_topologies(net.connectivity(), want, "after churn");
 }
 
 TEST_F(NetFixture, MemoryFootprintTracksNodeCount) {
@@ -1096,12 +1074,12 @@ TEST(Topology, KNearestGridPathMatchesBruteReference) {
   }
 }
 
-// ------------------------------------------- Spatial index equivalence ----
+// ----------------------------------------- Brute-force oracle identity ----
 
 namespace {
 
-/// A scattered population on one Network; used to compare grid and brute
-/// enumeration on identical state.
+/// A scattered population on one Network; used to compare the production
+/// grid path against the brute-force oracle on identical state.
 std::vector<NodeId> scatter(Network& net, Rng& layout, int n, double range) {
   std::vector<NodeId> ids;
   for (int i = 0; i < n; ++i) {
@@ -1116,41 +1094,110 @@ std::vector<NodeId> scatter(Network& net, Rng& layout, int n, double range) {
 TEST_F(NetFixture, ConnectivityIdenticalGridVsBrute) {
   Rng layout(41);
   scatter(net, layout, 150, 300.0);
-  ASSERT_TRUE(net.spatial_index_enabled());
-  const auto grid_edges = net.connectivity().edges();
-  net.set_spatial_index_enabled(false);
-  const auto brute_edges = net.connectivity().edges();
-  ASSERT_EQ(grid_edges.size(), brute_edges.size());
-  EXPECT_GT(grid_edges.size(), 0u);
-  for (std::size_t i = 0; i < grid_edges.size(); ++i) {
-    EXPECT_EQ(grid_edges[i].a, brute_edges[i].a);
-    EXPECT_EQ(grid_edges[i].b, brute_edges[i].b);
-    EXPECT_DOUBLE_EQ(grid_edges[i].weight, brute_edges[i].weight);
-  }
+  net.set_node_up(11, false);
+  const Topology want = brute_connectivity(net);
+  EXPECT_GT(want.edge_count(), 0u);
+  expect_identical_topologies(net.connectivity(), want, "store vs oracle");
 }
 
 TEST_F(NetFixture, NodesNearExactFilterIdenticalGridVsBrute) {
   Rng layout(43);
   scatter(net, layout, 150, 300.0);
-  net.set_node_up(7, false);  // down nodes must be absent in both modes
-  const auto filtered = [&](double radius, Vec2 q) {
-    std::vector<NodeId> out;
-    for (const NodeId id : net.nodes_near(q, radius)) {
-      if (sim::distance(net.position(id), q) <= radius) out.push_back(id);
-    }
-    return out;
-  };
+  net.set_node_up(7, false);  // down nodes must be absent from both
   for (const Vec2 q : {Vec2{100, 100}, Vec2{1000, 1000}, Vec2{1999, 50}}) {
     for (const double r : {150.0, 400.0, 2500.0}) {
-      net.set_spatial_index_enabled(true);
-      const auto g = filtered(r, q);
-      net.set_spatial_index_enabled(false);
-      const auto b = filtered(r, q);
-      EXPECT_EQ(g, b) << "q=(" << q.x << "," << q.y << ") r=" << r;
-      // Ascending-id contract holds in both modes.
-      EXPECT_TRUE(std::is_sorted(g.begin(), g.end()));
+      const std::vector<NodeId> cand = net.nodes_near(q, r);
+      EXPECT_TRUE(std::is_sorted(cand.begin(), cand.end()));
+      std::vector<NodeId> got, want;
+      for (const NodeId id : cand) {
+        if (sim::distance(net.position(id), q) <= r) got.push_back(id);
+      }
+      for (NodeId id = 0; id < net.node_count(); ++id) {
+        if (net.node_up(id) && sim::distance(net.position(id), q) <= r) {
+          want.push_back(id);
+        }
+      }
+      EXPECT_EQ(got, want) << "q=(" << q.x << "," << q.y << ") r=" << r;
     }
   }
+}
+
+TEST_F(NetFixture, NodesNearUnboundedRadiusReturnsEveryLiveNode) {
+  Rng layout(47);
+  scatter(net, layout, 60, 300.0);
+  net.set_node_up(5, false);
+  std::vector<NodeId> live;
+  for (NodeId id = 0; id < net.node_count(); ++id) {
+    if (net.node_up(id)) live.push_back(id);
+  }
+  // An infinite radius covers the plane, a huge finite one would span
+  // ~1e290 empty cells, and none of them, nor NaN, may reach the int cast
+  // of the cell span (undefined behaviour). All fall back to the occupied
+  // cells.
+  EXPECT_EQ(net.nodes_near({1000, 1000}, std::numeric_limits<double>::infinity()), live);
+  EXPECT_EQ(net.nodes_near({-5e6, 7e6}, 1e300), live);
+  const std::vector<NodeId> nan_hits =
+      net.nodes_near({0, 0}, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(std::is_sorted(nan_hits.begin(), nan_hits.end()));
+}
+
+TEST_F(NetFixture, BroadcastReceiversAreOracleNeighborsInIdOrder) {
+  // Lossless channel: every offered frame arrives, so the receivers of one
+  // broadcast are exactly the oracle neighbors of the sender, and they are
+  // delivered — and so draw their loss coins — in ascending id order.
+  Rng layout(53);
+  const std::vector<NodeId> ids = scatter(net, layout, 120, 300.0);
+  net.set_node_up(9, false);
+  std::vector<NodeId> received;
+  for (const NodeId id : ids) {
+    net.set_handler(id, [&received, id](const Message&) { received.push_back(id); });
+  }
+  const Topology oracle = brute_connectivity(net);
+  for (const NodeId src : {NodeId{0}, NodeId{9}, NodeId{42}, NodeId{119}}) {
+    received.clear();
+    std::vector<NodeId> want;
+    if (net.node_up(src)) {
+      for (const Topology::Neighbor& nb : oracle.neighbors(src)) want.push_back(nb.id);
+    }
+    EXPECT_EQ(net.broadcast(src, Message{.kind = "hello", .size_bytes = 8}), want.size());
+    sim.run();
+    EXPECT_EQ(received, want) << "src " << src;
+  }
+}
+
+TEST(NetworkOracle, EpochBumpsIffOracleEdgeSetChanges) {
+  // Moves and gateway flips bump topology_epoch() exactly when a link
+  // appears or vanishes; weight drift alone must not invalidate routes.
+  Simulator sim;
+  Network net(sim, ChannelModel(), Rng(8));
+  Rng drive(0xE90C);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(net.add_node({drive.uniform(0, 600), drive.uniform(0, 600)},
+                               {.range_m = 200}, static_cast<LayerId>(i % 2)));
+    if (i % 3 == 0) net.set_gateway(ids.back(), true);
+  }
+  int bumps = 0, quiet = 0;
+  for (int step = 0; step < 400; ++step) {
+    const NodeId id = ids[static_cast<std::size_t>(drive.uniform_int(0, 39))];
+    const auto before = edge_pairs(brute_connectivity(net));
+    const std::uint64_t epoch = net.topology_epoch();
+    if (drive.uniform() < 0.3) {
+      net.set_gateway(id, !net.is_gateway(id));
+    } else {
+      // Mostly short hops, so many moves keep their link set.
+      const Vec2 p = net.position(id);
+      net.set_position(id, {p.x + drive.uniform(-60, 60), p.y + drive.uniform(-60, 60)});
+    }
+    if (step % 50 == 0) net.set_node_up(id, !net.node_up(id));
+    const bool changed = edge_pairs(brute_connectivity(net)) != before;
+    if (step % 50 == 0) continue;  // liveness flips always bump; not this contract
+    EXPECT_EQ(net.topology_epoch() != epoch, changed) << "step " << step;
+    (changed ? bumps : quiet) += 1;
+  }
+  // Both sides of the iff were exercised.
+  EXPECT_GT(bumps, 20);
+  EXPECT_GT(quiet, 20);
 }
 
 TEST_F(NetFixture, EpochOnlyBumpsWhenAnInRangeRelationshipChanges) {
@@ -1200,25 +1247,27 @@ TEST_F(NetFixture, LongRangeJoinRebuildsGridAndKeepsCoverage) {
   sim.run();
   EXPECT_EQ(got, 3);
 
-  // The rebuilt index still agrees with brute force.
-  const auto grid_edges = net.connectivity().edges();
-  net.set_spatial_index_enabled(false);
-  const auto brute_edges = net.connectivity().edges();
-  ASSERT_EQ(grid_edges.size(), brute_edges.size());
-  for (std::size_t i = 0; i < grid_edges.size(); ++i) {
-    EXPECT_EQ(grid_edges[i].a, brute_edges[i].a);
-    EXPECT_EQ(grid_edges[i].b, brute_edges[i].b);
-  }
+  // The store built across the grid rebuild still agrees with the oracle.
+  expect_identical_topologies(net.connectivity(), brute_connectivity(net),
+                              "store vs oracle");
 }
 
 TEST_P(NetDeterminism, BroadcastDigestsIdenticalGridVsBrute) {
-  // Lossy mobile scenario driven end-to-end twice — spatial index on and
-  // off — from one seed. Every observable must match bit-for-bit: the RNG
-  // draw order, delivery counts, and the full metrics digest.
-  const auto run_once = [&](bool use_grid) {
+  // Lossy mobile scenario driven end-to-end from one seed. Every
+  // observable — the RNG draw order, delivery counts, the full metrics
+  // digest — must match the golden values recorded from the brute-force
+  // enumeration path before it was removed (the grid path agreed then).
+  struct Golden {
+    std::uint64_t seed, delivered, digest;
+  };
+  static constexpr Golden kGolden[] = {
+      {1, 4307, 0xa145441b589f758eULL},
+      {7, 4361, 0xc6a95ba70eeee037ULL},
+      {1234, 4225, 0xa5261550cdbcb6bdULL},
+  };
+  const auto run_once = [&] {
     Simulator sim;
     Network net(sim, ChannelModel(), Rng(GetParam()));
-    net.set_spatial_index_enabled(use_grid);
     Rng layout(GetParam() ^ 0x5EED);
     std::vector<NodeId> ids;
     for (int i = 0; i < 80; ++i) {
@@ -1236,7 +1285,13 @@ TEST_P(NetDeterminism, BroadcastDigestsIdenticalGridVsBrute) {
     }
     return std::pair<std::uint64_t, std::uint64_t>{got, net.metrics().digest()};
   };
-  EXPECT_EQ(run_once(true), run_once(false));
+  const auto golden = std::find_if(std::begin(kGolden), std::end(kGolden),
+                                   [&](const Golden& g) { return g.seed == GetParam(); });
+  ASSERT_NE(golden, std::end(kGolden)) << "no golden for seed " << GetParam();
+  const auto got = run_once();
+  EXPECT_EQ(got.first, golden->delivered);
+  EXPECT_EQ(got.second, golden->digest);
+  EXPECT_EQ(run_once(), got);
 }
 
 // ------------------------------------------------------- Layered network ----
@@ -1338,50 +1393,50 @@ TEST(NetworkLayers, DownGatewayRevivalReformsInterLayerLinks) {
 }
 
 TEST(NetworkLayers, GatewayChurnIsIdenticalAcrossAllMaintenanceModes) {
-  // Random multi-layer churn (moves, liveness flips, gateway flips)
-  // replayed in all four {grid,brute} x {incremental,rebuild} modes: the
-  // connectivity snapshots and epoch trajectories must be bit-identical.
-  const auto run_mode = [](bool use_grid, bool use_incremental) {
-    Simulator sim;
-    Network net(sim, ChannelModel(), Rng(6));
-    net.set_spatial_index_enabled(use_grid);
-    net.set_incremental_connectivity_enabled(use_incremental);
-    Rng drive(0xC0FFEE);
-    std::vector<NodeId> ids;
-    for (int i = 0; i < 60; ++i) {
-      const auto layer = static_cast<LayerId>(i % 3);
-      ids.push_back(net.add_node({drive.uniform(0, 700), drive.uniform(0, 700)},
-                                 {.range_m = 220}, layer));
-      if (i % 4 == 0) net.set_gateway(ids.back(), true);
-    }
-    std::vector<std::uint64_t> trail;
-    for (int round = 0; round < 6; ++round) {
-      for (const NodeId id : ids) {
-        const double action = drive.uniform();
-        if (action < 0.25) {
-          net.set_gateway(id, !net.is_gateway(id));
-        } else if (action < 0.4) {
-          net.set_node_up(id, !net.node_up(id));
-        } else {
-          net.set_position(id, {drive.uniform(0, 700), drive.uniform(0, 700)});
-        }
-      }
-      const Topology t = net.connectivity();
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const Edge& e : t.edges()) {
-        h ^= (static_cast<std::uint64_t>(e.a) << 32) | e.b;
-        h *= 0x100000001b3ULL;
-      }
-      trail.push_back(h);
-      trail.push_back(t.edge_count());
-      trail.push_back(net.topology_epoch());
-    }
-    return trail;
+  // Random multi-layer churn (moves, liveness flips, gateway flips): each
+  // round's patched store must equal the brute-force oracle, and the
+  // trail of edge-list hashes, edge counts and epochs must fold to the
+  // value all four former {grid, brute} x {incremental, rebuild} modes
+  // produced.
+  constexpr std::uint64_t kGoldenTrail = 0x4c4233c8b11725b8ULL;
+  Simulator sim;
+  Network net(sim, ChannelModel(), Rng(6));
+  Rng drive(0xC0FFEE);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 60; ++i) {
+    const auto layer = static_cast<LayerId>(i % 3);
+    ids.push_back(net.add_node({drive.uniform(0, 700), drive.uniform(0, 700)},
+                               {.range_m = 220}, layer));
+    if (i % 4 == 0) net.set_gateway(ids.back(), true);
+  }
+  std::uint64_t trail = 0xcbf29ce484222325ULL;
+  const auto fold = [&trail](std::uint64_t v) {
+    trail ^= v;
+    trail *= 0x100000001b3ULL;
   };
-  const auto reference = run_mode(false, false);
-  EXPECT_EQ(run_mode(false, true), reference);
-  EXPECT_EQ(run_mode(true, false), reference);
-  EXPECT_EQ(run_mode(true, true), reference);
+  for (int round = 0; round < 6; ++round) {
+    for (const NodeId id : ids) {
+      const double action = drive.uniform();
+      if (action < 0.25) {
+        net.set_gateway(id, !net.is_gateway(id));
+      } else if (action < 0.4) {
+        net.set_node_up(id, !net.node_up(id));
+      } else {
+        net.set_position(id, {drive.uniform(0, 700), drive.uniform(0, 700)});
+      }
+    }
+    const Topology t = net.connectivity();
+    expect_identical_topologies(t, brute_connectivity(net), "store vs oracle");
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Edge& e : t.edges()) {
+      h ^= (static_cast<std::uint64_t>(e.a) << 32) | e.b;
+      h *= 0x100000001b3ULL;
+    }
+    fold(h);
+    fold(t.edge_count());
+    fold(net.topology_epoch());
+  }
+  EXPECT_EQ(trail, kGoldenTrail);
 }
 
 }  // namespace

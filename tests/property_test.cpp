@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <set>
 
 #include "checkpoint_scenario.h"
@@ -299,20 +300,54 @@ TEST(ParallelDeterminism, WorkerCountIsUnobservableAndRunsAreRepeatable) {
   }
 }
 
-// ------------------------------------------ Spatial index equivalence ----
+// ------------------------------------------------- Golden net sweeps ----
 //
-// The wireless substrate promises that the spatial grid changes wall time
-// only: for a fixed seed, a broadcast-heavy mobile scenario must produce
-// bit-identical metrics digests with the index on or off, under any worker
-// count, with per-replication payloads to match. This is the end-to-end
-// guarantee the bench (bench_network) enforces at scale.
+// Each sweep runs net::Network's one production path (grid enumeration +
+// patched edge store) and checks its merged digest against a hand-rolled
+// serial loop AND a committed golden value: a change to the production
+// path moves the serial loop with it, but not the golden. The goldens
+// were recorded from Network's former brute-force + full-rebuild runtime
+// modes, which every mode matched; the O(N^2) scan survives as the
+// brute_connectivity oracle in tests/net_oracle.h.
+
+using SweepBody = std::function<double(sim::ReplicationContext&)>;
+
+/// Runs `reference_body` over `seeds` in a hand-rolled serial loop and
+/// `body` on a pool of `workers`; the pool must reproduce the serial
+/// payloads, and both merged digests must equal `golden`.
+void expect_golden_sweep(const std::vector<std::uint64_t>& seeds,
+                         std::size_t workers, std::uint64_t golden,
+                         const SweepBody& reference_body, const SweepBody& body) {
+  sim::MetricsRegistry ref_merged;
+  std::vector<double> ref_payloads;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    sim::ReplicationContext ctx;
+    ctx.seed = seeds[i];
+    ctx.index = i;
+    ref_payloads.push_back(reference_body(ctx));
+    ref_merged.merge_from(ctx.metrics);
+  }
+  EXPECT_EQ(ref_merged.digest(), golden) << "serial reference";
+
+  const sim::ParallelRunner runner(workers);
+  const auto outcome = runner.run<double>(seeds, body);
+  EXPECT_EQ(outcome.failures, 0u);
+  ASSERT_EQ(outcome.replications.size(), seeds.size());
+  EXPECT_EQ(outcome.merged.digest(), golden) << "workers=" << workers;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
+        << "workers=" << workers << " rep=" << i;
+  }
+}
+
+// Spatial index: a broadcast-heavy mobile scenario; the grid must change
+// wall time only.
 
 namespace spatial {
 
-double substrate_body(sim::ReplicationContext& ctx, bool use_grid) {
+double substrate_body(sim::ReplicationContext& ctx) {
   sim::Simulator s;
   net::Network network(s, net::ChannelModel(), ctx.make_rng());
-  network.set_spatial_index_enabled(use_grid);
   sim::Rng layout(ctx.seed ^ 0xD15C0ULL);
   std::vector<net::NodeId> ids;
   for (int i = 0; i < 60; ++i) {
@@ -343,61 +378,31 @@ double substrate_body(sim::ReplicationContext& ctx, bool use_grid) {
 
 }  // namespace spatial
 
+/// Merged digest of the 8-seed sweep below, recorded from the brute-force
+/// enumeration mode.
+constexpr std::uint64_t kSpatialGolden = 0xdf223bc455228c23ULL;
+
 class SpatialIndexEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SpatialIndexEquivalence, GridAndBruteDigestsIdenticalUnderWorkers) {
-  const std::size_t workers = GetParam();
-  const auto seeds = sim::ParallelRunner::seed_range(4242, 8);
-
-  // Reference: brute-force enumeration, hand-rolled serial loop.
-  sim::MetricsRegistry ref_merged;
-  std::vector<double> ref_payloads;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    sim::ReplicationContext ctx;
-    ctx.seed = seeds[i];
-    ctx.index = i;
-    ref_payloads.push_back(spatial::substrate_body(ctx, /*use_grid=*/false));
-    ref_merged.merge_from(ctx.metrics);
-  }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    const sim::ParallelRunner runner(workers);
-    const auto outcome = runner.run<double>(seeds, [use_grid](sim::ReplicationContext& ctx) {
-      return spatial::substrate_body(ctx, use_grid);
-    });
-    EXPECT_EQ(outcome.failures, 0u);
-    ASSERT_EQ(outcome.replications.size(), seeds.size());
-    EXPECT_EQ(outcome.merged.digest(), ref_digest)
-        << "workers=" << workers << " grid=" << use_grid;
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
-          << "workers=" << workers << " grid=" << use_grid << " rep=" << i;
-    }
-  }
+  expect_golden_sweep(sim::ParallelRunner::seed_range(4242, 8), GetParam(),
+                      kSpatialGolden, spatial::substrate_body, spatial::substrate_body);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, SpatialIndexEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{8}));
 
-// ----------------------------- Connectivity maintenance equivalence ----
-//
-// The incremental edge store promises the same contract the grid does:
-// wall time only. A churn-heavy scenario — liveness flips and mobility
-// interleaved into a broadcast storm, multi-hop sends over the shifting
-// topology — must produce bit-identical digests, payloads, and epochs
-// across {grid, brute} x {incremental, full-rebuild}, under any worker
-// count, against a hand-rolled serial brute+rebuild reference.
+// Connectivity maintenance: liveness flips and mobility interleaved into a
+// broadcast storm, multi-hop sends over the shifting topology. The patched
+// edge store must reproduce the digests, payloads and epochs of the
+// brute-force + full-rebuild reference.
 
 namespace churn {
 
-double substrate_body(sim::ReplicationContext& ctx, bool use_grid,
-                      bool use_incremental, bool layered = false) {
+double substrate_body(sim::ReplicationContext& ctx, bool layered) {
   sim::Simulator s;
   net::Network network(s, net::ChannelModel(), ctx.make_rng());
-  network.set_spatial_index_enabled(use_grid);
-  network.set_incremental_connectivity_enabled(use_incremental);
   sim::Rng layout(ctx.seed ^ 0xC4012ULL);
   std::vector<net::NodeId> ids;
   for (int i = 0; i < 50; ++i) {
@@ -448,101 +453,42 @@ double substrate_body(sim::ReplicationContext& ctx, bool use_grid,
 
 }  // namespace churn
 
+/// Merged digests of the churn sweeps below, recorded from the
+/// brute-force + full-rebuild mode (all four modes agreed).
+constexpr std::uint64_t kChurnGolden = 0x835e781d8b20cb25ULL;
+constexpr std::uint64_t kLayeredGolden = 0x7ca6070ab6a86ab4ULL;
+
 class ConnectivityMaintenanceEquivalence
     : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ConnectivityMaintenanceEquivalence, AllModesDigestsIdenticalUnderChurn) {
-  const std::size_t workers = GetParam();
-  const auto seeds = sim::ParallelRunner::seed_range(31337, 8);
-
-  // Reference: brute-force enumeration + full rebuilds, hand-rolled serial
-  // loop.
-  sim::MetricsRegistry ref_merged;
-  std::vector<double> ref_payloads;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    sim::ReplicationContext ctx;
-    ctx.seed = seeds[i];
-    ctx.index = i;
-    ref_payloads.push_back(
-        churn::substrate_body(ctx, /*use_grid=*/false, /*use_incremental=*/false));
-    ref_merged.merge_from(ctx.metrics);
-  }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    for (const bool use_incremental : {true, false}) {
-      const sim::ParallelRunner runner(workers);
-      const auto outcome = runner.run<double>(
-          seeds, [use_grid, use_incremental](sim::ReplicationContext& ctx) {
-            return churn::substrate_body(ctx, use_grid, use_incremental);
-          });
-      EXPECT_EQ(outcome.failures, 0u);
-      ASSERT_EQ(outcome.replications.size(), seeds.size());
-      EXPECT_EQ(outcome.merged.digest(), ref_digest)
-          << "workers=" << workers << " grid=" << use_grid
-          << " incremental=" << use_incremental;
-      for (std::size_t i = 0; i < seeds.size(); ++i) {
-        EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
-            << "workers=" << workers << " grid=" << use_grid
-            << " incremental=" << use_incremental << " rep=" << i;
-      }
-    }
-  }
+  const SweepBody flat = [](sim::ReplicationContext& ctx) {
+    return churn::substrate_body(ctx, /*layered=*/false);
+  };
+  expect_golden_sweep(sim::ParallelRunner::seed_range(31337, 8), GetParam(),
+                      kChurnGolden, flat, flat);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, ConnectivityMaintenanceEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{8}));
 
-// ---------------------------------------------- Layered equivalence ----
-//
-// A one-layer layered network IS a flat network: the per-node layer slab,
-// the link_allowed gate, and gateway flips with nothing to bridge must all
-// be unobservable. The layered churn body (same substrate churn plus
-// gateway flips on every 7th node per round) is swept across {grid, brute}
-// x {incremental, rebuild} x workers {1, 2, 8} and compared digest- and
-// payload-identical to the flat serial brute+rebuild reference.
+// Layered: a one-layer layered network IS a flat network. The per-node
+// layer slab, the link_allowed gate, and gateway flips with nothing to
+// bridge (every 7th node per round) must all be unobservable: the layered
+// body on the pool must match the FLAT body's serial loop and golden.
 
 class LayeredEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LayeredEquivalence, OneLayerNetworkIsDigestIdenticalToFlat) {
-  const std::size_t workers = GetParam();
-  const auto seeds = sim::ParallelRunner::seed_range(42424, 8);
-
-  // Reference: the FLAT body (no gateway calls at all), serial, brute,
-  // full-rebuild.
-  sim::MetricsRegistry ref_merged;
-  std::vector<double> ref_payloads;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    sim::ReplicationContext ctx;
-    ctx.seed = seeds[i];
-    ctx.index = i;
-    ref_payloads.push_back(churn::substrate_body(
-        ctx, /*use_grid=*/false, /*use_incremental=*/false, /*layered=*/false));
-    ref_merged.merge_from(ctx.metrics);
-  }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    for (const bool use_incremental : {true, false}) {
-      const sim::ParallelRunner runner(workers);
-      const auto outcome = runner.run<double>(
-          seeds, [use_grid, use_incremental](sim::ReplicationContext& ctx) {
-            return churn::substrate_body(ctx, use_grid, use_incremental,
-                                         /*layered=*/true);
-          });
-      EXPECT_EQ(outcome.failures, 0u);
-      ASSERT_EQ(outcome.replications.size(), seeds.size());
-      EXPECT_EQ(outcome.merged.digest(), ref_digest)
-          << "workers=" << workers << " grid=" << use_grid
-          << " incremental=" << use_incremental;
-      for (std::size_t i = 0; i < seeds.size(); ++i) {
-        EXPECT_EQ(outcome.replications[i].payload, ref_payloads[i])
-            << "workers=" << workers << " grid=" << use_grid
-            << " incremental=" << use_incremental << " rep=" << i;
-      }
-    }
-  }
+  const SweepBody flat = [](sim::ReplicationContext& ctx) {
+    return churn::substrate_body(ctx, /*layered=*/false);
+  };
+  const SweepBody layered = [](sim::ReplicationContext& ctx) {
+    return churn::substrate_body(ctx, /*layered=*/true);
+  };
+  expect_golden_sweep(sim::ParallelRunner::seed_range(42424, 8), GetParam(),
+                      kLayeredGolden, flat, layered);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, LayeredEquivalence,
@@ -557,27 +503,29 @@ INSTANTIATE_TEST_SUITE_P(Workers, LayeredEquivalence,
 // jamming-off edge are still pending), then restoring — into a FRESH stack
 // built by the same scenario code, or rewinding the SAME stack in place —
 // and running to the horizon must reproduce the uninterrupted run's digest
-// bit-for-bit. Swept over 8 seeds, worker counts {1, 2, 8}, and the spatial
-// index on/off, with the merged-metrics digest compared across all of them.
+// bit-for-bit. Swept over 8 seeds and worker counts {1, 2, 8}, with the
+// merged-metrics digest compared against the serial loop and the golden
+// value recorded when the sweep also covered the brute-force enumeration
+// mode (both modes agreed).
 
 namespace ckpt {
 
 /// One replication: uninterrupted vs fresh-stack branch vs in-place rewind.
 /// Returns the number of digest mismatches (0 == the promise holds).
-std::uint64_t equivalence_body(sim::ReplicationContext& ctx, bool use_grid) {
+double equivalence_body(sim::ReplicationContext& ctx) {
   using iobt::testing::CheckpointScenario;
   const sim::SimTime snap_at = sim::SimTime::seconds(55);
   const sim::SimTime horizon = sim::SimTime::seconds(120);
 
   // save() is non-destructive, so the source stack doubles as the
   // uninterrupted reference.
-  CheckpointScenario source(ctx.seed, use_grid);
+  CheckpointScenario source(ctx.seed);
   source.sim.run_until(snap_at);
   const sim::Snapshot snap = source.sim.checkpoint().save();
   source.sim.run_until(horizon);
   const std::uint64_t uninterrupted = source.digest();
 
-  CheckpointScenario branch(ctx.seed, use_grid);
+  CheckpointScenario branch(ctx.seed);
   branch.sim.checkpoint().restore(snap);
   branch.sim.run_until(horizon);
   const std::uint64_t fresh_stack = branch.digest();
@@ -589,52 +537,29 @@ std::uint64_t equivalence_body(sim::ReplicationContext& ctx, bool use_grid) {
   std::uint64_t mismatches = 0;
   if (fresh_stack != uninterrupted) ++mismatches;
   if (rewound != uninterrupted) ++mismatches;
-  // Fold the digest into the merged metrics so the cross-worker /
-  // cross-grid comparison below also proves the scenario itself is
+  // Fold the digest into the merged metrics so the cross-worker and
+  // golden comparisons below also prove the scenario itself is
   // deterministic (not merely self-consistent per process).
   ctx.metrics.count("ckpt.digest_lo",
                     static_cast<double>(uninterrupted & 0xffffffffu));
   ctx.metrics.count("ckpt.digest_hi",
                     static_cast<double>(uninterrupted >> 32));
   ctx.metrics.count("ckpt.mismatches", static_cast<double>(mismatches));
-  return mismatches;
+  return static_cast<double>(mismatches);
 }
 
 }  // namespace ckpt
 
 class CheckpointEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
+constexpr std::uint64_t kCheckpointGolden = 0xa4aaea9f27340b44ULL;
+
 TEST_P(CheckpointEquivalence, RestoreDigestsIdenticalUnderWorkersAndGrid) {
-  const std::size_t workers = GetParam();
-  const auto seeds = sim::ParallelRunner::seed_range(777, 8);
-
-  // Reference: hand-rolled serial loop, spatial index off.
-  sim::MetricsRegistry ref_merged;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    sim::ReplicationContext ctx;
-    ctx.seed = seeds[i];
-    ctx.index = i;
-    EXPECT_EQ(ckpt::equivalence_body(ctx, /*use_grid=*/false), 0u)
-        << "seed " << seeds[i];
-    ref_merged.merge_from(ctx.metrics);
-  }
-  const std::uint64_t ref_digest = ref_merged.digest();
-
-  for (const bool use_grid : {true, false}) {
-    const sim::ParallelRunner runner(workers);
-    const auto outcome = runner.run<std::uint64_t>(
-        seeds, [use_grid](sim::ReplicationContext& ctx) {
-          return ckpt::equivalence_body(ctx, use_grid);
-        });
-    EXPECT_EQ(outcome.failures, 0u);
-    ASSERT_EQ(outcome.replications.size(), seeds.size());
-    EXPECT_EQ(outcome.merged.digest(), ref_digest)
-        << "workers=" << workers << " grid=" << use_grid;
-    for (const auto& r : outcome.replications) {
-      EXPECT_EQ(r.payload, 0u)
-          << "workers=" << workers << " grid=" << use_grid << " seed=" << r.seed;
-    }
-  }
+  // The golden digest folds in zero mismatches for every seed, so a
+  // restore that diverges fails here even when it diverges the same way
+  // in the serial loop.
+  expect_golden_sweep(sim::ParallelRunner::seed_range(777, 8), GetParam(),
+                      kCheckpointGolden, ckpt::equivalence_body, ckpt::equivalence_body);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, CheckpointEquivalence,
