@@ -93,7 +93,7 @@ std::optional<things::AssetId> Runtime::pick_sink() const {
 int Runtime::hops_to_sink(net::NodeId from, net::NodeId sink) const {
   const std::uint64_t epoch = net_->topology_epoch();
   if (!sink_hops_valid_ || sink_hops_sink_ != sink || sink_hops_epoch_ != epoch) {
-    sink_hops_ = net_->connectivity().hop_distances(sink);
+    sink_hops_ = net_->topology_view().hop_distances(sink);
     sink_hops_sink_ = sink;
     sink_hops_epoch_ = epoch;
     sink_hops_valid_ = true;
@@ -214,7 +214,7 @@ std::optional<MissionId> Runtime::launch_mission(const synthesis::Goal& goal,
       prob.pinned.push_back(
           {static_cast<flow::OperatorId>(sensing_members + 3),
            static_cast<flow::HostId>(prob.hosts.size() - 1)});
-      prob.hops = flow::host_hops_from_topology(net_->connectivity(), host_nodes);
+      prob.hops = flow::host_hops_from_topology(net_->topology_view(), host_nodes);
       m->service = flow::place(prob);
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 
 #include "sim/wire.h"
 
@@ -97,8 +99,9 @@ void Network::set_position(NodeId id, sim::Vec2 p) {
   grid_.move(id, from, p);
   // Region-scoped invalidation: a move that gains or loses no link leaves
   // every cached route structurally intact, so the epoch — and with it
-  // every Dijkstra rebuild downstream — is only paid when an in-range
-  // relationship actually changed.
+  // every Dijkstra restart downstream — is only paid when an in-range
+  // relationship actually changed. Unfinished route trees were frozen by
+  // the patch, so they keep answering with the weights they started under.
   if (changed) invalidate_routes();
 }
 
@@ -144,29 +147,52 @@ void Network::set_gateway(NodeId id, bool on) {
 
 bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
   // Any node whose in-range relationship with `id` can flip lies in the
-  // 3x3 neighborhood of `from` or of `to` (covering invariant).
-  scratch_.clear();
-  grid_.neighborhood(from, scratch_);
-  grid_.neighborhood(to, scratch_);
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()), scratch_.end());
+  // 3x3 neighborhood of `from` or of `to` (covering invariant). A move
+  // within one cell has one neighborhood, served sorted from the grid's
+  // memo; the grid is not touched until the walk below is done.
+  const std::vector<NodeId>* candidates = &scratch_;
+  if (grid_.cell_key(from) == grid_.cell_key(to)) {
+    candidates = &grid_.neighborhood_sorted(from);
+  } else {
+    scratch_.clear();
+    grid_.neighborhood(from, scratch_);
+    grid_.neighborhood(to, scratch_);
+    std::sort(scratch_.begin(), scratch_.end());
+    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()), scratch_.end());
+  }
+  // Walk the candidates and id's adjacency row together, both ascending:
+  // a link existed iff the store has it, so only `now` needs a range test.
+  const std::vector<Topology::Neighbor>& row = links_.neighbors(id);
   const RadioProfile& pr = profiles_[id];
+  patch_scratch_.clear();
   bool changed = false;
-  for (const NodeId other : scratch_) {
+  auto r = row.begin();
+  for (const NodeId other : *candidates) {
     if (other == id || !link_allowed(id, other)) continue;
-    const bool was = channel_.in_range(from, pr, positions_[other], profiles_[other]);
+    while (r != row.end() && r->id < other) ++r;
+    const bool was = r != row.end() && r->id == other;
     const bool now = channel_.in_range(to, pr, positions_[other], profiles_[other]);
-    if (was == now) {
+    if (!was && !now) continue;
+    changed |= was != now;
+    patch_scratch_.push_back({other, was, now});
+  }
+  // Covering invariant: every neighbor was a candidate.
+  assert(static_cast<std::size_t>(std::count_if(
+             patch_scratch_.begin(), patch_scratch_.end(),
+             [](const LinkPatch& p) { return p.was; })) == row.size());
+  // Weights are about to drift; if the edge set stays, the epoch does too,
+  // and unfinished route trees must keep the weights they started under.
+  if (!changed && !patch_scratch_.empty()) freeze_growing_trees();
+  for (const LinkPatch& p : patch_scratch_) {
+    const double d = sim::distance(to, positions_[p.other]);
+    if (p.was && p.now) {
       // Retained link: refresh its metric so the store tracks distance
       // drift exactly like a from-scratch rebuild would.
-      if (now) links_.update_edge_weight(id, other, sim::distance(to, positions_[other]));
-      continue;
-    }
-    changed = true;
-    if (now) {
-      links_.add_edge_sorted(id, other, sim::distance(to, positions_[other]));
+      links_.update_edge_weight(id, p.other, d);
+    } else if (p.now) {
+      links_.add_edge_sorted(id, p.other, d);
     } else {
-      links_.remove_edge(id, other);
+      links_.remove_edge(id, p.other);
     }
   }
   return changed;
@@ -208,7 +234,7 @@ void Network::drop(DropReason reason, const Message& msg) {
 }
 
 bool Network::transmit(NodeId src, NodeId dst, Message msg,
-                       const std::vector<NodeId>* remaining_path) {
+                       std::vector<NodeId> route, std::uint32_t next_hop) {
   if (!up_.at(src) || !up_.at(dst)) {
     drop(DropReason::kNodeDown, msg);
     return false;
@@ -267,10 +293,8 @@ bool Network::transmit(NodeId src, NodeId dst, Message msg,
   }
   PendingFrame& f = pending_[slot];
   f.msg = std::move(msg);
-  f.path_tail.clear();
-  if (remaining_path) {
-    f.path_tail.assign(remaining_path->begin(), remaining_path->end());
-  }
+  f.route = std::move(route);
+  f.next_hop = next_hop;
   f.frame_trace = frame_trace;
   f.dst = dst;
   f.lost = lost;
@@ -290,7 +314,8 @@ void Network::deliver_pending(std::uint32_t slot) {
   // hooks, receiver handlers, and multi-hop forwarding can all re-enter
   // transmit(), which may grow pending_ and invalidate references into it.
   Message msg = std::move(pending_[slot].msg);
-  std::vector<NodeId> path_tail = std::move(pending_[slot].path_tail);
+  std::vector<NodeId> route = std::move(pending_[slot].route);
+  const std::uint32_t next_hop = pending_[slot].next_hop;
   const NodeId dst = pending_[slot].dst;
   const bool lost = pending_[slot].lost;
   pending_[slot].event = sim::kNoEvent;
@@ -306,11 +331,10 @@ void Network::deliver_pending(std::uint32_t slot) {
     return;
   }
   ++msg.hops;
-  if (!path_tail.empty()) {
-    // Intermediate hop: forward along the precomputed path.
-    const NodeId next = path_tail.front();
-    std::vector<NodeId> rest(path_tail.begin() + 1, path_tail.end());
-    transmit(dst, next, std::move(msg), rest.empty() ? nullptr : &rest);
+  if (next_hop < route.size()) {
+    // Intermediate hop: forward along the route fixed at send time.
+    const NodeId next = route[next_hop];
+    transmit(dst, next, std::move(msg), std::move(route), next_hop + 1);
     return;
   }
   *frames_delivered_counter_ += 1.0;
@@ -322,7 +346,7 @@ bool Network::send(NodeId src, NodeId dst, Message msg) {
   msg.src = src;
   msg.dst = dst;
   msg.sent_at = sim_.now();
-  return transmit(src, dst, std::move(msg), nullptr);
+  return transmit(src, dst, std::move(msg));
 }
 
 std::size_t Network::broadcast(NodeId src, Message msg) {
@@ -348,24 +372,89 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
     if (other == src || !up_[other] || !link_allowed(src, other)) continue;
     if (!channel_.in_range(sp, spr, positions_[other], profiles_[other])) continue;
     Message copy = msg;
-    if (transmit(src, other, std::move(copy), nullptr)) ++put_on_air;
+    if (transmit(src, other, std::move(copy))) ++put_on_air;
   }
   return put_on_air;
 }
 
-const ShortestPaths& Network::cached_paths(NodeId src) {
-  RouteCacheEntry& entry = route_cache_.at(src);
-  if (entry.epoch != topology_epoch_) {
-    entry.paths = links_.shortest_paths(src);
-    entry.epoch = topology_epoch_;
+void Network::invalidate_routes() {
+  ++topology_epoch_;
+  for (const NodeId s : epoch_trees_) {
+    RouteCacheEntry& e = *route_cache_[s];
+    e.frozen.reset();
+    std::vector<std::pair<double, NodeId>>().swap(e.frontier);
   }
-  return entry.paths;
+  epoch_trees_.clear();
+  unfrozen_from_ = 0;
+}
+
+void Network::freeze_growing_trees() {
+  std::shared_ptr<FrozenWeights> copy;
+  for (; unfrozen_from_ < epoch_trees_.size(); ++unfrozen_from_) {
+    RouteCacheEntry& e = *route_cache_[epoch_trees_[unfrozen_from_]];
+    if (e.frontier.empty()) continue;  // complete: reads no weight again
+    if (!copy) {
+      copy = std::make_shared<FrozenWeights>();
+      copy->row.reserve(node_count() + 1);
+      copy->weight.reserve(2 * links_.edge_count());
+      for (NodeId v = 0; v < node_count(); ++v) {
+        copy->row.push_back(copy->weight.size());
+        for (const Topology::Neighbor& nb : links_.neighbors(v)) {
+          copy->weight.push_back(nb.weight);
+        }
+      }
+      copy->row.push_back(copy->weight.size());
+    }
+    e.frozen = copy;
+  }
+}
+
+const ShortestPaths& Network::settle_route(NodeId src, NodeId dst) {
+  if (!route_cache_[src]) route_cache_[src] = std::make_unique<RouteCacheEntry>();
+  RouteCacheEntry& e = *route_cache_[src];
+  ShortestPaths& sp = e.paths;
+  if (e.epoch != topology_epoch_) {
+    const std::size_t n = node_count();
+    e.epoch = topology_epoch_;
+    sp.source = src;
+    sp.dist.assign(n, std::numeric_limits<double>::infinity());
+    sp.parent.assign(n, std::nullopt);
+    e.settled.assign(n, 0);
+    sp.dist[src] = 0.0;
+    e.frontier.assign(1, {0.0, src});
+    epoch_trees_.push_back(src);
+  }
+  // The same pops and relaxations as Topology::shortest_paths, stopped
+  // once dst is settled: a node is settled by its unique (dist, id) entry,
+  // and every later entry for it is stale.
+  constexpr std::greater<> kMinHeap;
+  while (!e.settled[dst] && !e.frontier.empty()) {
+    std::pop_heap(e.frontier.begin(), e.frontier.end(), kMinHeap);
+    const auto [d, v] = e.frontier.back();
+    e.frontier.pop_back();
+    if (e.settled[v]) continue;
+    e.settled[v] = 1;
+    const std::vector<Topology::Neighbor>& row = links_.neighbors(v);
+    const double* frozen = e.frozen ? e.frozen->weight.data() + e.frozen->row[v] : nullptr;
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const NodeId u = row[k].id;
+      const double cand = d + (frozen ? frozen[k] : row[k].weight);
+      if (cand < sp.dist[u]) {
+        sp.dist[u] = cand;
+        sp.parent[u] = v;
+        e.frontier.emplace_back(cand, u);
+        std::push_heap(e.frontier.begin(), e.frontier.end(), kMinHeap);
+      }
+    }
+  }
+  if (e.frontier.empty()) e.frozen.reset();  // complete: reads no weight again
+  return sp;
 }
 
 bool Network::route_exists(NodeId src, NodeId dst) {
   if (src >= node_count() || dst >= node_count()) return false;
   if (!up_[src] || !up_[dst]) return false;
-  return cached_paths(src).reachable(dst);
+  return settle_route(src, dst).reachable(dst);
 }
 
 bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
@@ -388,14 +477,15 @@ bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
     if (handlers_[src]) handlers_[src](msg);
     return true;
   }
-  const auto path = cached_paths(src).path_to(dst);
-  if (path.size() < 2) {
+  std::vector<NodeId> route;
+  settle_route(src, dst).path_to(dst, route);
+  if (route.size() < 2) {
     drop(DropReason::kNoRoute, msg);
     return false;
   }
-  // path = [src, n1, n2, ..., dst]; first hop src->n1, tail n2..dst.
-  std::vector<NodeId> tail(path.begin() + 2, path.end());
-  return transmit(src, path[1], std::move(msg), tail.empty() ? nullptr : &tail);
+  // route = [src, n1, n2, ..., dst]; first hop src->n1, then n2..dst.
+  const NodeId first = route[1];
+  return transmit(src, first, std::move(msg), std::move(route), 2);
 }
 
 Topology Network::full_connectivity() const {
@@ -441,14 +531,29 @@ Network::MemoryFootprint Network::memory_footprint() const {
                  tx_free_at_.capacity() * sizeof(sim::SimTime);
   m.grid = grid_.memory_bytes();
   m.links = links_.memory_bytes();
-  m.route_cache = route_cache_.capacity() * sizeof(RouteCacheEntry);
-  for (const RouteCacheEntry& e : route_cache_) {
-    m.route_cache += e.paths.dist.capacity() * sizeof(double) +
-                     e.paths.parent.capacity() * sizeof(std::optional<NodeId>);
+  m.route_cache = route_cache_.capacity() * sizeof(route_cache_[0]) +
+                  epoch_trees_.capacity() * sizeof(NodeId);
+  for (const auto& tree : route_cache_) {
+    if (!tree) continue;
+    const RouteCacheEntry& e = *tree;
+    m.route_cache += sizeof(RouteCacheEntry) + e.paths.dist.capacity() * sizeof(double) +
+                     e.paths.parent.capacity() * sizeof(std::optional<NodeId>) +
+                     e.settled.capacity() * sizeof(std::uint8_t) +
+                     e.frontier.capacity() * sizeof(e.frontier[0]);
+  }
+  // Frozen copies are shared among the trees one move froze; count each
+  // once. Only trees of this epoch can hold one.
+  std::vector<const FrozenWeights*> seen;
+  for (const NodeId s : epoch_trees_) {
+    const FrozenWeights* f = route_cache_[s]->frozen.get();
+    if (!f || std::find(seen.begin(), seen.end(), f) != seen.end()) continue;
+    seen.push_back(f);
+    m.route_cache += sizeof(FrozenWeights) + f->row.capacity() * sizeof(std::size_t) +
+                     f->weight.capacity() * sizeof(double);
   }
   m.pending = pending_.capacity() * sizeof(PendingFrame);
   for (const PendingFrame& f : pending_) {
-    m.pending += f.path_tail.capacity() * sizeof(NodeId);
+    m.pending += f.route.capacity() * sizeof(NodeId);
   }
   return m;
 }
@@ -477,8 +582,9 @@ void Network::save(sim::Snapshot& snap, const std::string& key) const {
   for (std::uint32_t s = 0; s < pending_.size(); ++s) {
     if (free_slot[s]) continue;
     const PendingFrame& f = pending_[s];
-    st.in_flight.push_back(SavedFrame{f.msg, f.path_tail, f.dst, f.lost,
-                                      f.deliver_at, sim_.pending_seq(f.event)});
+    st.in_flight.push_back(SavedFrame{
+        f.msg, std::vector<NodeId>(f.route.begin() + f.next_hop, f.route.end()), f.dst,
+        f.lost, f.deliver_at, sim_.pending_seq(f.event)});
   }
   snap.put(key, std::move(st));
 }
@@ -523,7 +629,10 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
   frames_in_flight_ = st.in_flight.size();
   max_range_m_ = st.max_range_m;
   topology_epoch_ = st.topology_epoch;
-  route_cache_.assign(node_count(), RouteCacheEntry{});
+  route_cache_.clear();
+  route_cache_.resize(node_count());
+  epoch_trees_.clear();
+  unfrozen_from_ = 0;
 
   // Rebuild the spatial index from scratch over the restored live nodes
   // (cell size invariant: >= max radio range; 250 m matches the default-
@@ -544,7 +653,8 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
     pending_.emplace_back();
     PendingFrame& p = pending_[slot];
     p.msg = f.msg;
-    p.path_tail = f.path_tail;
+    p.route = f.path_tail;
+    p.next_hop = 0;
     p.frame_trace = 0;  // async trace spans do not survive restore
     p.dst = f.dst;
     p.lost = f.lost;

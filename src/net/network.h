@@ -15,6 +15,7 @@
 // cache lines at 100k+ nodes instead of striding over 80-byte records.
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -99,16 +100,23 @@ class Network : public sim::SerializableCheckpointable {
   /// Returns number of frames put on the air.
   std::size_t broadcast(NodeId src, Message msg);
 
-  /// Multi-hop unicast along the current shortest path, where a path's
-  /// length is the sum of its link distances (Dijkstra, not hop count).
-  /// Each hop is a real frame subject to loss; on a lost hop the message
-  /// dies (upper layers retry if they care). Returns false if no route —
-  /// including unknown node ids (dropped kNoRoute, mirroring route_exists)
-  /// and a down src == dst (dropped kNodeDown: a dead radio delivers
-  /// nothing, not even to itself).
+  /// Multi-hop unicast along a shortest path, where a path's length is
+  /// the sum of its link distances (Dijkstra, not hop count). Paths come
+  /// from src's route tree for the current topology epoch: the Dijkstra
+  /// run over the link weights as they stood at src's first lookup in the
+  /// epoch. The tree is grown only until dst is settled and resumed by
+  /// later lookups; weight drift within the epoch does not reach it (see
+  /// topology_epoch()), so every answer equals that full run's.
+  /// The route is fixed at send time; each hop is a real frame subject to
+  /// loss; on a lost hop the message dies (upper layers retry if they
+  /// care). Returns false if no route — including unknown node ids
+  /// (dropped kNoRoute, mirroring route_exists) and a down src == dst
+  /// (dropped kNodeDown: a dead radio delivers nothing, not even to
+  /// itself).
   bool route_and_send(NodeId src, NodeId dst, Message msg);
 
-  /// True if a multi-hop route currently exists.
+  /// True if a multi-hop route currently exists. Settles dst in src's
+  /// route tree first, so the answer and a following route_and_send agree.
   bool route_exists(NodeId src, NodeId dst);
 
   // --- Introspection ----------------------------------------------------
@@ -131,7 +139,12 @@ class Network : public sim::SerializableCheckpointable {
   /// least one in-range relationship). Route caches — ours and callers' —
   /// key on it. A move that changes no in-range relationship does NOT bump
   /// the epoch: cached routes stay structurally valid (their hop sequences
-  /// still exist) even though link distances drift slightly.
+  /// still exist) even though link distances drift slightly. Our route
+  /// trees answer with frozen weights: each is the Dijkstra run over the
+  /// weights at its source's first lookup in the epoch, and before a move
+  /// rewrites a weight, every unfinished tree gets a flat copy of the
+  /// weights it started under (dropped when the tree completes or the
+  /// epoch bumps).
   std::uint64_t topology_epoch() const { return topology_epoch_; }
 
   /// Live-node candidates within `radius` of `p`, ascending NodeId order.
@@ -173,7 +186,7 @@ class Network : public sim::SerializableCheckpointable {
     std::size_t node_slabs = 0;   ///< SoA per-node field vectors
     std::size_t grid = 0;         ///< spatial index cells + memo
     std::size_t links = 0;        ///< incremental connectivity edge store
-    std::size_t route_cache = 0;  ///< per-source shortest-path cache
+    std::size_t route_cache = 0;  ///< route trees, frontiers, frozen weights
     std::size_t pending = 0;      ///< in-flight frame slab
     std::size_t total() const {
       return node_slabs + grid + links + route_cache + pending;
@@ -213,11 +226,14 @@ class Network : public sim::SerializableCheckpointable {
   /// scheduling a frame performs no heap allocation.
   struct PendingFrame {
     Message msg;
-    std::vector<NodeId> path_tail;
+    /// Multi-hop route, fixed at send time and carried from hop to hop;
+    /// route[next_hop..] are the hops after dst (none left: dst is final).
+    std::vector<NodeId> route;
     std::uint64_t frame_trace = 0;
     NodeId dst = 0;
     bool lost = false;
     std::uint32_t next_free = 0;
+    std::uint32_t next_hop = 0;
     /// Delivery time + event id, kept so checkpoints can capture the
     /// frame's original seq and restores can cancel/re-arm it.
     sim::SimTime deliver_at;
@@ -264,15 +280,20 @@ class Network : public sim::SerializableCheckpointable {
   void resolve_metric_handles();
 
   /// Puts one frame on the air src->dst; handles loss + delivery event.
-  /// Returns true if the frame was scheduled (not necessarily delivered).
+  /// `route` travels with the frame; route[next_hop..] are the hops after
+  /// dst. Returns true if the frame was scheduled (not necessarily
+  /// delivered).
   bool transmit(NodeId src, NodeId dst, Message msg,
-                const std::vector<NodeId>* remaining_path);
+                std::vector<NodeId> route = {}, std::uint32_t next_hop = 0);
   /// Delivery event body: resolves loss, forwards multi-hop tails, invokes
   /// the receiver handler, and recycles the slab slot.
   void deliver_pending(std::uint32_t slot);
 
   void drop(DropReason reason, const Message& msg);
-  void invalidate_routes() { ++topology_epoch_; }
+  /// Bumps the topology epoch: every route tree is stale, and the
+  /// frontiers and frozen weight copies of the old epoch's trees are
+  /// released.
+  void invalidate_routes();
   /// The layer predicate: true iff a link between a and b is permitted.
   /// Same layer always; cross-layer only between two gateways.
   bool link_allowed(NodeId a, NodeId b) const {
@@ -285,10 +306,12 @@ class Network : public sim::SerializableCheckpointable {
   /// Patches links_ for a move of live node `id` (must run BEFORE the slab
   /// position and grid are updated): the union of the two 3x3
   /// neighborhoods covers every node whose in-range relationship can flip.
-  /// Weights of retained edges are refreshed to the new distance, so the
-  /// store tracks link-metric drift exactly like a from-scratch rebuild.
-  /// Returns whether any edge appeared or vanished, i.e. whether the
-  /// topology epoch must bump.
+  /// Whether a link existed is read from the store, so each candidate
+  /// costs one range test. Weights of retained edges are refreshed to the
+  /// new distance, so the store tracks link-metric drift exactly like a
+  /// from-scratch rebuild; when no edge flips, unfinished route trees are
+  /// frozen first. Returns whether any edge appeared or vanished, i.e.
+  /// whether the topology epoch must bump.
   bool patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to);
   /// Adds every edge of a node that just came up / joined (grid must
   /// already contain it).
@@ -351,6 +374,13 @@ class Network : public sim::SerializableCheckpointable {
   /// restores stop allocating once warm; mutable for the same reason as
   /// scratch_.
   mutable std::vector<Edge> edge_scratch_;
+  /// One move's in-range links, before and after (patch_links_for_move).
+  struct LinkPatch {
+    NodeId other;
+    bool was;
+    bool now;
+  };
+  std::vector<LinkPatch> patch_scratch_;
 
   /// Persistent connectivity edge store, patched in place by add_node /
   /// set_position / set_node_up / set_gateway. Adjacency lists are kept
@@ -360,14 +390,45 @@ class Network : public sim::SerializableCheckpointable {
   /// never saved, reseeded by full_connectivity on restore.
   Topology links_;
 
-  // Shortest-path cache keyed by source, invalidated by epoch bumps.
+  // Route trees keyed by source, invalidated by epoch bumps.
   std::uint64_t topology_epoch_ = 0;
+  /// Link weights of links_ at one instant, flat in adjacency order:
+  /// node v's weights are weight[row[v] .. row[v + 1]).
+  struct FrozenWeights {
+    std::vector<std::size_t> row;
+    std::vector<double> weight;
+  };
+  /// One source's Dijkstra, run on demand. A lookup pops the frontier
+  /// only until its destination is settled; the next lookup resumes it.
+  /// Pops follow the (dist, id) order and relaxations the adjacency order,
+  /// so every settled node's dist and parent equal those of a full run.
+  /// Within an epoch the edge set is fixed but weights drift: a tree that
+  /// is still growing when a move rewrites weights reads `frozen` from
+  /// then on, so it stays the run over the weights it started under.
   struct RouteCacheEntry {
     std::uint64_t epoch = ~0ULL;
     ShortestPaths paths;
+    std::vector<std::uint8_t> settled;
+    /// Min-heap on (tentative dist, id); stale entries are skipped. Its
+    /// buffer is released when the epoch bumps.
+    std::vector<std::pair<double, NodeId>> frontier;
+    /// Shared by every tree frozen by the same move; null while the tree
+    /// reads links_ directly.
+    std::shared_ptr<const FrozenWeights> frozen;
   };
-  mutable std::vector<RouteCacheEntry> route_cache_;
-  const ShortestPaths& cached_paths(NodeId src);
+  /// Allocated at a source's first lookup: most nodes never route.
+  std::vector<std::unique_ptr<RouteCacheEntry>> route_cache_;
+  /// Sources whose tree started in this epoch (cleared on epoch bumps).
+  /// Those before `unfrozen_from_` were frozen or complete at the last
+  /// freeze; only the rest can still read live weights.
+  std::vector<NodeId> epoch_trees_;
+  std::size_t unfrozen_from_ = 0;
+  /// src's tree for this epoch, grown until dst is settled or every
+  /// reachable node is.
+  const ShortestPaths& settle_route(NodeId src, NodeId dst);
+  /// Gives every unfinished, unfrozen tree of this epoch one shared copy
+  /// of the current weights; called before weights are rewritten.
+  void freeze_growing_trees();
 };
 
 }  // namespace iobt::net

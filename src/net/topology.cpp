@@ -25,18 +25,26 @@ bool ShortestPaths::reachable(NodeId v) const {
 }
 
 std::vector<NodeId> ShortestPaths::path_to(NodeId v) const {
-  if (!reachable(v)) return {};
-  std::vector<NodeId> rev;
+  std::vector<NodeId> out;
+  path_to(v, out);
+  return out;
+}
+
+void ShortestPaths::path_to(NodeId v, std::vector<NodeId>& out) const {
+  out.clear();
+  if (!reachable(v)) return;
   NodeId cur = v;
-  rev.push_back(cur);
+  out.push_back(cur);
   while (cur != source) {
     const auto& p = parent[cur];
-    if (!p) return {};  // defensive: broken parent chain
+    if (!p) {  // defensive: broken parent chain
+      out.clear();
+      return;
+    }
     cur = *p;
-    rev.push_back(cur);
+    out.push_back(cur);
   }
-  std::reverse(rev.begin(), rev.end());
-  return rev;
+  std::reverse(out.begin(), out.end());
 }
 
 Topology::Topology(std::size_t node_count, const std::vector<Edge>& edge_list)
@@ -118,22 +126,18 @@ void Topology::add_edge_sorted(NodeId a, NodeId b, double weight) {
 void Topology::update_edge_weight(NodeId a, NodeId b, double weight) {
   assert(a < node_count() && b < node_count() &&
          "update_edge_weight: node id out of range");
-  bool found = false;
-  for (auto& n : adjacency_[a]) {
-    if (n.id == b) {
-      n.weight = weight;
-      found = true;
-      break;
-    }
-  }
-  assert(found && "update_edge_weight: edge absent");
-  (void)found;
-  for (auto& m : adjacency_[b]) {
-    if (m.id == a) {
-      m.weight = weight;
-      return;
-    }
-  }
+  auto set_in = [weight](std::vector<Neighbor>& row, NodeId id) {
+    assert(std::is_sorted(row.begin(), row.end(),
+                          [](const Neighbor& x, const Neighbor& y) { return x.id < y.id; }) &&
+           "update_edge_weight: adjacency list not id-sorted");
+    auto it = std::lower_bound(
+        row.begin(), row.end(), id,
+        [](const Neighbor& n, NodeId target) { return n.id < target; });
+    assert(it != row.end() && it->id == id && "update_edge_weight: edge absent");
+    if (it != row.end() && it->id == id) it->weight = weight;
+  };
+  set_in(adjacency_[a], b);
+  set_in(adjacency_[b], a);
 }
 
 void Topology::remove_edge(NodeId a, NodeId b) {

@@ -38,6 +38,9 @@ struct ShortestPaths {
   /// Reconstructs the source->v node sequence (inclusive). Empty if
   /// unreachable.
   std::vector<NodeId> path_to(NodeId v) const;
+  /// Same, written into `out` (cleared first), so a caller can reuse its
+  /// buffer.
+  void path_to(NodeId v, std::vector<NodeId>& out) const;
 };
 
 class Topology {
@@ -76,8 +79,12 @@ class Topology {
   /// debug builds).
   void add_edge_sorted(NodeId a, NodeId b, double weight = 1.0);
   /// Updates the weight of an edge that MUST already exist (asserts in
-  /// debug builds): unlike set_edge_weight it can never append, so it is
-  /// safe on sorted adjacency lists.
+  /// debug builds): unlike set_edge_weight it can never append. Finds
+  /// each endpoint by binary search, so both adjacency lists MUST be
+  /// sorted ascending by neighbor id — the order add_edge_sorted keeps.
+  /// The edge set is untouched: a caller that caches searches over this
+  /// graph (Network's route trees) must preserve the old weights itself
+  /// before calling this.
   void update_edge_weight(NodeId a, NodeId b, double weight);
   /// Removes the edge if present.
   void remove_edge(NodeId a, NodeId b);

@@ -1,6 +1,7 @@
 #pragma once
-// Brute-force reference for net::Network connectivity, shared by the net
-// and property tests and by bench_network.
+// Brute-force references for net::Network, shared by the net and property
+// tests and by bench_network: connectivity (brute_connectivity) and route
+// answers (EagerRouteCache).
 //
 // Network has one production path: grid-enumerated candidates feeding an
 // edge store patched in place on every move, liveness flip and gateway
@@ -12,6 +13,7 @@
 // keeps — so neighbor order and exact weights compare bit for bit.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "net/channel.h"
@@ -49,5 +51,59 @@ inline net::Topology brute_connectivity(const net::Network& net) {
   }
   return net::Topology(n, edges);
 }
+
+/// Reference for Network's route trees. Network grows each source's
+/// Dijkstra on demand, stops at the destination, resumes it on later
+/// lookups and freezes the weights it started under; this oracle instead
+/// runs one full shortest_paths, on a copy of topology_view(), at the
+/// first lookup per source after an epoch bump. The two must answer alike.
+/// route_exists and path mirror which calls touch Network's cache (its
+/// liveness and bounds checks come first), so both see a source's first
+/// lookup at the same moment. A checkpoint restore rebuilds Network's
+/// cache from scratch: call clear() after one.
+class EagerRouteCache {
+ public:
+  explicit EagerRouteCache(const net::Network& net) : net_(net) {}
+
+  void clear() { trees_.clear(); }
+
+  bool route_exists(net::NodeId src, net::NodeId dst) {
+    const std::size_t n = net_.node_count();
+    if (src >= n || dst >= n || !net_.node_up(src) || !net_.node_up(dst)) return false;
+    return tree(src).reachable(dst);
+  }
+
+  /// The hop sequence route_and_send(src, dst) must take, src and dst
+  /// included; empty when it must drop. src == dst is delivered locally
+  /// and never consults a tree.
+  std::vector<net::NodeId> path(net::NodeId src, net::NodeId dst) {
+    const std::size_t n = net_.node_count();
+    if (src >= n || dst >= n) return {};
+    if (src == dst) return net_.node_up(src) ? std::vector<net::NodeId>{src} : std::vector<net::NodeId>{};
+    return tree(src).path_to(dst);
+  }
+
+ private:
+  struct Tree {
+    bool valid = false;
+    std::uint64_t epoch = 0;
+    net::ShortestPaths paths;
+  };
+
+  const net::ShortestPaths& tree(net::NodeId src) {
+    if (trees_.size() <= src) trees_.resize(src + 1);
+    Tree& t = trees_[src];
+    if (!t.valid || t.epoch != net_.topology_epoch()) {
+      const net::Topology copy = net_.topology_view();
+      t.paths = copy.shortest_paths(src);
+      t.epoch = net_.topology_epoch();
+      t.valid = true;
+    }
+    return t.paths;
+  }
+
+  const net::Network& net_;
+  std::vector<Tree> trees_;
+};
 
 }  // namespace iobt::testing

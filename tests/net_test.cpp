@@ -7,6 +7,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -17,6 +18,7 @@
 #include "net/spatial_grid.h"
 #include "net/topology.h"
 #include "net_oracle.h"
+#include "sim/checkpoint.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -1199,6 +1201,101 @@ TEST(NetworkOracle, EpochBumpsIffOracleEdgeSetChanges) {
   EXPECT_GT(bumps, 20);
   EXPECT_GT(quiet, 20);
 }
+
+class RouteCacheOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RouteCacheOracle, AnswersMatchEagerFullDijkstraUnderChurn) {
+  // Route lookups interleaved with every kind of topology event. Weight-
+  // only moves keep the epoch, so later lookups resume trees that started
+  // under older weights: only the frozen copies keep their answers equal
+  // to the oracle's full run at the first lookup. Lossless channel, and
+  // each send runs to completion, so the transmit hook records exactly the
+  // hop sequence the route fixed at send time.
+  Simulator sim;
+  Network net(sim, ChannelModel(2.0, 0.0), Rng(GetParam()));
+  Rng drive(GetParam() * 7919 + 17);
+  constexpr NodeId kNobody = ~NodeId{0};
+  NodeId delivered_to = kNobody;
+  auto add_random_node = [&] {
+    const NodeId n = net.add_node({drive.uniform(0, 700), drive.uniform(0, 700)},
+                                  {.range_m = 200, .base_loss = 0.0},
+                                  static_cast<LayerId>(drive.uniform() < 0.2 ? 1 : 0));
+    net.set_handler(n, [&delivered_to, n](const Message&) { delivered_to = n; });
+  };
+  for (int i = 0; i < 48; ++i) add_random_node();
+  std::vector<NodeId> senders;
+  net.set_transmit_hook([&senders](NodeId n, std::size_t) { senders.push_back(n); });
+  iobt::testing::EagerRouteCache oracle(net);
+  std::optional<sim::Snapshot> snap;
+  auto pick = [&](std::size_t extra = 0) {
+    return static_cast<NodeId>(
+        drive.uniform_int(0, static_cast<std::int64_t>(net.node_count() + extra) - 1));
+  };
+
+  int routed = 0, unrouted = 0, weight_moves = 0, restores = 0;
+  for (int step = 0; step < 700; ++step) {
+    const double u = drive.uniform();
+    const NodeId id = pick();
+    const Vec2 p = net.position(id);
+    const std::uint64_t epoch = net.topology_epoch();
+    if (u < 0.80) {
+      net.set_position(id, {p.x + drive.uniform(-8, 8), p.y + drive.uniform(-8, 8)});
+      if (net.node_up(id) && net.topology_epoch() == epoch) ++weight_moves;
+    } else if (u < 0.88) {
+      net.set_position(id, {drive.uniform(0, 700), drive.uniform(0, 700)});
+    } else if (u < 0.92) {
+      net.set_gateway(id, !net.is_gateway(id));
+    } else if (u < 0.96) {
+      net.set_node_up(id, !net.node_up(id));
+    } else if (u < 0.98) {
+      add_random_node();
+    } else {
+      if (!snap) {
+        snap = sim.checkpoint().save();
+      } else {
+        sim.checkpoint().restore(*snap);
+        oracle.clear();
+        snap.reset();
+        ++restores;
+      }
+    }
+    for (int q = 0; q < 4; ++q) {
+      // One id past the end now and then: unknown ids answer "no route".
+      // Half the lookups come from four hub sources, so their trees are
+      // resumed across many weight-only moves.
+      const NodeId src = drive.uniform() < 0.5 ? static_cast<NodeId>(drive.uniform_int(0, 3))
+                                               : pick();
+      const NodeId dst = pick(1);
+      if (drive.uniform() < 0.5) {
+        ASSERT_EQ(net.route_exists(src, dst), oracle.route_exists(src, dst))
+            << "step " << step << " " << src << "->" << dst;
+        continue;
+      }
+      const std::vector<NodeId> want = oracle.path(src, dst);
+      senders.clear();
+      delivered_to = kNobody;
+      const bool sent = net.route_and_send(src, dst, Message{.kind = "r", .size_bytes = 16});
+      sim.run();
+      ASSERT_EQ(sent, !want.empty()) << "step " << step << " " << src << "->" << dst;
+      if (!sent) {
+        ++unrouted;
+        continue;
+      }
+      ++routed;
+      std::vector<NodeId> got = senders;
+      got.push_back(dst);  // the receiver; src == dst sends no frame
+      ASSERT_EQ(got, want) << "step " << step << " " << src << "->" << dst;
+      EXPECT_EQ(delivered_to, dst);
+    }
+  }
+  // Every side of the contract was exercised.
+  EXPECT_GT(routed, 300);
+  EXPECT_GT(unrouted, 200);
+  EXPECT_GT(weight_moves, 250);
+  EXPECT_GE(restores, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteCacheOracle, ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL));
 
 TEST_F(NetFixture, EpochOnlyBumpsWhenAnInRangeRelationshipChanges) {
   const NodeId a = add({0, 0});  // range 300
