@@ -74,6 +74,11 @@ class ChannelModel {
 
   /// True if two radios at these positions can exchange frames at all:
   /// within both ranges AND line of sight clear of buildings.
+  /// Forced inline: it runs once per candidate in Network's per-frame and
+  /// per-move loops, and GCC's inlining heuristics leave it an out-of-line
+  /// call in Network::broadcast and Network::transmit in an optimized build
+  /// (EXPERIMENTS.md N4).
+  [[gnu::always_inline]]
   bool in_range(sim::Vec2 a, const RadioProfile& ra, sim::Vec2 b,
                 const RadioProfile& rb) const {
     const double lim = std::min(ra.range_m, rb.range_m);

@@ -63,6 +63,7 @@ NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer
   bytes_sent_.push_back(0);
   tx_free_at_.push_back(sim::SimTime::zero());
   route_cache_.emplace_back();
+  stale_flag_.push_back(0);
   if (profile.range_m > max_range_m_) {
     // A longer radio breaks the cells-cover-range invariant: rebuild the
     // grid around the new maximum before indexing the newcomer. The edge
@@ -100,8 +101,7 @@ void Network::set_position(NodeId id, sim::Vec2 p) {
   // Region-scoped invalidation: a move that gains or loses no link leaves
   // every cached route structurally intact, so the epoch — and with it
   // every Dijkstra restart downstream — is only paid when an in-range
-  // relationship actually changed. Unfinished route trees were frozen by
-  // the patch, so they keep answering with the weights they started under.
+  // relationship actually changed.
   if (changed) invalidate_routes();
 }
 
@@ -165,37 +165,51 @@ bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
   const std::vector<Topology::Neighbor>& row = links_.neighbors(id);
   const RadioProfile& pr = profiles_[id];
   patch_scratch_.clear();
-  bool changed = false;
+  std::size_t retained = 0;
   auto r = row.begin();
   for (const NodeId other : *candidates) {
     if (other == id || !link_allowed(id, other)) continue;
     while (r != row.end() && r->id < other) ++r;
     const bool was = r != row.end() && r->id == other;
     const bool now = channel_.in_range(to, pr, positions_[other], profiles_[other]);
-    if (!was && !now) continue;
-    changed |= was != now;
-    patch_scratch_.push_back({other, was, now});
+    if (was && now) {
+      ++retained;
+    } else if (was || now) {
+      patch_scratch_.push_back({other, now});
+    }
   }
   // Covering invariant: every neighbor was a candidate.
-  assert(static_cast<std::size_t>(std::count_if(
-             patch_scratch_.begin(), patch_scratch_.end(),
-             [](const LinkPatch& p) { return p.was; })) == row.size());
-  // Weights are about to drift; if the edge set stays, the epoch does too,
-  // and unfinished route trees must keep the weights they started under.
-  if (!changed && !patch_scratch_.empty()) freeze_growing_trees();
+  assert(retained + static_cast<std::size_t>(std::count_if(
+                        patch_scratch_.begin(), patch_scratch_.end(),
+                        [](const LinkPatch& p) { return !p.now; })) == row.size());
+  // Retained links keep the weights of the old position until a reader
+  // syncs them (sync_link_weights).
+  if (retained != 0 && !stale_flag_[id]) {
+    stale_flag_[id] = 1;
+    stale_.push_back(id);
+  }
   for (const LinkPatch& p : patch_scratch_) {
-    const double d = sim::distance(to, positions_[p.other]);
-    if (p.was && p.now) {
-      // Retained link: refresh its metric so the store tracks distance
-      // drift exactly like a from-scratch rebuild would.
-      links_.update_edge_weight(id, p.other, d);
-    } else if (p.now) {
-      links_.add_edge_sorted(id, p.other, d);
+    if (p.now) {
+      links_.add_edge_sorted(id, p.other, sim::distance(to, positions_[p.other]));
     } else {
       links_.remove_edge(id, p.other);
     }
   }
-  return changed;
+  return !patch_scratch_.empty();
+}
+
+void Network::sync_link_weights() const {
+  if (stale_.empty()) return;
+  // Unfinished route trees must keep the weights they started under.
+  freeze_growing_trees();
+  for (const NodeId v : stale_) {
+    stale_flag_[v] = 0;
+    const sim::Vec2 p = positions_[v];
+    for (const Topology::Neighbor& nb : links_.neighbors(v)) {
+      links_.update_edge_weight(v, nb.id, sim::distance(p, positions_[nb.id]));
+    }
+  }
+  stale_.clear();
 }
 
 void Network::attach_links(NodeId id) {
@@ -388,7 +402,7 @@ void Network::invalidate_routes() {
   unfrozen_from_ = 0;
 }
 
-void Network::freeze_growing_trees() {
+void Network::freeze_growing_trees() const {
   std::shared_ptr<FrozenWeights> copy;
   for (; unfrozen_from_ < epoch_trees_.size(); ++unfrozen_from_) {
     RouteCacheEntry& e = *route_cache_[epoch_trees_[unfrozen_from_]];
@@ -410,6 +424,7 @@ void Network::freeze_growing_trees() {
 }
 
 const ShortestPaths& Network::settle_route(NodeId src, NodeId dst) {
+  sync_link_weights();
   if (!route_cache_[src]) route_cache_[src] = std::make_unique<RouteCacheEntry>();
   RouteCacheEntry& e = *route_cache_[src];
   ShortestPaths& sp = e.paths;
@@ -530,7 +545,8 @@ Network::MemoryFootprint Network::memory_footprint() const {
                  bytes_sent_.capacity() * sizeof(std::uint64_t) +
                  tx_free_at_.capacity() * sizeof(sim::SimTime);
   m.grid = grid_.memory_bytes();
-  m.links = links_.memory_bytes();
+  m.links = links_.memory_bytes() + stale_.capacity() * sizeof(NodeId) +
+            stale_flag_.capacity() * sizeof(std::uint8_t);
   m.route_cache = route_cache_.capacity() * sizeof(route_cache_[0]) +
                   epoch_trees_.capacity() * sizeof(NodeId);
   for (const auto& tree : route_cache_) {
@@ -643,6 +659,8 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
   }
   // The edge store is derived state: reseed it from the restored slabs.
   links_ = full_connectivity();
+  stale_.clear();
+  stale_flag_.assign(node_count(), 0);
 
   // Re-park every in-flight frame and queue its delivery re-arm under the
   // frame's original FIFO seq. reserve() first: &p.event must stay valid

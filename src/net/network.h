@@ -121,16 +121,28 @@ class Network : public sim::SerializableCheckpointable {
 
   // --- Introspection ----------------------------------------------------
 
+  // connectivity() and topology_view() sync the edge store's link weights
+  // first (see topology_epoch()), so these const readers write Network's
+  // internal state: they are not safe to call concurrently with each other
+  // or with anything else on the same Network.
+
   /// Copy of the current connectivity graph among live nodes (edge weight
   /// = distance): the persistent edge store, which add_node / set_position
   /// / set_node_up / set_gateway patch from grid neighborhood deltas, so
   /// this is O(edges) with no node scan. Adjacency lists are ascending by
-  /// neighbor id.
-  Topology connectivity() const { return links_; }
+  /// neighbor id. Syncs the weights of nodes that moved since the last read
+  /// first.
+  Topology connectivity() const {
+    sync_link_weights();
+    return links_;
+  }
 
-  /// Borrowed view of the same graph — O(1), no copy — valid until the
-  /// next Network mutation.
-  const Topology& topology_view() const { return links_; }
+  /// Borrowed view of the same graph — O(1), no copy, after the same
+  /// weight sync — valid until the next Network mutation.
+  const Topology& topology_view() const {
+    sync_link_weights();
+    return links_;
+  }
 
   const SpatialGrid& spatial_grid() const { return grid_; }
 
@@ -139,12 +151,14 @@ class Network : public sim::SerializableCheckpointable {
   /// least one in-range relationship). Route caches — ours and callers' —
   /// key on it. A move that changes no in-range relationship does NOT bump
   /// the epoch: cached routes stay structurally valid (their hop sequences
-  /// still exist) even though link distances drift slightly. Our route
-  /// trees answer with frozen weights: each is the Dijkstra run over the
-  /// weights at its source's first lookup in the epoch, and before a move
-  /// rewrites a weight, every unfinished tree gets a flat copy of the
-  /// weights it started under (dropped when the tree completes or the
-  /// epoch bumps).
+  /// still exist) even though link distances drift slightly. A move only
+  /// marks the mover's links stale; the first reader (a route lookup,
+  /// connectivity() or topology_view()) syncs every stale link to the
+  /// current distance. Our route trees answer with frozen weights: each is
+  /// the Dijkstra run over the weights at its source's first lookup in the
+  /// epoch, and the sync that first rewrites weights after that lookup
+  /// gives every unfinished tree a flat copy of the weights it started
+  /// under (dropped when the tree completes or the epoch bumps).
   std::uint64_t topology_epoch() const { return topology_epoch_; }
 
   /// Live-node candidates within `radius` of `p`, ascending NodeId order.
@@ -185,7 +199,7 @@ class Network : public sim::SerializableCheckpointable {
   struct MemoryFootprint {
     std::size_t node_slabs = 0;   ///< SoA per-node field vectors
     std::size_t grid = 0;         ///< spatial index cells + memo
-    std::size_t links = 0;        ///< incremental connectivity edge store
+    std::size_t links = 0;        ///< edge store + its stale-weight list
     std::size_t route_cache = 0;  ///< route trees, frontiers, frozen weights
     std::size_t pending = 0;      ///< in-flight frame slab
     std::size_t total() const {
@@ -307,12 +321,18 @@ class Network : public sim::SerializableCheckpointable {
   /// position and grid are updated): the union of the two 3x3
   /// neighborhoods covers every node whose in-range relationship can flip.
   /// Whether a link existed is read from the store, so each candidate
-  /// costs one range test. Weights of retained edges are refreshed to the
-  /// new distance, so the store tracks link-metric drift exactly like a
-  /// from-scratch rebuild; when no edge flips, unfinished route trees are
-  /// frozen first. Returns whether any edge appeared or vanished, i.e.
-  /// whether the topology epoch must bump.
+  /// costs one range test. It only flips edges: a new edge gets the new
+  /// distance, and if any edge is retained, `id` is marked stale for
+  /// sync_link_weights; neither retained weights nor route trees are
+  /// touched. Returns whether any edge appeared or vanished, i.e. whether
+  /// the topology epoch must bump.
   bool patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to);
+  /// Sets every link of every stale node to the distance between its
+  /// endpoints' current positions, after freezing growing route trees: the
+  /// only code that rewrites weights, run by every reader of them. Each
+  /// weight is a pure function of positions (hypot is symmetric in sign),
+  /// so the store equals a from-scratch rebuild after the sync.
+  void sync_link_weights() const;
   /// Adds every edge of a node that just came up / joined (grid must
   /// already contain it).
   void attach_links(NodeId id);
@@ -374,10 +394,10 @@ class Network : public sim::SerializableCheckpointable {
   /// restores stop allocating once warm; mutable for the same reason as
   /// scratch_.
   mutable std::vector<Edge> edge_scratch_;
-  /// One move's in-range links, before and after (patch_links_for_move).
+  /// One move's flipped links (patch_links_for_move): `now` tells whether
+  /// the link appears or vanishes.
   struct LinkPatch {
     NodeId other;
-    bool was;
     bool now;
   };
   std::vector<LinkPatch> patch_scratch_;
@@ -387,8 +407,13 @@ class Network : public sim::SerializableCheckpointable {
   /// sorted ascending by neighbor id — the order a from-scratch build in
   /// (a, b > a) pair order produces — so Dijkstra tie-breaks and digests
   /// do not depend on the order edges were patched in. Derived state:
-  /// never saved, reseeded by full_connectivity on restore.
-  Topology links_;
+  /// never saved, reseeded by full_connectivity on restore. Mutable, like
+  /// the stale bookkeeping below, because the const readers sync weights.
+  mutable Topology links_;
+  /// Nodes that moved keeping links since the last sync: their links still
+  /// carry an older distance. stale_flag_ (per node) keeps stale_ unique.
+  mutable std::vector<NodeId> stale_;
+  mutable std::vector<std::uint8_t> stale_flag_;
 
   // Route trees keyed by source, invalidated by epoch bumps.
   std::uint64_t topology_epoch_ = 0;
@@ -403,7 +428,7 @@ class Network : public sim::SerializableCheckpointable {
   /// Pops follow the (dist, id) order and relaxations the adjacency order,
   /// so every settled node's dist and parent equal those of a full run.
   /// Within an epoch the edge set is fixed but weights drift: a tree that
-  /// is still growing when a move rewrites weights reads `frozen` from
+  /// is still growing when a sync rewrites weights reads `frozen` from
   /// then on, so it stays the run over the weights it started under.
   struct RouteCacheEntry {
     std::uint64_t epoch = ~0ULL;
@@ -422,13 +447,14 @@ class Network : public sim::SerializableCheckpointable {
   /// Those before `unfrozen_from_` were frozen or complete at the last
   /// freeze; only the rest can still read live weights.
   std::vector<NodeId> epoch_trees_;
-  std::size_t unfrozen_from_ = 0;
+  mutable std::size_t unfrozen_from_ = 0;
   /// src's tree for this epoch, grown until dst is settled or every
   /// reachable node is.
   const ShortestPaths& settle_route(NodeId src, NodeId dst);
   /// Gives every unfinished, unfrozen tree of this epoch one shared copy
-  /// of the current weights; called before weights are rewritten.
-  void freeze_growing_trees();
+  /// of the current weights; called by sync_link_weights before it
+  /// rewrites them.
+  void freeze_growing_trees() const;
 };
 
 }  // namespace iobt::net

@@ -83,8 +83,8 @@ class Topology {
   /// each endpoint by binary search, so both adjacency lists MUST be
   /// sorted ascending by neighbor id — the order add_edge_sorted keeps.
   /// The edge set is untouched: a caller that caches searches over this
-  /// graph (Network's route trees) must preserve the old weights itself
-  /// before calling this.
+  /// graph must preserve the old weights itself before calling this
+  /// (Network's weight sync freezes its growing route trees first).
   void update_edge_weight(NodeId a, NodeId b, double weight);
   /// Removes the edge if present.
   void remove_edge(NodeId a, NodeId b);

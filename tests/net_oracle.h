@@ -55,8 +55,10 @@ inline net::Topology brute_connectivity(const net::Network& net) {
 /// Reference for Network's route trees. Network grows each source's
 /// Dijkstra on demand, stops at the destination, resumes it on later
 /// lookups and freezes the weights it started under; this oracle instead
-/// runs one full shortest_paths, on a copy of topology_view(), at the
-/// first lookup per source after an epoch bump. The two must answer alike.
+/// runs one full shortest_paths, on brute_connectivity(), at the first
+/// lookup per source after an epoch bump. The two must answer alike. The
+/// graph comes from positions, not from Network's edge store: reading the
+/// store would sync its weights and so hide a lookup that skips the sync.
 /// route_exists and path mirror which calls touch Network's cache (its
 /// liveness and bounds checks come first), so both see a source's first
 /// lookup at the same moment. A checkpoint restore rebuilds Network's
@@ -94,8 +96,7 @@ class EagerRouteCache {
     if (trees_.size() <= src) trees_.resize(src + 1);
     Tree& t = trees_[src];
     if (!t.valid || t.epoch != net_.topology_epoch()) {
-      const net::Topology copy = net_.topology_view();
-      t.paths = copy.shortest_paths(src);
+      t.paths = brute_connectivity(net_).shortest_paths(src);
       t.epoch = net_.topology_epoch();
       t.valid = true;
     }

@@ -1208,7 +1208,10 @@ TEST_P(RouteCacheOracle, AnswersMatchEagerFullDijkstraUnderChurn) {
   // Route lookups interleaved with every kind of topology event. Weight-
   // only moves keep the epoch, so later lookups resume trees that started
   // under older weights: only the frozen copies keep their answers equal
-  // to the oracle's full run at the first lookup. Lossless channel, and
+  // to the oracle's full run at the first lookup. Moves leave weights
+  // stale until the next lookup syncs them, so some steps add a batch of
+  // several events before the reads: one sync must cover them all. The
+  // oracle reads positions, never the edge store. Lossless channel, and
   // each send runs to completion, so the transmit hook records exactly the
   // hop sequence the route fixed at send time.
   Simulator sim;
@@ -1232,7 +1235,12 @@ TEST_P(RouteCacheOracle, AnswersMatchEagerFullDijkstraUnderChurn) {
         drive.uniform_int(0, static_cast<std::int64_t>(net.node_count() + extra) - 1));
   };
 
-  int routed = 0, unrouted = 0, weight_moves = 0, restores = 0;
+  auto nudge = [&](NodeId n) {
+    const Vec2 q = net.position(n);
+    net.set_position(n, {q.x + drive.uniform(-8, 8), q.y + drive.uniform(-8, 8)});
+  };
+
+  int routed = 0, unrouted = 0, weight_moves = 0, restores = 0, batches = 0;
   for (int step = 0; step < 700; ++step) {
     const double u = drive.uniform();
     const NodeId id = pick();
@@ -1257,6 +1265,24 @@ TEST_P(RouteCacheOracle, AnswersMatchEagerFullDijkstraUnderChurn) {
         oracle.clear();
         snap.reset();
         ++restores;
+      }
+    }
+    const double batch = drive.uniform();
+    if (batch < 0.18) {
+      ++batches;
+      const NodeId b = pick();
+      if (batch < 0.06) {
+        // One node moving twice.
+        nudge(b);
+        nudge(b);
+      } else if (batch < 0.12) {
+        // A weight-only drift, then a flip elsewhere.
+        nudge(b);
+        net.set_position(pick(), {drive.uniform(0, 700), drive.uniform(0, 700)});
+      } else {
+        // A move, then the mover goes down (or, if down, back up).
+        nudge(b);
+        net.set_node_up(b, !net.node_up(b));
       }
     }
     for (int q = 0; q < 4; ++q) {
@@ -1293,6 +1319,7 @@ TEST_P(RouteCacheOracle, AnswersMatchEagerFullDijkstraUnderChurn) {
   EXPECT_GT(unrouted, 200);
   EXPECT_GT(weight_moves, 250);
   EXPECT_GE(restores, 3);
+  EXPECT_GT(batches, 80);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteCacheOracle, ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL));
