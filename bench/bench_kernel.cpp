@@ -102,7 +102,8 @@ struct WorkloadResult {
 
 /// RTO-timer churn at `nodes` scale: every node keeps one timer armed;
 /// each round cancels it (the "ACK arrived" path) and re-arms a fresh one.
-/// This is the workload the reliable channel hammers the kernel with.
+/// This is the cancel-heavy pattern of any timeout that a reply usually
+/// beats.
 template <class Sim, class Tag>
 WorkloadResult churn_workload(Sim& sim, Tag tag, int nodes, int rounds) {
   sim::Rng rng(42);

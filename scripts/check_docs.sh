@@ -5,6 +5,8 @@
 # bench binaries, source files, CLI flags. Those references rot silently
 # when code moves, so CI runs this script and fails the build if any doc
 # references a bench target, file path, or flag that no longer exists.
+# It also fails on orphan modules: a src/ header that nothing but its own
+# .cpp and the unit tests includes (rule 7).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -101,8 +103,19 @@ for tgt in $(grep -oE 'iobt_bench\([a-z0-9_]+\)' bench/CMakeLists.txt |
     err "bench target '$tgt' (bench/CMakeLists.txt) is not cited by any doc"
 done
 
+# 7. Every src/ header must have a consumer beyond its own .cpp and the unit
+#    tests: an #include from another file under src/, or from bench/,
+#    examples/ or perfbench/. A module that only its tests reach is an
+#    orphan: give it a runtime, bench or example consumer, or delete it.
+for hdr in $(find src -name '*.h' | sort); do
+  own=${hdr%.h}.cpp
+  grep -rlF "#include \"${hdr#src/}\"" src bench examples perfbench |
+    grep -qvxF "$own" ||
+    err "$hdr is orphaned: only its own .cpp or tests/ include it"
+done
+
 if [[ $fail -ne 0 ]]; then
-  echo "check_docs: FAILED — docs reference artifacts that do not exist" >&2
+  echo "check_docs: FAILED — docs or src/ headers out of step with the tree" >&2
   exit 1
 fi
 echo "check_docs: OK (${#DOCS[@]} docs checked against the tree)"

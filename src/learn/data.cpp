@@ -78,26 +78,4 @@ std::vector<Dataset> shard(const Dataset& data, std::size_t shards, double label
   return out;
 }
 
-Dataset make_context(std::size_t n, std::size_t dim, std::size_t context,
-                     sim::Rng& rng) {
-  // Context rotates the separating direction in the first two dims by
-  // 60 degrees per context — enough that a single linear model cannot
-  // serve all contexts at once.
-  const double theta = static_cast<double>(context) * (3.14159265358979 / 3.0);
-  Dataset out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool positive = rng.bernoulli(0.5);
-    Example e;
-    e.x.resize(dim);
-    for (double& v : e.x) v = rng.normal();
-    const double offset = positive ? 1.5 : -1.5;
-    e.x[0] += offset * std::cos(theta);
-    if (dim > 1) e.x[1] += offset * std::sin(theta);
-    e.y = positive ? 1.0 : 0.0;
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
 }  // namespace iobt::learn

@@ -2,7 +2,7 @@
 // Synthetic datasets for the distributed-learning experiments: binary
 // classification with controllable difficulty, plus non-IID sharding
 // across heterogeneous nodes (the paper's wearable-to-cluster spread,
-// §V-B) and distribution shift for continual learning.
+// §V-B).
 
 #include <utility>
 #include <vector>
@@ -33,11 +33,6 @@ Dataset make_rings(std::size_t n, std::size_t dim, sim::Rng& rng);
 /// non-IID case for naive averaging).
 std::vector<Dataset> shard(const Dataset& data, std::size_t shards, double label_skew,
                            sim::Rng& rng);
-
-/// A drifting task for continual learning: context c rotates the decision
-/// boundary. Returns samples from context `c`.
-Dataset make_context(std::size_t n, std::size_t dim, std::size_t context,
-                     sim::Rng& rng);
 
 /// Fraction of correct predictions of `predict` over `data`.
 template <typename PredictFn>

@@ -21,7 +21,8 @@ class Dispatcher {
 
   /// Registers `handler` for messages of `kind` arriving at `node`.
   /// The first registration for a node installs the network handler.
-  /// Re-registering the same (node, kind) replaces the handler.
+  /// Re-registering the same (node, kind) replaces the handler. Messages of
+  /// a kind nobody registered at their node are dropped.
   void on(NodeId node, const std::string& kind, Handler handler) {
     auto [it, inserted] = routes_.try_emplace(node);
     if (inserted) {
@@ -30,33 +31,17 @@ class Dispatcher {
     it->second[kind] = std::move(handler);
   }
 
-  /// Removes the handler for (node, kind) if present.
-  void off(NodeId node, const std::string& kind) {
-    auto it = routes_.find(node);
-    if (it != routes_.end()) it->second.erase(kind);
-  }
-
-  /// Handler invoked for kinds nobody registered (diagnostics).
-  void set_default(Handler h) { default_ = std::move(h); }
-
-  Network& network() { return net_; }
-
  private:
   void dispatch(NodeId node, const Message& m) {
     auto it = routes_.find(node);
     if (it != routes_.end()) {
       auto h = it->second.find(m.kind);
-      if (h != it->second.end()) {
-        h->second(m);
-        return;
-      }
+      if (h != it->second.end()) h->second(m);
     }
-    if (default_) default_(m);
   }
 
   Network& net_;
   std::unordered_map<NodeId, std::map<std::string, Handler>> routes_;
-  Handler default_;
 };
 
 }  // namespace iobt::net

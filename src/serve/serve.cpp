@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "sim/hash.h"
@@ -162,49 +163,52 @@ dissem::DissemOutcome CampaignService::run_uncached(const Query& q) {
   return s.outcome();
 }
 
+CampaignService::CacheEntry* CampaignService::cache_find(std::uint64_t key) {
+  for (CacheEntry& e : cache_) {
+    if (e.key == key) return &e;
+  }
+  return nullptr;
+}
+
 std::shared_ptr<const sim::Snapshot> CampaignService::cache_get(
     std::uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  it->second->last_use = ++use_clock_;
-  return it->second->snapshot;
+  CacheEntry* e = cache_find(key);
+  if (e == nullptr) return nullptr;
+  e->last_use = ++use_clock_;  // refresh recency
+  return e->snapshot;
 }
 
 void CampaignService::cache_put(std::uint64_t key,
                                 std::shared_ptr<const sim::Snapshot> snap,
                                 double rebuild_ms) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->snapshot = std::move(snap);
-    it->second->rebuild_ms = rebuild_ms;
-    it->second->last_use = ++use_clock_;
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (CacheEntry* e = cache_find(key)) {
+    e->snapshot = std::move(snap);
+    e->rebuild_ms = rebuild_ms;
+    e->last_use = ++use_clock_;
     return;
   }
-  lru_.push_front(CacheEntry{key, std::move(snap), rebuild_ms, ++use_clock_});
-  index_[key] = lru_.begin();
+  cache_.push_back(CacheEntry{key, std::move(snap), rebuild_ms, ++use_clock_});
   // Cost-aware eviction: victim = argmin rebuild_ms / (1 + age). An
   // expensive prefix (50 s to rebuild) outlives a cheap one (5 s) across
   // a long recency gap, and the newcomer itself competes — if it is the
   // cheapest-per-staleness entry, IT is the one evicted (admission
-  // control, not just eviction). Iterating back-to-front makes the least
-  // recently used entry win ties, preserving plain-LRU behaviour when
-  // all costs are equal.
-  while (lru_.size() > opts_.cache_capacity) {
-    auto victim = lru_.end();
+  // control, not just eviction). Ties go to the least recently used
+  // entry, preserving plain-LRU behaviour when all costs are equal.
+  while (cache_.size() > opts_.cache_capacity) {
+    std::size_t victim = 0;
     double victim_score = 0.0;
-    for (auto e = std::prev(lru_.end());; --e) {
-      const double age = static_cast<double>(use_clock_ - e->last_use);
-      const double score = e->rebuild_ms / (1.0 + age);
-      if (victim == lru_.end() || score < victim_score) {
-        victim = e;
+    for (std::size_t i = 0; i < cache_.size(); ++i) {
+      const CacheEntry& e = cache_[i];
+      const double age = static_cast<double>(use_clock_ - e.last_use);
+      const double score = e.rebuild_ms / (1.0 + age);
+      if (i == 0 || score < victim_score ||
+          (score == victim_score && e.last_use < cache_[victim].last_use)) {
+        victim = i;
         victim_score = score;
       }
-      if (e == lru_.begin()) break;
     }
-    index_.erase(victim->key);
-    lru_.erase(victim);
+    cache_[victim] = std::move(cache_.back());
+    cache_.pop_back();
     ++stats_.evictions;
   }
 }
@@ -253,8 +257,7 @@ std::shared_ptr<const sim::Snapshot> CampaignService::disk_get(
 }
 
 void CampaignService::clear_cache() {
-  lru_.clear();
-  index_.clear();
+  cache_.clear();
   stats_.entries = 0;
 }
 
@@ -277,7 +280,7 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
     }
   }
 
-  // ---- 2. Prefix dedup: memory LRU, then disk tier, then cold ----------
+  // ---- 2. Prefix dedup: memory tier, then disk tier, then cold ---------
   // batch_snaps is filled before the fan-out and read-only during it.
   // cached_keys marks prefixes whose snapshot EXISTS already (memory or
   // disk); a query deduped onto one is a genuine cache hit. A query
@@ -315,7 +318,7 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
     }
     if (auto snap = disk_get(key, queries[i])) {
       // Re-warm: the durable tier had a verified snapshot. disk_get
-      // already promoted it into the memory LRU and counted disk_hits.
+      // already promoted it into the memory tier and counted disk_hits.
       batch_snaps.emplace(key, std::move(snap));
       cached_keys.insert(key);
       out.results[i].cache_hit = true;
@@ -381,7 +384,7 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
       }
     }
   }
-  stats_.entries = lru_.size();
+  stats_.entries = cache_.size();
 
   // Reconcile the deferred dedup verdicts: a query that shared an
   // in-batch cold sim is batch_dedup iff that sim succeeded. Failures get

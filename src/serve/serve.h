@@ -13,7 +13,7 @@
 // CampaignService therefore keys every query by a CANONICAL scenario-prefix
 // hash over (spec semantics, seed, branch point) — sim/hash.h, stable
 // across process runs, display labels excluded — simulates each distinct
-// prefix once, parks its sim::Snapshot in a bounded LRU, and fans the
+// prefix once, parks its sim::Snapshot in a bounded cache, and fans the
 // branches out over sim::ParallelRunner with an index-based admission gate.
 // The correctness bar is unchanged from bench_checkpoint: a cached answer
 // must be digest-identical to serially re-simulating the whole query from
@@ -23,10 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dissem/scenario.h"
@@ -82,7 +80,7 @@ struct QueryResult {
   bool ok = false;
   /// True when the admission gate shed this query (never simulated).
   bool rejected = false;
-  /// True when the prefix snapshot came from the cache — memory LRU or
+  /// True when the prefix snapshot came from the cache — memory tier or
   /// disk tier — without this batch simulating it for this query.
   bool cache_hit = false;
   /// True when this query was deduplicated onto a prefix some EARLIER
@@ -105,7 +103,7 @@ struct QueryResult {
 
 struct BatchResult {
   std::vector<QueryResult> results;  ///< input order
-  std::size_t cache_hits = 0;   ///< memory-LRU + disk-tier hits
+  std::size_t cache_hits = 0;   ///< memory-tier + disk-tier hits
   std::size_t batch_dedup = 0;  ///< queries deduped onto an in-batch cold sim
   std::size_t disk_hits = 0;    ///< cache_hits served by the disk tier
   std::size_t prefix_sims = 0;  ///< distinct cold prefixes simulated
@@ -207,9 +205,12 @@ class CampaignService {
   std::shared_ptr<const sim::Snapshot> disk_get(std::uint64_t key,
                                                 const Query& q);
 
+  /// Memory-tier entry for `key`, or nullptr. A linear scan: the cache
+  /// holds at most Options::cache_capacity entries.
+  CacheEntry* cache_find(std::uint64_t key);
+
   Options opts_;
-  std::list<CacheEntry> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> index_;
+  std::vector<CacheEntry> cache_;  ///< unordered; recency lives in last_use
   CacheStats stats_;
   /// Durable tier; null when Options::snapshot_dir is empty.
   std::unique_ptr<SnapshotStore> store_;

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "sim/wire.h"
+
 namespace iobt::serve {
 
 namespace {
@@ -88,30 +90,24 @@ SnapshotStore::GetStatus SnapshotStore::get(std::uint64_t prefix_hash,
   std::string header;
   if (!std::getline(in, header)) return GetStatus::kRejected;
   std::istringstream hs(header);
-  std::string magic;
-  std::uint64_t version = 0;
-  std::string prefix_hex, checksum_hex;
-  std::size_t payload_size = 0;
-  if (!(hs >> magic >> version >> prefix_hex >> payload_size >> checksum_hex) ||
-      magic != kMagic || version != kFormatVersion ||
-      prefix_hex.size() != 16 || checksum_hex.size() != 16) {
-    return GetStatus::kRejected;
-  }
-  std::uint64_t stamp = 0, checksum = 0;
-  if (std::sscanf(prefix_hex.c_str(), "%16" SCNx64, &stamp) != 1 ||
-      std::sscanf(checksum_hex.c_str(), "%16" SCNx64, &checksum) != 1) {
+  std::string magic, version, prefix_hex, size_dec, checksum_hex;
+  std::uint64_t format = 0, stamp = 0, payload_size = 0, checksum = 0;
+  if (!(hs >> magic >> version >> prefix_hex >> size_dec >> checksum_hex) ||
+      magic != kMagic || !sim::parse_u64_token(version, format) ||
+      format != kFormatVersion || !sim::parse_hex64_token(prefix_hex, stamp) ||
+      !sim::parse_u64_token(size_dec, payload_size) ||
+      !sim::parse_hex64_token(checksum_hex, checksum)) {
     return GetStatus::kRejected;
   }
   if (stamp != prefix_hash) return GetStatus::kRejected;
 
-  std::string payload(payload_size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::size_t>(in.gcount()) != payload_size) {
-    return GetStatus::kRejected;  // truncated
-  }
-  // Exact-size check: trailing garbage means the size field lied.
-  char extra = 0;
-  if (in.read(&extra, 1); in.gcount() != 0) return GetStatus::kRejected;
+  // Read what the file holds, never what the header claims: a corrupt
+  // size must not drive the allocation. Exact-size check: a short payload
+  // is a truncation, trailing garbage means the size field lied.
+  std::ostringstream body;
+  body << in.rdbuf();
+  std::string payload = std::move(body).str();
+  if (payload.size() != payload_size) return GetStatus::kRejected;
   if (fnv1a(payload) != checksum) return GetStatus::kRejected;
 
   out = std::move(payload);

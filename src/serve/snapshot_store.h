@@ -1,5 +1,5 @@
 #pragma once
-// Durable snapshot store: the disk tier under CampaignService's memory LRU.
+// Durable snapshot store: the disk tier under CampaignService's memory cache.
 //
 // One file per canonical prefix hash, named snap_<hash>.iosnap, holding a
 // one-line header followed by the registry wire image

@@ -2,12 +2,12 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
 
 #include "sim/rng.h"
+#include "sim/wire.h"
 
 namespace iobt::sim {
 
@@ -151,20 +151,12 @@ void append_u64(std::string& out, std::uint64_t v) {
 
 bool read_u64(std::istream& in, std::uint64_t& v) {
   std::string tok;
-  if (!(in >> tok) || tok.empty()) return false;
-  char* end = nullptr;
-  v = std::strtoull(tok.c_str(), &end, 10);
-  return end == tok.c_str() + tok.size();
+  return (in >> tok) && parse_u64_token(tok, v);
 }
 
 bool read_double_bits(std::istream& in, double& x) {
   std::string tok;
-  if (!(in >> tok) || tok.size() != 16) return false;
-  char* end = nullptr;
-  const std::uint64_t bits = std::strtoull(tok.c_str(), &end, 16);
-  if (end != tok.c_str() + tok.size()) return false;
-  std::memcpy(&x, &bits, sizeof x);
-  return true;
+  return (in >> tok) && parse_f64_token(tok, x);
 }
 
 void check_key(const std::string& key) {

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/wire.h"
+
 namespace iobt::sim {
 
 namespace {
@@ -59,14 +61,13 @@ bool parse_entry(const std::string& line, JournalEntry& e) {
     }
   }
   if (fields.size() != 6 || fields[0] != "rep") return false;
+  std::uint64_t index = 0;
+  if (!parse_u64_token(fields[1], e.seed) || !parse_u64_token(fields[2], index)) {
+    return false;
+  }
+  e.index = static_cast<std::size_t>(index);
   char* end = nullptr;
-  std::string tok(fields[1]);
-  e.seed = std::strtoull(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size() || tok.empty()) return false;
-  tok = std::string(fields[2]);
-  e.index = std::strtoull(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size() || tok.empty()) return false;
-  tok = std::string(fields[3]);
+  const std::string tok(fields[3]);
   e.wall_ms = std::strtod(tok.c_str(), &end);
   if (end != tok.c_str() + tok.size() || tok.empty()) return false;
   return unescape_field(fields[4], e.payload) &&

@@ -14,11 +14,15 @@
 // every subsequent read returns a zero value, so decoders can run a whole
 // field list and check ok() once at the end — corrupt input must yield a
 // clean rejection, never UB or a throw from parsing.
+//
+// parse_u64_token / parse_hex64_token / parse_f64_token are the one strict
+// number parser for every text image in the library (wire images, metrics
+// images, campaign journals, snapshot-file headers). They accept exactly
+// what the writers emit, so an accepted token re-encodes to the same bytes.
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -28,6 +32,48 @@
 #include "sim/time.h"
 
 namespace iobt::sim {
+
+/// Decimal token: [0-9]+, no leading zero except "0" itself, no overflow.
+/// No sign, no whitespace. Returns false (leaving `out` alone) otherwise.
+inline bool parse_u64_token(std::string_view tok, std::uint64_t& out) {
+  if (tok.empty() || (tok[0] == '0' && tok.size() > 1)) return false;
+  std::uint64_t v = 0;
+  for (const char c : tok) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  out = v;
+  return true;
+}
+
+/// Hex token: exactly 16 lowercase hex digits (printf "%016" PRIx64).
+inline bool parse_hex64_token(std::string_view tok, std::uint64_t& out) {
+  if (tok.size() != 16) return false;
+  std::uint64_t v = 0;
+  for (const char c : tok) {
+    std::uint64_t nibble = 0;
+    if (c >= '0' && c <= '9') {
+      nibble = static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      nibble = static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return false;
+    }
+    v = v << 4 | nibble;
+  }
+  out = v;
+  return true;
+}
+
+/// A double's raw bit pattern as a hex token (see parse_hex64_token).
+inline bool parse_f64_token(std::string_view tok, double& out) {
+  std::uint64_t bits = 0;
+  if (!parse_hex64_token(tok, bits)) return false;
+  std::memcpy(&out, &bits, sizeof out);
+  return true;
+}
 
 class WireWriter {
  public:
@@ -78,11 +124,9 @@ class WireReader {
 
   std::uint64_t u64() {
     std::string_view tok;
+    std::uint64_t v = 0;
     if (!next_token(tok)) return 0;
-    char* end = nullptr;
-    const std::string s(tok);
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size() || s.empty()) return fail_u64();
+    if (!parse_u64_token(tok, v)) return fail_u64();
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -93,13 +137,9 @@ class WireReader {
   }
   double f64() {
     std::string_view tok;
-    if (!next_token(tok) || tok.size() != 16) return static_cast<double>(fail_u64());
-    char* end = nullptr;
-    const std::string s(tok);
-    const std::uint64_t bits = std::strtoull(s.c_str(), &end, 16);
-    if (end != s.c_str() + s.size()) return static_cast<double>(fail_u64());
     double x = 0.0;
-    std::memcpy(&x, &bits, sizeof x);
+    if (!next_token(tok)) return 0.0;
+    if (!parse_f64_token(tok, x)) return static_cast<double>(fail_u64());
     return x;
   }
   std::string bytes() {

@@ -1,7 +1,7 @@
 #pragma once
 // Structured tracing: the self-observation substrate the paper's adaptive,
 // self-aware IoBT (Fig. 3) presumes — reflex latency, synthesis assembly
-// time, channel retransmits, all inspectable as a timeline, not just as
+// time, frame drops, all inspectable as a timeline, not just as
 // end-of-run metric summaries.
 //
 // Design:
@@ -26,7 +26,7 @@
 //    that Perfetto (https://ui.perfetto.dev) and chrome://tracing load
 //    directly: "X" complete spans, "i" instants, "C" counters, and "b"/"e"
 //    async spans for intervals that outlive any C++ scope (an in-flight
-//    network frame, a reliable transfer awaiting its ACK).
+//    network frame).
 //
 // Names are interned once into dense NameIds (mirroring sim::TagTable), so
 // hot paths never hash or copy strings; each name carries a category

@@ -1,23 +1,17 @@
 // Tests for adaptive reflexes: invariant monitoring, reflex chains with
-// escalation, self-stabilizing spanning tree, adaptive controllers, and
-// modality switching.
+// escalation, adaptive controllers, and modality switching.
 
 #include <gtest/gtest.h>
 
-#include "adapt/allocation.h"
 #include "adapt/control.h"
-#include "adapt/duty.h"
 #include "adapt/monitor.h"
 #include "adapt/perception.h"
 #include "adapt/reflex.h"
-#include "adapt/selfstab.h"
-#include "things/population.h"
 
 namespace iobt::adapt {
 namespace {
 
 using sim::Duration;
-using sim::Rng;
 using sim::Simulator;
 using sim::SimTime;
 
@@ -138,70 +132,6 @@ TEST(Reflex, CooldownLimitsFireRate) {
   EXPECT_GE(fires, 3);
 }
 
-// ------------------------------------------------------ Spanning tree ----
-
-struct TreeFixture : ::testing::Test {
-  Simulator sim;
-  net::Network net{sim, net::ChannelModel(2.0, 0.0), Rng(5)};
-  things::World world{sim, net, {{0, 0}, {1000, 200}}, Rng(6)};
-  net::Dispatcher disp{net};
-  std::vector<things::AssetId> members;
-
-  void chain(std::size_t n, double spacing = 150.0) {
-    Rng r(1);
-    for (std::size_t i = 0; i < n; ++i) {
-      members.push_back(world.add_asset(
-          things::make_asset_template(things::DeviceClass::kSensorMote,
-                                      things::Affiliation::kBlue, r),
-          {100.0 + spacing * static_cast<double>(i), 100.0},
-          {.range_m = spacing * 1.4, .data_rate_bps = 1e6, .base_loss = 0.0}));
-    }
-  }
-};
-
-TEST_F(TreeFixture, ConvergesToSingleRootOnChain) {
-  chain(6);
-  SpanningTreeProtocol tree(world, disp, members);
-  tree.start();
-  sim.run_until(SimTime::seconds(60));
-  EXPECT_EQ(tree.believed_root_count(), 1u);
-  EXPECT_TRUE(tree.tree_legal());
-  // Root is the minimum id.
-  for (const auto id : members) EXPECT_EQ(tree.state(id).root, members.front());
-  // Distances grow along the chain.
-  EXPECT_EQ(tree.state(members[0]).dist, 0);
-  EXPECT_GT(tree.state(members[5]).dist, 0);
-}
-
-TEST_F(TreeFixture, RecoversAfterRootDeath) {
-  chain(6);
-  SpanningTreeProtocol tree(world, disp, members);
-  tree.start();
-  sim.run_until(SimTime::seconds(60));
-  ASSERT_TRUE(tree.tree_legal());
-
-  world.destroy_asset(members.front());  // kill the root
-  sim.run_until(SimTime::seconds(200));
-  EXPECT_TRUE(tree.tree_legal());
-  // New root is the next-smallest live id.
-  for (std::size_t i = 1; i < members.size(); ++i) {
-    EXPECT_EQ(tree.state(members[i]).root, members[1]);
-  }
-}
-
-TEST_F(TreeFixture, PartitionYieldsTwoLegalTrees) {
-  chain(6);
-  SpanningTreeProtocol tree(world, disp, members);
-  tree.start();
-  sim.run_until(SimTime::seconds(60));
-
-  // Sever the middle by killing node 2 (chain 0-1 | 3-4-5).
-  world.destroy_asset(members[2]);
-  sim.run_until(SimTime::seconds(250));
-  EXPECT_TRUE(tree.tree_legal());
-  EXPECT_EQ(tree.believed_root_count(), 2u);
-}
-
 // ------------------------------------------------------------ Lifetime ----
 // Periodic loops must not outlive their owners: every schedule_every
 // lambda that captures a service's `this` holds a weak lifetime token and
@@ -238,21 +168,6 @@ TEST(Reflex, EscalationPollStopsAfterEngineDestruction) {
   // Both the monitor tick and the engine's 1 s escalation poll must die
   // with their owners.
   sim.run_until(SimTime::seconds(20));
-  EXPECT_EQ(sim.pending_count(), 0u);
-}
-
-TEST_F(TreeFixture, HelloLoopsStopAfterProtocolDestruction) {
-  chain(4);
-  {
-    SpanningTreeProtocol tree(world, disp, members);
-    tree.start();
-    // Stop between hello ticks (period 2 s) so no frames are in flight
-    // toward the protocol's dispatcher handlers when it dies.
-    sim.run_until(SimTime::seconds(9.5));
-  }
-  // All members are still live, so without the lifetime token every
-  // per-member hello loop would keep ticking into freed state.
-  sim.run_until(SimTime::seconds(60));
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
@@ -305,161 +220,6 @@ TEST(Imitation, DiversityMetric) {
   EXPECT_DOUBLE_EQ(uniform.diversity(), 0.0);
   ImitationPopulation spread({{0.0}, {2.0}});
   EXPECT_DOUBLE_EQ(spread.diversity(), 1.0);
-}
-
-
-
-// ----------------------------------------------------------- Duty cycle ----
-
-TEST(DutyCycle, FullDutyWhenEnergyIsPlentiful) {
-  DutyInputs in;
-  in.remaining_j = 1e6;
-  in.idle_cost_per_s = 1e-4;
-  in.cost_per_sweep_j = 1e-3;
-  in.full_duty_rate_hz = 1.0;
-  in.required_lifetime_s = 3600;
-  const auto plan = plan_duty_cycle(in);
-  EXPECT_DOUBLE_EQ(plan.duty, 1.0);
-  EXPECT_TRUE(plan.meets_lifetime);
-}
-
-TEST(DutyCycle, BacksOffToMeetLifetime) {
-  DutyInputs in;
-  in.remaining_j = 10.0;
-  in.idle_cost_per_s = 1e-4;
-  in.cost_per_sweep_j = 1e-2;  // 1000 sweeps total on a full battery
-  in.full_duty_rate_hz = 1.0;
-  in.required_lifetime_s = 3600;  // needs 3600 sweeps at full duty
-  const auto plan = plan_duty_cycle(in);
-  EXPECT_LT(plan.duty, 0.3);
-  EXPECT_GT(plan.duty, 0.1);
-  EXPECT_TRUE(plan.meets_lifetime);
-  EXPECT_GE(plan.projected_lifetime_s, 3600.0 - 1.0);
-}
-
-TEST(DutyCycle, ImpossibleLifetimeIsFlagged) {
-  DutyInputs in;
-  in.remaining_j = 0.1;
-  in.idle_cost_per_s = 1e-3;  // idle alone burns it in 100 s
-  in.required_lifetime_s = 3600;
-  const auto plan = plan_duty_cycle(in);
-  EXPECT_FALSE(plan.meets_lifetime);
-  EXPECT_DOUBLE_EQ(plan.duty, 0.0);
-}
-
-TEST(DutyCycle, ControllerRationsSweepsDeterministically) {
-  DutyInputs in;
-  in.remaining_j = 10.0;
-  in.idle_cost_per_s = 0.0;
-  in.cost_per_sweep_j = 1e-2;
-  in.full_duty_rate_hz = 1.0;
-  in.required_lifetime_s = 2000;  // affords 1000 sweeps -> duty 0.5
-  DutyCycleController ctl(in, 2000);
-  EXPECT_NEAR(ctl.plan().duty, 0.5, 1e-9);
-  int ran = 0;
-  for (int i = 0; i < 100; ++i) ran += ctl.should_sweep() ? 1 : 0;
-  EXPECT_EQ(ran, 50);  // exactly rationed, no dice
-}
-
-TEST(DutyCycle, ReplanBacksOffWhenBatteryDrainsFast) {
-  DutyInputs in;
-  in.remaining_j = 10.0;
-  in.idle_cost_per_s = 0.0;
-  in.cost_per_sweep_j = 1e-2;
-  in.full_duty_rate_hz = 1.0;
-  in.required_lifetime_s = 1000;
-  DutyCycleController ctl(in, 1000);
-  const double duty_before = ctl.plan().duty;
-  // Halfway through, the battery is unexpectedly at 20% (jamming-era
-  // retransmissions): the controller must throttle.
-  ctl.replan(500, 2.0);
-  EXPECT_LT(ctl.plan().duty, duty_before);
-  EXPECT_TRUE(ctl.plan().meets_lifetime);
-}
-
-// ------------------------------------------------------------ Allocation ----
-
-TEST(ComputePool, PlacesWithinCapacityAndHops) {
-  ComputePool pool;
-  const auto near = pool.add_node(1e9, 1);
-  const auto far = pool.add_node(1e12, 10);
-  // Tight hop bound: must land on the near node despite less capacity.
-  const auto n1 = pool.submit({1, 1, 5e8, 2});
-  ASSERT_TRUE(n1.has_value());
-  EXPECT_EQ(*n1, near);
-  // Loose bound: worst-fit picks the big far node.
-  const auto n2 = pool.submit({2, 1, 5e8, 20});
-  ASSERT_TRUE(n2.has_value());
-  EXPECT_EQ(*n2, far);
-}
-
-TEST(ComputePool, RejectsWhenNoCapacity) {
-  ComputePool pool({.per_principal_capacity_cap = 1.0});  // quota off
-  pool.add_node(1e9, 1);
-  EXPECT_TRUE(pool.submit({1, 1, 9e8, 8}).has_value());
-  EXPECT_FALSE(pool.submit({2, 1, 5e8, 8}).has_value());  // would overflow
-  pool.finish(1);
-  EXPECT_TRUE(pool.submit({3, 1, 5e8, 8}).has_value());  // freed
-}
-
-TEST(ComputePool, QuotaStopsSaturatingPrincipal) {
-  ComputePool pool({.per_principal_capacity_cap = 0.3});
-  pool.add_node(1e10, 1);
-  // Principal 7 tries to grab everything; capped at 30% = 3e9.
-  int accepted = 0;
-  for (TaskId t = 1; t <= 10; ++t) {
-    if (pool.submit({t, 7, 1e9, 8})) ++accepted;
-  }
-  EXPECT_LE(accepted, 3);
-  EXPECT_GE(pool.rejected_for_quota(), 7u);
-  // Another principal still gets service.
-  EXPECT_TRUE(pool.submit({100, 8, 1e9, 8}).has_value());
-}
-
-TEST(ComputePool, RebalanceMovesTasksOffDeadNode) {
-  ComputePool pool;
-  const auto a = pool.add_node(1e10, 1);
-  const auto b = pool.add_node(1e10, 2);
-  // Fill node a (worst-fit alternates, so force with hops).
-  ASSERT_TRUE(pool.submit({1, 1, 2e9, 1}).has_value());  // only a within 1 hop
-  ASSERT_TRUE(pool.submit({2, 2, 2e9, 1}).has_value());
-  EXPECT_GT(pool.node_load(a), 0.0);
-
-  pool.set_node_alive(a, false);
-  const std::size_t dropped = pool.rebalance();
-  EXPECT_EQ(dropped, 2u);  // hop bound 1 cannot reach node b? b is 2 hops
-  // Loosen: resubmit with generous bounds.
-  EXPECT_TRUE(pool.submit({3, 1, 2e9, 4}).has_value());
-  EXPECT_EQ(*pool.location(3), b);
-}
-
-TEST(ComputePool, RebalancePreservesTasksWhenRoomExists) {
-  ComputePool pool;
-  const auto a = pool.add_node(1e10, 1);
-  const auto b = pool.add_node(1e10, 1);
-  ASSERT_TRUE(pool.submit({1, 1, 2e9, 4}).has_value());
-  ASSERT_TRUE(pool.submit({2, 2, 2e9, 4}).has_value());
-  // Kill whichever node holds task 1.
-  const auto loc = *pool.location(1);
-  pool.set_node_alive(loc, false);
-  EXPECT_EQ(pool.rebalance(), 0u);
-  const auto other = loc == a ? b : a;
-  EXPECT_EQ(*pool.location(1), other);
-  EXPECT_EQ(pool.running_tasks(), 2u);
-}
-
-TEST(ComputePool, AccountingConsistency) {
-  ComputePool pool({.per_principal_capacity_cap = 1.0});  // quota off
-  pool.add_node(1e10, 1);
-  pool.submit({1, 5, 3e9, 4});
-  pool.submit({2, 5, 1e9, 4});
-  EXPECT_DOUBLE_EQ(pool.used_capacity(), 4e9);
-  EXPECT_DOUBLE_EQ(pool.principal_usage(5), 4e9);
-  pool.finish(1);
-  EXPECT_DOUBLE_EQ(pool.used_capacity(), 1e9);
-  EXPECT_DOUBLE_EQ(pool.principal_usage(5), 1e9);
-  pool.finish(999);  // unknown id: no-op
-  EXPECT_EQ(pool.running_tasks(), 1u);
 }
 
 // ----------------------------------------------------------- Perception ----

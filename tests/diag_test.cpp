@@ -1,13 +1,9 @@
 // Tests for diagnostics: tomography identifiability and estimation,
-// failure localization, monitor placement, anomaly detection, attention.
+// failure localization, and monitor placement.
 
 #include <gtest/gtest.h>
 
-#include "diag/anomaly.h"
-#include "diag/health.h"
 #include "diag/tomography.h"
-#include "net/dispatcher.h"
-#include "things/population.h"
 
 namespace iobt::diag {
 namespace {
@@ -144,187 +140,6 @@ TEST(MonitorPlacement, GreedyImprovesOverPairAndRespectsBudget) {
   TomographySystem chosen(t, placed);
   TomographySystem corners(t, {0, 15});
   EXPECT_GE(chosen.identifiability() + 1e-12, corners.identifiability());
-}
-
-// -------------------------------------------------------------- Anomaly ----
-
-TEST(Ewma, FlagsJumpAfterWarmup) {
-  EwmaDetector det(0.1, 10);
-  double max_score_healthy = 0.0;
-  Rng rng(7);
-  for (int i = 0; i < 100; ++i) {
-    max_score_healthy = std::max(max_score_healthy, det.update(5.0 + rng.normal() * 0.2));
-  }
-  const double spike = det.update(15.0);
-  EXPECT_GT(spike, max_score_healthy * 2);
-  EXPECT_GT(spike, 3.0);
-}
-
-TEST(Ewma, WarmupEmitsZero) {
-  EwmaDetector det(0.1, 5);
-  for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(det.update(100.0 * i), 0.0);
-}
-
-TEST(Ewma, AdaptsToSlowDrift) {
-  EwmaDetector det(0.2, 10);
-  double value = 5.0;
-  double max_score = 0.0;
-  Rng rng(8);
-  for (int i = 0; i < 500; ++i) {
-    value += 0.01;  // slow drift
-    const double s = det.update(value + rng.normal() * 0.1);
-    if (i > 50) max_score = std::max(max_score, s);
-  }
-  EXPECT_LT(max_score, 5.0);  // drift tracked, not alarmed
-}
-
-TEST(AnomalyTracker, TracksStreamsIndependently) {
-  AnomalyTracker tr(0.1, 5);
-  for (int i = 0; i < 50; ++i) {
-    tr.update("calm", 1.0);
-    tr.update("wild", i % 2 == 0 ? 0.0 : 10.0);
-  }
-  EXPECT_EQ(tr.stream_count(), 2u);
-  const double calm_spike = tr.update("calm", 50.0);
-  EXPECT_GT(calm_spike, 5.0);
-}
-
-// ------------------------------------------------------------ Attention ----
-
-TEST(Attention, PriorityOrdersByProduct) {
-  std::vector<AttentionItem> items = {
-      {"noisy_adversary", 9.0, 0.1, 1.0},  // high anomaly, zero trust
-      {"real_event", 4.0, 0.9, 1.0},
-      {"background", 0.5, 0.9, 1.0},
-  };
-  const auto top = AttentionAllocator::allocate(items, 2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].stream, "real_event");      // 3.6 beats 0.9
-  EXPECT_EQ(top[1].stream, "noisy_adversary");
-}
-
-TEST(Attention, MissionWeightBoostsStream) {
-  std::vector<AttentionItem> items = {
-      {"a", 2.0, 0.5, 1.0},
-      {"b", 2.0, 0.5, 5.0},
-  };
-  const auto top = AttentionAllocator::allocate(items, 1);
-  EXPECT_EQ(top[0].stream, "b");
-}
-
-TEST(Attention, DeterministicTieBreakByName) {
-  std::vector<AttentionItem> items = {
-      {"zeta", 1.0, 0.5, 1.0},
-      {"alpha", 1.0, 0.5, 1.0},
-  };
-  const auto top = AttentionAllocator::allocate(items, 1);
-  EXPECT_EQ(top[0].stream, "alpha");
-}
-
-TEST(Attention, BudgetLargerThanItems) {
-  std::vector<AttentionItem> items = {{"only", 1.0, 1.0, 1.0}};
-  EXPECT_EQ(AttentionAllocator::allocate(items, 10).size(), 1u);
-}
-
-
-// --------------------------------------------------------------- Health ----
-
-struct HealthFixture : ::testing::Test {
-  sim::Simulator sim;
-  net::Network net{sim, net::ChannelModel(2.0, 0.05), Rng(5)};
-  iobt::things::World world{sim, net, {{0, 0}, {900, 300}}, Rng(6)};
-  net::Dispatcher disp{net};
-  iobt::things::AssetId monitor = 0;
-  std::vector<iobt::things::AssetId> peers;
-
-  void SetUp() override {
-    Rng r(1);
-    monitor = world.add_asset(
-        iobt::things::make_asset_template(iobt::things::DeviceClass::kEdgeServer,
-                                          iobt::things::Affiliation::kBlue, r),
-        {450, 150},
-        iobt::things::radio_for_class(iobt::things::DeviceClass::kEdgeServer));
-    for (int i = 0; i < 6; ++i) {
-      peers.push_back(world.add_asset(
-          iobt::things::make_asset_template(iobt::things::DeviceClass::kSensorMote,
-                                            iobt::things::Affiliation::kBlue, r),
-          {150.0 + 120 * i, 150.0},
-          iobt::things::radio_for_class(iobt::things::DeviceClass::kSensorMote)));
-    }
-  }
-};
-
-TEST_F(HealthFixture, HealthyPeersStayHealthy) {
-  HealthService svc(world, disp, monitor, peers);
-  svc.start();
-  sim.run_until(sim::SimTime::seconds(120));
-  for (const auto p : peers) {
-    EXPECT_EQ(svc.health(p), PeerHealth::kHealthy) << p;
-    EXPECT_GT(svc.mean_rtt_s(p), 0.0);
-  }
-  EXPECT_GT(svc.replies_received(), 30u);
-}
-
-TEST_F(HealthFixture, DeadPeerDetectedAsUnreachable) {
-  HealthConfig cfg;
-  cfg.probe_period = sim::Duration::seconds(5);
-  cfg.silence_threshold = 4;
-  HealthService svc(world, disp, monitor, peers, cfg);
-  svc.start();
-  sim.run_until(sim::SimTime::seconds(60));
-  // Kill the END of the chain so no live peer is partitioned with it.
-  world.destroy_asset(peers[5]);
-  sim.run_until(sim::SimTime::seconds(150));
-  EXPECT_EQ(svc.health(peers[5]), PeerHealth::kUnreachable);
-  EXPECT_DOUBLE_EQ(svc.detection_recall(), 1.0);
-  EXPECT_DOUBLE_EQ(svc.detection_precision(), 1.0);
-  const auto bad = svc.unreachable_peers();
-  ASSERT_EQ(bad.size(), 1u);
-  EXPECT_EQ(bad[0], peers[5]);
-}
-
-TEST_F(HealthFixture, TransientLossDoesNotFlagPeer) {
-  // Isolated lost probes (below the threshold) must not mark unreachable.
-  HealthConfig cfg;
-  cfg.probe_period = sim::Duration::seconds(5);
-  cfg.silence_threshold = 4;
-  HealthService svc(world, disp, monitor, peers, cfg);
-  svc.start();
-  sim.run_until(sim::SimTime::seconds(200));
-  // Some probes drop on the lossy chain, but never 4 in a row here.
-  for (const auto p : peers) EXPECT_NE(svc.health(p), PeerHealth::kUnreachable);
-}
-
-TEST_F(HealthFixture, RecoversAfterPeerComesBack) {
-  HealthConfig cfg;
-  cfg.probe_period = sim::Duration::seconds(5);
-  HealthService svc(world, disp, monitor, peers, cfg);
-  svc.start();
-  sim.run_until(sim::SimTime::seconds(60));
-  // Take the node's radio down without killing the asset, then restore.
-  net.set_node_up(world.asset(peers[0]).node, false);
-  sim.run_until(sim::SimTime::seconds(120));
-  EXPECT_EQ(svc.health(peers[0]), PeerHealth::kUnreachable);
-  net.set_node_up(world.asset(peers[0]).node, true);
-  sim.run_until(sim::SimTime::seconds(180));
-  EXPECT_EQ(svc.health(peers[0]), PeerHealth::kHealthy);
-}
-
-TEST_F(HealthFixture, ProbeLoopStopsAfterServiceDestruction) {
-  {
-    HealthService svc(world, disp, monitor, peers);
-    svc.start();
-    // Stop between probe rounds (period 10 s) so no pings or pongs are in
-    // flight toward the service's handlers when it dies.
-    sim.run_until(sim::SimTime::seconds(25));
-    EXPECT_GT(svc.probes_sent(), 0u);
-    EXPECT_GT(sim.pending_count(), 0u);
-  }
-  // The tick lambda's lifetime token expired: the loop unschedules itself
-  // instead of probing through a dangling `this` (the sanitizer CI build
-  // turns a regression here into a hard failure).
-  sim.run_until(sim::SimTime::seconds(120));
-  EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 }  // namespace

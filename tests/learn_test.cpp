@@ -1,11 +1,10 @@
 // Tests for the learning substrate: models, robust aggregation, federated
-// and gossip training under attack and churn, continual learning, cost-
-// aware topology activation, and IBP safety certification.
+// and gossip training under attack and churn, cost-aware topology
+// activation, and IBP safety certification.
 
 #include <gtest/gtest.h>
 
 #include "learn/aggregation.h"
-#include "learn/continual.h"
 #include "learn/cost.h"
 #include "learn/data.h"
 #include "learn/federated.h"
@@ -279,62 +278,6 @@ TEST_F(FedFixture, NonIidShardingSlowsButDoesNotPreventLearning) {
 TEST(Disagreement, ZeroForIdenticalParams) {
   EXPECT_DOUBLE_EQ(parameter_disagreement({{1, 2}, {1, 2}}), 0.0);
   EXPECT_GT(parameter_disagreement({{0, 0}, {3, 4}}), 4.9);
-}
-
-// ------------------------------------------------------------ Continual ----
-
-TEST(Continual, DetectsContextShiftAndRecalls) {
-  ContextualConfig cfg;
-  cfg.dim = 4;
-  ContextualLearner learner(cfg);
-  Rng rng(31);
-
-  // Context 0 stream, then context 2 (120 deg rotation: strongly
-  // different), then back to 0.
-  const auto c0 = make_context(400, 4, 0, rng);
-  const auto c2 = make_context(400, 4, 2, rng);
-  const auto c0b = make_context(400, 4, 0, rng);
-  for (const auto& e : c0) learner.observe(e);
-  const std::size_t banks_after_first = learner.context_count();
-  for (const auto& e : c2) learner.observe(e);
-  EXPECT_GT(learner.switches_detected(), 0u);
-  EXPECT_GT(learner.context_count(), banks_after_first);
-  for (const auto& e : c0b) learner.observe(e);
-
-  // Both contexts are servable by some stored model.
-  Rng prng(32);
-  const auto probe0 = make_context(200, 4, 0, prng);
-  const auto probe2 = make_context(200, 4, 2, prng);
-  EXPECT_GT(learner.accuracy_with_best_model(probe0), 0.8);
-  EXPECT_GT(learner.accuracy_with_best_model(probe2), 0.8);
-}
-
-TEST(Continual, MonolithicForgetsContextualDoesNot) {
-  Rng rng(33);
-  const auto c0 = make_context(500, 4, 0, rng);
-  const auto c2 = make_context(500, 4, 2, rng);
-  Rng prng(34);
-  const auto probe0 = make_context(300, 4, 0, prng);
-
-  MonolithicLearner mono(4, 0.1);
-  ContextualConfig cfg;
-  cfg.dim = 4;
-  ContextualLearner ctx(cfg);
-  for (const auto& e : c0) {
-    mono.observe(e);
-    ctx.observe(e);
-  }
-  const double mono_before =
-      accuracy(probe0, [&](const Vec& x) { return mono.predict(x); });
-  for (const auto& e : c2) {
-    mono.observe(e);
-    ctx.observe(e);
-  }
-  const double mono_after =
-      accuracy(probe0, [&](const Vec& x) { return mono.predict(x); });
-  const double ctx_after = ctx.accuracy_with_best_model(probe0);
-  EXPECT_LT(mono_after, mono_before - 0.1);  // catastrophic forgetting
-  EXPECT_GT(ctx_after, mono_after + 0.1);    // the context bank remembers
 }
 
 // ----------------------------------------------------------- Cost-aware ----

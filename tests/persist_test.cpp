@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -13,11 +14,13 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dissem/scenario.h"
 #include "serve/serve.h"
 #include "serve/snapshot_store.h"
+#include "sim/metrics.h"
 #include "sim/runner.h"
 #include "sim/wire.h"
 
@@ -112,9 +115,46 @@ TEST(WirePersistence, ReaderFailsSoftOnMalformedInput) {
   // Latched: every later read answers zero instead of touching the input.
   EXPECT_EQ(r.i64(), 0);
   EXPECT_EQ(r.bytes(), "");
+  // Tokens the writer never emits are rejected, not coerced: a sign, a
+  // leading zero or whitespace, an overflowing decimal, and for doubles
+  // anything but 16 lowercase hex digits.
+  for (const char* bad : {"-1 ", "+5 ", "\n5 ", "05 ", "18446744073709551616 "}) {
+    sim::WireReader u(bad);
+    u.u64();
+    EXPECT_FALSE(u.ok()) << "u64 accepted '" << bad << "'";
+  }
+  for (const char* bad : {"-ff0000000000000 ", "+3ff000000000000 ",
+                          "\n3ff000000000000 ", "3FF0000000000000 "}) {
+    sim::WireReader f(bad);
+    f.f64();
+    EXPECT_FALSE(f.ok()) << "f64 accepted '" << bad << "'";
+  }
 }
 
 // ------------------------------------------------------ Registry images ----
+
+TEST(RegistrySerialization, MetricsImageWithNonCanonicalNumbersIsRejected) {
+  // One summary "k": count, mean, m2, min, max, seen, reservoir size.
+  const std::string one = "3ff0000000000000";
+  const std::string zero = "0000000000000000";
+  const auto image = [&](const std::string& count, const std::string& mean,
+                         const std::string& seen) {
+    return "m1 0 0 1 k " + count + " " + mean + " " + zero + " " + one + " " +
+           one + " " + seen + " 0";
+  };
+  const std::string canonical = image("1", one, "1");
+  const auto good = sim::MetricsRegistry::deserialize(canonical);
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->serialize(), canonical);
+  // A signed count once decoded to 2^64-1 and re-encoded to other bytes.
+  EXPECT_FALSE(sim::MetricsRegistry::deserialize(image("-1", one, "+3")).has_value());
+  for (const std::string& bad :
+       {image("+1", one, "1"), image("01", one, "1"),
+        image("18446744073709551616", one, "1"),
+        image("1", "3FF0000000000000", "1"), image("1", "-ff0000000000000", "1")}) {
+    EXPECT_FALSE(sim::MetricsRegistry::deserialize(bad).has_value()) << bad;
+  }
+}
 
 TEST(RegistrySerialization, GoldenImageIsByteStableAcrossStacks) {
   // Two independently built stacks of the same scenario produce the SAME
@@ -232,6 +272,36 @@ TEST(SnapshotStore, CorruptHeaderTruncationAndVersionSkewAreRejected) {
 
   ASSERT_TRUE(store.put(7, payload));
   rewrite([](std::string s) { s[s.size() - 10] ^= 1; return s; });  // bit rot
+  EXPECT_EQ(store.get(7, sink), SnapshotStore::GetStatus::kRejected);
+
+  // Header tokens the writer never emits are rejected too; a size of "-1"
+  // used to drive a SIZE_MAX allocation that threw out of get().
+  const auto set_field = [&](std::size_t field, const std::string& tok) {
+    rewrite([&](std::string s) {
+      std::size_t begin = 0;
+      for (std::size_t i = 0; i < field; ++i) begin = s.find(' ', begin) + 1;
+      return s.replace(begin, s.find_first_of(" \n", begin) - begin, tok);
+    });
+  };
+  const std::pair<std::size_t, std::string> bad_fields[] = {
+      {1, "+1"}, {3, "-1"}, {3, "+300"}, {3, "0300"}};
+  for (const auto& [field, tok] : bad_fields) {
+    ASSERT_TRUE(store.put(7, payload));
+    set_field(field, tok);
+    EXPECT_EQ(store.get(7, sink), SnapshotStore::GetStatus::kRejected)
+        << "header field " << field << " = " << tok;
+  }
+  // The right checksum in uppercase hex.
+  ASSERT_TRUE(store.put(7, payload));
+  rewrite([](std::string s) {
+    const std::size_t end = s.find('\n');
+    const std::size_t begin = s.rfind(' ', end) + 1;
+    EXPECT_LT(s.find_first_of("abcdef", begin), end);  // has letters to raise
+    for (std::size_t i = begin; i < end; ++i) {
+      s[i] = static_cast<char>(std::toupper(s[i]));
+    }
+    return s;
+  });
   EXPECT_EQ(store.get(7, sink), SnapshotStore::GetStatus::kRejected);
 
   // Wrong prefix stamp: a valid file served under another prefix's name.

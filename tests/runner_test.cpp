@@ -366,8 +366,12 @@ TEST(CampaignJournalTest, MalformedLinesAreSkippedOnLoad) {
     j.append(JournalEntry{2, 1, 1.0, "b", m.serialize()});
   }
   {
-    // Simulate a crash-truncated write plus unrelated garbage.
+    // Non-canonical seed/index tokens (sign, leading zero, overflow) are
+    // foreign content too, then a crash-truncated write.
     std::ofstream f(path, std::ios::app);
+    for (const char* ids : {"-3\t2", "+3\t2", "3\t02", "18446744073709551616\t2"}) {
+      f << "rep\t" << ids << "\t1.0\tbad\t" << MetricsRegistry().serialize() << "\n";
+    }
     f << "rep\t3\t2\t1.0\ttruncated-before-metr";  // no newline, short fields
   }
   CampaignJournal reloaded(path);
