@@ -83,8 +83,7 @@ int main() {
          "diverse groups outperform homogeneous groups; controllers adapt their "
          "parameterization by observing neighbors");
 
-  const iobt::sim::ParallelRunner runner(
-      {.workers = bench_workers(), .repro_program = "bench_diversity"});
+  const iobt::sim::ParallelRunner runner(bench_workers());
 
   row("%-16s %-16s %-16s %-16s", "init_spread", "mean_perf", "best_perf",
       "final_diversity");

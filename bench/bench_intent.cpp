@@ -38,8 +38,7 @@ int main() {
          "agents optimizing local objectives converge to mission equilibria, "
          "scalably and without explicit coordination");
 
-  const sim::ParallelRunner runner(
-      {.workers = bench_workers(), .repro_program = "bench_intent"});
+  const sim::ParallelRunner runner(bench_workers());
   constexpr std::size_t kReps = 8;
 
   row("%-8s %-8s %-10s %-10s %-16s %-16s", "agents", "tasks", "BR_rounds",
@@ -62,8 +61,8 @@ int main() {
           return out;
         });
     row("%-8zu %-8zu %-10.1f %-10.1f %-16s %-16s", n, tasks,
-        outcome.stats([](const BrTrial& o) { return o.rounds; }).mean,
-        outcome.stats([](const BrTrial& o) { return o.moves; }).mean,
+        outcome.stats([](const BrTrial& o) { return o.rounds; }).mean(),
+        outcome.stats([](const BrTrial& o) { return o.moves; }).mean(),
         pm(outcome.stats([](const BrTrial& o) { return o.welfare; }), 2).c_str(),
         pm(outcome.stats([](const BrTrial& o) { return o.ratio; })).c_str());
   }

@@ -220,8 +220,7 @@ int main() {
   // measurements never share a core; the runner still provides the
   // seed-ordered result carrier and per-cell wall clocks.
   sim::Simulator profiled;  // reused for the profile demo below
-  const sim::ParallelRunner cell_runner(
-      {.workers = 1, .repro_program = "bench_kernel"});
+  const sim::ParallelRunner cell_runner(1);
   const auto cells = cell_runner.run<WorkloadResult>(
       sim::ParallelRunner::seed_range(0, 6),
       [&](sim::ReplicationContext& ctx) -> WorkloadResult {

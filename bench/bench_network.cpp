@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"mobility\": {\"n\": %zu, \"ticks\": %d, \"seeds\": %zu, "
                  "\"route_ms_mean\": %.3f, \"identical\": %s},\n",
-                 kMobilityNodes, kMobilityTicks, kMobilitySeeds, route.mean,
+                 kMobilityNodes, kMobilityTicks, kMobilitySeeds, route.mean(),
                  mobility_identical ? "true" : "false");
     std::fprintf(f, "  \"identical\": %s\n}\n", identical ? "true" : "false");
     std::fclose(f);

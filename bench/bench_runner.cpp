@@ -119,8 +119,7 @@ int main() {
   double serial_ms = 0;
   for (std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{4}, std::size_t{8}}) {
-    const sim::ParallelRunner runner(
-        {.workers = workers, .repro_program = "bench_runner"});
+    const sim::ParallelRunner runner(workers);
     const auto outcome = runner.run<double>(seeds, replicate);
     std::uint64_t payload_hash = 0xcbf29ce484222325ULL;
     for (const auto& r : outcome.replications) {

@@ -40,8 +40,7 @@ int main() {
   header("E3: truth discovery",
          "discover ground truth from noisy conflicting claims; characterize sources");
 
-  const sim::ParallelRunner runner(
-      {.workers = bench_workers(), .repro_program = "bench_social"});
+  const sim::ParallelRunner runner(bench_workers());
 
   row("%-12s %-16s %-16s %-16s %-16s", "adv_frac", "EM", "vote", "oracle",
       "rel_err(EM)");

@@ -121,8 +121,7 @@ int main() {
     struct LadderOut {
       double greedy = 0, localsrch = 0, exact = 0;
     };
-    const sim::ParallelRunner runner(
-        {.workers = bench::bench_workers(), .repro_program = "bench_synthesis"});
+    const sim::ParallelRunner runner(bench::bench_workers());
     const auto seeds = sim::ParallelRunner::seed_range(1, 8);
     const auto outcome =
         runner.run<LadderOut>(seeds, [](sim::ReplicationContext& ctx) {

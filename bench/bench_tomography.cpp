@@ -38,8 +38,7 @@ int main() {
          "infer internal health from end-to-end observations; place monitors "
          "for identifiability");
 
-  const sim::ParallelRunner runner(
-      {.workers = bench::bench_workers(), .repro_program = "bench_tomography"});
+  const sim::ParallelRunner runner(bench::bench_workers());
 
   const auto grid = net::Topology::grid(5, 5);
   row("%-10s %-16s %-16s", "monitors", "greedy_ident", "random_ident");
@@ -121,8 +120,8 @@ int main() {
             return out;
           });
       row("%-10zu %-12.3f %-12.3f", nfail,
-          outcome.stats([](const PrTrial& o) { return o.precision; }).mean,
-          outcome.stats([](const PrTrial& o) { return o.recall; }).mean);
+          outcome.stats([](const PrTrial& o) { return o.precision; }).mean(),
+          outcome.stats([](const PrTrial& o) { return o.recall; }).mean());
     }
   }
   return 0;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/runner.h"
+#include "sim/simulator.h"
 #include "trace/trace.h"
 
 namespace iobt::bench {
@@ -27,10 +28,10 @@ inline std::size_t bench_workers() {
   return hw == 0 ? 1 : std::min<std::size_t>(8, hw);
 }
 
-/// "0.912±0.013" cell for a replication sweep's SummaryStats.
-inline std::string pm(const iobt::sim::SummaryStats& s, int prec = 3) {
+/// "0.912±0.013" cell for a replication sweep's RunOutcome::stats().
+inline std::string pm(const iobt::sim::Summary& s, int prec = 3) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f±%.*f", prec, s.mean, prec, s.stddev);
+  std::snprintf(buf, sizeof buf, "%.*f±%.*f", prec, s.mean(), prec, s.stddev());
   return std::string(buf);
 }
 

@@ -6,7 +6,8 @@
 # when code moves, so CI runs this script and fails the build if any doc
 # references a bench target, file path, or flag that no longer exists.
 # It also fails on orphan modules: a src/ header that nothing but its own
-# .cpp and the unit tests includes (rule 7).
+# .cpp and the unit tests includes (rule 7), and on docs that name a C++
+# API the code no longer has (rule 8).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -112,6 +113,19 @@ for hdr in $(find src -name '*.h' | sort); do
   grep -rlF "#include \"${hdr#src/}\"" src bench examples perfbench |
     grep -qvxF "$own" ||
     err "$hdr is orphaned: only its own .cpp or tests/ include it"
+done
+
+# 8. Every backticked qualified name (`A::b`, `ns::A::b`) in README, DESIGN
+#    or EXPERIMENTS must name something the code still has: its last
+#    component must appear as a word under src/, bench/ or perfbench/.
+#    ROADMAP is exempt because it names planned work.
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+  for name in $(grep -oE '`[^`]+`' "$doc" |
+                grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' |
+                sort -u); do
+    grep -rqw -- "${name##*::}" src bench perfbench ||
+      err "$doc names '$name' but '${name##*::}' appears nowhere in src/, bench/ or perfbench/"
+  done
 done
 
 if [[ $fail -ne 0 ]]; then

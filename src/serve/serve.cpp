@@ -267,12 +267,15 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
   const std::size_t n = queries.size();
   out.results.resize(n);
   const std::size_t cap = opts_.max_batch_queries;
+  // Admitted queries are exactly indices [0, admitted): only they are
+  // simulated, and in the branch fan-out replication i is query i.
+  const std::size_t admitted = std::min(cap, n);
 
   // ---- 1. Keys + admission marks (index-based, deterministic) ----------
   for (std::size_t i = 0; i < n; ++i) {
     QueryResult& r = out.results[i];
     r.prefix = prefix_hash(queries[i]);
-    if (i >= cap) {
+    if (i >= admitted) {
       r.rejected = true;
       r.error = "rejected by admission gate (max_batch_queries=" +
                 std::to_string(cap) + ")";
@@ -295,7 +298,7 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
   std::unordered_set<std::uint64_t> cached_keys;
   std::vector<std::size_t> cold;         // first query index per cold prefix
   std::vector<std::size_t> deduped_cold; // queries riding an in-batch cold sim
-  for (std::size_t i = 0; i < std::min(cap, n); ++i) {
+  for (std::size_t i = 0; i < admitted; ++i) {
     const std::uint64_t key = out.results[i].prefix;
     ++prefix_fanout[key];
     auto found = batch_snaps.find(key);
@@ -342,10 +345,7 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
     std::string wire;  ///< empty when not serializable / tier disabled
   };
   if (!cold.empty()) {
-    sim::ParallelRunner::Options po;
-    po.workers = opts_.workers;
-    po.repro_program = opts_.repro_program;
-    const sim::ParallelRunner prefix_runner(po);
+    const sim::ParallelRunner prefix_runner(opts_.workers);
     std::vector<std::uint64_t> seeds;
     seeds.reserve(cold.size());
     for (std::size_t i : cold) seeds.push_back(queries[i].seed);
@@ -401,24 +401,10 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
   }
 
   // ---- 4. Branch fan-out over every admitted query ---------------------
-  const bool any_trace =
-      opts_.trace_capacity > 0 &&
-      std::any_of(queries.begin(), queries.begin() + std::min(cap, n),
-                  [](const Query& q) { return q.want_trace; });
-  sim::ParallelRunner::Options bo;
-  bo.workers = opts_.workers;
-  bo.repro_program = opts_.repro_program;
-  bo.trace_capacity = any_trace ? opts_.trace_capacity : 0;
-  bo.trace_all = true;  // tracers of non-opted queries record nothing
-  bo.admit = [cap](std::uint64_t, std::size_t index) { return index < cap; };
-  bo.on_complete = [this, cap](std::uint64_t, std::size_t index, bool, double) {
-    // Rejected replications also fire the hook; only admitted branches count.
-    if (index < cap) branches_completed_.fetch_add(1, std::memory_order_relaxed);
-  };
-  const sim::ParallelRunner branch_runner(bo);
+  const sim::ParallelRunner branch_runner(opts_.workers);
   std::vector<std::uint64_t> seeds;
-  seeds.reserve(n);
-  for (const Query& q : queries) seeds.push_back(q.seed);
+  seeds.reserve(admitted);
+  for (std::size_t i = 0; i < admitted; ++i) seeds.push_back(queries[i].seed);
   const auto branches = branch_runner.run<dissem::DissemOutcome>(
       seeds, [&](sim::ReplicationContext& ctx) {
         const Query& q = queries[ctx.index];
@@ -431,7 +417,6 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
               "checkpoint cache integrity: snapshot prefix stamp mismatch");
         }
         dissem::DissemScenario s(q.spec, q.seed);
-        if (q.want_trace && any_trace) ctx.attach_tracer(s.sim);
         s.sim.checkpoint().restore(*snap);
         apply_delta(s, q);
         s.sim.run_until(sim::SimTime::seconds(q.spec.horizon_s));
@@ -439,9 +424,8 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
       });
 
   // ---- 5. Fold runner results back into input order --------------------
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < admitted; ++i) {
     QueryResult& r = out.results[i];
-    if (r.rejected) continue;
     const auto& rep = branches.replications[i];
     const Query& q = queries[i];
     r.latency_ms = rep.wall_ms;
@@ -453,7 +437,6 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
           pw->second / static_cast<double>(std::max<std::size_t>(
                            1, prefix_fanout[r.prefix]));
     }
-    r.trace_json = rep.trace_json;
     if (rep.ok) {
       r.ok = true;
       r.outcome = rep.payload;

@@ -14,14 +14,15 @@
 // hash over (spec semantics, seed, branch point) — sim/hash.h, stable
 // across process runs, display labels excluded — simulates each distinct
 // prefix once, parks its sim::Snapshot in a bounded cache, and fans the
-// branches out over sim::ParallelRunner with an index-based admission gate.
+// admitted branches out over sim::ParallelRunner. Admission is index-based
+// and decided in submit() itself: queries past Options::max_batch_queries
+// come back rejected and never reach the runner.
 // The correctness bar is unchanged from bench_checkpoint: a cached answer
 // must be digest-identical to serially re-simulating the whole query from
 // t = 0 (run_uncached is that reference, and the per-query repro line). A
 // query that throws is captured per-query — one failing what-if never
-// poisons the batch — and each query can opt into trace export.
+// poisons the batch.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,8 +59,6 @@ struct Query {
   std::uint64_t seed = 0;
   double branch_time_s = 0.0;
   WhatIfDelta delta;
-  /// Opt-in per-query trace export (needs Options::trace_capacity > 0).
-  bool want_trace = false;
 };
 
 /// Canonical scenario-prefix hash: everything that determines the shared
@@ -78,7 +77,7 @@ std::uint64_t query_hash(const Query& q);
 /// Per-query answer, in input order.
 struct QueryResult {
   bool ok = false;
-  /// True when the admission gate shed this query (never simulated).
+  /// True when admission shed this query (never simulated).
   bool rejected = false;
   /// True when the prefix snapshot came from the cache — memory tier or
   /// disk tier — without this batch simulating it for this query.
@@ -97,8 +96,6 @@ struct QueryResult {
   /// One-line serial reproduction of this query outside the service
   /// (run_uncached path), filled for failures.
   std::string repro;
-  /// Chrome trace JSON of the branch timeline (want_trace opt-in).
-  std::string trace_json;
 };
 
 struct BatchResult {
@@ -129,13 +126,10 @@ class CampaignService {
     /// prefix outlives a 5 s one of equal recency), so admission never
     /// lets a cheap newcomer displace an expensive resident.
     std::size_t cache_capacity = 64;
-    /// Admission budget per submit(): queries past this index are shed by
-    /// the runner's admission gate and come back `rejected`, never
-    /// simulated. Index-based, so the admitted set is deterministic.
+    /// Admission budget per submit(): queries past this index come back
+    /// `rejected`, never simulated. Index-based, so the admitted set is
+    /// deterministic.
     std::size_t max_batch_queries = 1024;
-    /// Per-branch trace ring (records); 0 disables trace export even for
-    /// queries that ask.
-    std::size_t trace_capacity = 0;
     /// Program name stamped into per-query repro lines.
     std::string repro_program = "bench_serve";
     /// Directory of the durable snapshot tier (SnapshotStore). Empty
@@ -173,11 +167,6 @@ class CampaignService {
     std::size_t disk_stores = 0;  ///< snapshots durably written to disk
   };
   CacheStats cache_stats() const { return stats_; }
-  /// Lifetime completed branch replications (on_complete hook; includes
-  /// failures, excludes rejected).
-  std::size_t branches_completed() const {
-    return branches_completed_.load(std::memory_order_relaxed);
-  }
   void clear_cache();
 
  private:
@@ -216,8 +205,6 @@ class CampaignService {
   std::unique_ptr<SnapshotStore> store_;
   /// Monotonic touch counter driving the eviction recency term.
   std::uint64_t use_clock_ = 0;
-  /// Incremented from the runner's on_complete hook (worker threads).
-  std::atomic<std::size_t> branches_completed_{0};
 };
 
 /// Applies `q.delta` to a live stack sitting at the branch point. Shared

@@ -1,11 +1,9 @@
 #include "sim/runner.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/wire.h"
 
@@ -147,39 +145,11 @@ void CampaignJournal::append(const JournalEntry& e) {
   entries_.push_back(e);
 }
 
-SummaryStats SummaryStats::of(const std::vector<double>& xs) {
-  SummaryStats s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  s.min = s.max = xs[0];
-  double sum = 0.0;
-  for (double x : xs) {
-    sum += x;
-    s.min = std::min(s.min, x);
-    s.max = std::max(s.max, x);
-  }
-  s.mean = sum / static_cast<double>(xs.size());
-  if (xs.size() > 1) {
-    double m2 = 0.0;
-    for (double x : xs) m2 += (x - s.mean) * (x - s.mean);
-    s.stddev = std::sqrt(m2 / static_cast<double>(xs.size() - 1));
-  }
-  return s;
-}
-
 std::vector<std::uint64_t> ParallelRunner::seed_range(std::uint64_t base,
                                                       std::size_t n) {
   std::vector<std::uint64_t> seeds(n);
   for (std::size_t i = 0; i < n; ++i) seeds[i] = base + i;
   return seeds;
-}
-
-std::string ParallelRunner::make_repro(std::uint64_t seed,
-                                       std::size_t index) const {
-  const std::string prog =
-      opts_.repro_program.empty() ? "<bench>" : opts_.repro_program;
-  return prog + " --workers=0 --seed=" + std::to_string(seed) +
-         "  # replication " + std::to_string(index) + ", re-run serially";
 }
 
 }  // namespace iobt::sim

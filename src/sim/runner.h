@@ -14,9 +14,11 @@
 // output — payloads, merged metrics, digests — is bit-identical regardless
 // of worker count. 1 worker ≡ 8 workers ≡ the serial inline path
 // (workers == 0). A replication that throws is captured as a failure record
-// carrying its (seed, index) and a one-line serial repro command; the pool
-// keeps draining the remaining replications.
+// carrying its (seed, index) and the error; the pool keeps draining the
+// remaining replications. Admission, tracing and profiling are the
+// caller's business: the runner only fans out and aggregates.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -30,49 +32,22 @@
 
 #include "sim/metrics.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
-#include "trace/trace.h"
 
 namespace iobt::sim {
 
-/// Mean / stddev / min / max over a batch of replication values — the shape
-/// every bench table reports instead of a one-seed artifact. stddev is the
-/// sample standard deviation (n-1 denominator).
-struct SummaryStats {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-
-  static SummaryStats of(const std::vector<double>& xs);
-};
-
 /// Per-replication view handed to the body closure. The body records
-/// experiment metrics into `metrics` (snapshotted into the result) and may
-/// capture a kernel profile from its private Simulator before returning.
+/// experiment metrics into `metrics`, which is snapshotted into the result.
 struct ReplicationContext {
   std::uint64_t seed = 0;
   std::size_t index = 0;
   MetricsRegistry metrics;
-  std::vector<TagProfileRow> profile;
-  /// Replication-local tracer. It outlives the body's Simulator, so when a
-  /// replication throws, the timeline leading up to the failure survives
-  /// the unwind and ships with the failure record (trace_json).
-  trace::Tracer tracer;
 
   Rng make_rng() const { return Rng(seed); }
-  void capture_profile(const Simulator& sim) { profile = sim.profile(); }
-  /// Points `sim` at this replication's tracer. Call right after
-  /// constructing the body's Simulator; recording starts only if the
-  /// runner's Options asked for traces (trace_capacity > 0).
-  void attach_tracer(Simulator& sim) { sim.attach_tracer(&tracer); }
 };
 
 /// Everything one replication produced: the user payload plus the captured
-/// metrics snapshot, kernel profile rows, and wall time. On failure `ok` is
-/// false, `payload` is default-constructed, and `error` / `repro` describe
-/// what happened and how to re-run that seed serially.
+/// metrics snapshot and wall time. On failure `ok` is false, `payload` is
+/// default-constructed, and `error` says what was thrown.
 template <typename T>
 struct ReplicationResult {
   std::uint64_t seed = 0;
@@ -81,14 +56,7 @@ struct ReplicationResult {
   double wall_ms = 0.0;
   T payload{};
   MetricsRegistry metrics;
-  std::vector<TagProfileRow> profile;
   std::string error;
-  std::string repro;
-  /// Chrome trace JSON of the replication's timeline. Non-empty only when
-  /// the runner ran with trace_capacity > 0 AND (the replication failed or
-  /// trace_all was set) AND the body attached its Simulator to the
-  /// context's tracer.
-  std::string trace_json;
 };
 
 /// Aggregate of one run(): replication results in seed order, the seed-order
@@ -118,8 +86,12 @@ struct RunOutcome {
     }
     return xs;
   }
-  SummaryStats stats(const std::function<double(const T&)>& f) const {
-    return SummaryStats::of(values(f));
+  /// Mean / stddev / min / max of values(f): the shape every bench table
+  /// reports instead of a one-seed artifact.
+  Summary stats(const std::function<double(const T&)>& f) const {
+    Summary s;
+    for (double x : values(f)) s.add(x);
+    return s;
   }
 };
 
@@ -178,47 +150,10 @@ class CampaignJournal {
 
 class ParallelRunner {
  public:
-  struct Options {
-    /// Pool size. 0 runs every replication inline on the calling thread
-    /// (true serial — the reference for the determinism guarantee); k >= 1
-    /// spawns min(k, replications) workers pulling indices from a shared
-    /// atomic cursor.
-    std::size_t workers = 1;
-    /// Program name stamped into failure repro lines (usually argv[0]).
-    std::string repro_program;
-    /// Per-replication trace ring size in records; 0 disables tracing.
-    /// When set, each context's tracer is enabled before the body runs
-    /// (tid = replication index, so multi-seed traces stay separable) and
-    /// a FAILING replication's result carries its timeline as trace_json —
-    /// the crash ships with the events that led to it.
-    std::size_t trace_capacity = 0;
-    /// Also keep trace_json for successful replications (memory-heavy for
-    /// wide sweeps; meant for targeted trace collection).
-    bool trace_all = false;
-    /// Admission gate, consulted once per replication before its body runs.
-    /// Returning false records the replication as a failure ("rejected by
-    /// admission gate", repro line included) WITHOUT running the body — the
-    /// mechanism a service loop uses to shed load past its per-batch budget
-    /// (src/serve/). The gate MUST be a pure function of (seed, index):
-    /// replications start in a nondeterministic interleaving across worker
-    /// threads, so a stateful gate would admit a nondeterministic set and
-    /// break the bit-identical-across-worker-counts guarantee.
-    std::function<bool(std::uint64_t seed, std::size_t index)> admit;
-    /// Observation hook fired after each replication finishes (admitted or
-    /// rejected), from whichever worker thread ran it — must be
-    /// thread-safe. Completion order is nondeterministic; anything that
-    /// feeds results should use the seed-ordered RunOutcome instead. Meant
-    /// for service bookkeeping: in-flight gauges, completion counters,
-    /// queue-depth metrics.
-    std::function<void(std::uint64_t seed, std::size_t index, bool ok,
-                       double wall_ms)>
-        on_complete;
-  };
-
-  explicit ParallelRunner(std::size_t workers) : opts_{workers, {}} {}
-  explicit ParallelRunner(Options opts) : opts_(std::move(opts)) {}
-
-  const Options& options() const { return opts_; }
+  /// Pool size. 0 runs every replication inline on the calling thread (true
+  /// serial — the reference for the determinism guarantee); k >= 1 spawns
+  /// min(k, replications) workers pulling indices from a shared cursor.
+  explicit ParallelRunner(std::size_t workers) : workers_(workers) {}
 
   /// `{base, base+1, ..., base+n-1}` — the standard bench seed sweep.
   static std::vector<std::uint64_t> seed_range(std::uint64_t base,
@@ -230,41 +165,7 @@ class ParallelRunner {
   template <typename T>
   RunOutcome<T> run(const std::vector<std::uint64_t>& seeds,
                     const std::function<T(ReplicationContext&)>& body) const {
-    RunOutcome<T> out;
-    const std::size_t n = seeds.size();
-    out.replications.resize(n);
-    const auto batch_start = std::chrono::steady_clock::now();
-
-    std::atomic<std::size_t> cursor{0};
-    auto drain = [&] {
-      for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        run_one(seeds[i], i, body, out.replications[i]);
-      }
-    };
-
-    const std::size_t pool =
-        opts_.workers == 0 ? 0 : std::min(opts_.workers, std::max<std::size_t>(n, 1));
-    out.workers = pool;
-    if (pool == 0) {
-      drain();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(pool);
-      for (std::size_t w = 0; w < pool; ++w) threads.emplace_back(drain);
-      for (auto& t : threads) t.join();
-    }
-
-    // Aggregation strictly in seed order — the determinism guarantee.
-    for (const auto& r : out.replications) {
-      if (!r.ok) ++out.failures;
-      out.merged.merge_from(r.metrics);
-    }
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - batch_start)
-                      .count();
-    return out;
+    return execute<T>(seeds, body, nullptr, {}, {});
   }
 
   /// run() with campaign resume: replications already present in `journal`
@@ -284,26 +185,43 @@ class ParallelRunner {
       CampaignJournal& journal,
       const std::function<std::string(const T&)>& encode,
       const std::function<T(std::string_view)>& decode) const {
+    return execute<T>(seeds, body, &journal, encode, decode);
+  }
+
+ private:
+  /// The one fan-out loop behind run() and run_resumable(). `journal` is
+  /// null for a plain run; `encode`/`decode` are then never called.
+  template <typename T>
+  RunOutcome<T> execute(const std::vector<std::uint64_t>& seeds,
+                        const std::function<T(ReplicationContext&)>& body,
+                        CampaignJournal* journal,
+                        const std::function<std::string(const T&)>& encode,
+                        const std::function<T(std::string_view)>& decode) const {
     RunOutcome<T> out;
     const std::size_t n = seeds.size();
     out.replications.resize(n);
     const auto batch_start = std::chrono::steady_clock::now();
 
-    // Replay completed replications from the journal. A journaled entry
-    // whose metrics image fails to parse (crash-truncated line survivors
-    // are already dropped at load; this guards version skew) is re-run.
+    // Replay completed replications from the journal. The journal is read
+    // back from disk, so an entry whose metrics image fails to parse or
+    // whose payload the caller cannot decode (version skew, foreign
+    // content) is re-run, never trusted and never fatal.
     std::vector<char> done(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const JournalEntry* e = journal.find(seeds[i], i);
+    for (std::size_t i = 0; journal && i < n; ++i) {
+      const JournalEntry* e = journal->find(seeds[i], i);
       if (!e) continue;
       auto metrics = MetricsRegistry::deserialize(e->metrics);
       if (!metrics) continue;
       ReplicationResult<T>& r = out.replications[i];
+      try {
+        r.payload = decode(e->payload);
+      } catch (...) {
+        continue;
+      }
       r.seed = seeds[i];
       r.index = i;
       r.ok = true;
       r.wall_ms = e->wall_ms;
-      r.payload = decode(e->payload);
       r.metrics = std::move(*metrics);
       done[i] = 1;
       ++out.resumed;
@@ -319,23 +237,22 @@ class ParallelRunner {
         run_one(seeds[i], i, body, out.replications[i]);
         const ReplicationResult<T>& r = out.replications[i];
         // Failures are not journaled: a resume retries them.
-        if (r.ok) {
-          // append() throws when the disk refuses the entry. The result
-          // itself is still good — count the durability loss instead of
-          // letting the exception tear down a worker thread (which would
-          // terminate the process) or fail the replication.
-          try {
-            journal.append(JournalEntry{r.seed, r.index, r.wall_ms,
-                                        encode(r.payload), r.metrics.serialize()});
-          } catch (const std::exception&) {
-            journal_failures.fetch_add(1, std::memory_order_relaxed);
-          }
+        if (!journal || !r.ok) continue;
+        // append() throws when the disk refuses the entry. The result
+        // itself is still good — count the durability loss instead of
+        // letting the exception tear down a worker thread (which would
+        // terminate the process) or fail the replication.
+        try {
+          journal->append(JournalEntry{r.seed, r.index, r.wall_ms,
+                                       encode(r.payload), r.metrics.serialize()});
+        } catch (const std::exception&) {
+          journal_failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
     };
 
     const std::size_t pool =
-        opts_.workers == 0 ? 0 : std::min(opts_.workers, std::max<std::size_t>(n, 1));
+        workers_ == 0 ? 0 : std::min(workers_, std::max<std::size_t>(n, 1));
     out.workers = pool;
     if (pool == 0) {
       drain();
@@ -346,6 +263,7 @@ class ParallelRunner {
       for (auto& t : threads) t.join();
     }
 
+    // Aggregation strictly in seed order — the determinism guarantee.
     out.journal_write_failures = journal_failures.load(std::memory_order_relaxed);
     for (const auto& r : out.replications) {
       if (!r.ok) ++out.failures;
@@ -357,27 +275,15 @@ class ParallelRunner {
     return out;
   }
 
- private:
   template <typename T>
   void run_one(std::uint64_t seed, std::size_t index,
                const std::function<T(ReplicationContext&)>& body,
                ReplicationResult<T>& slot) const {
     slot.seed = seed;
     slot.index = index;
-    if (opts_.admit && !opts_.admit(seed, index)) {
-      slot.ok = false;
-      slot.error = "rejected by admission gate";
-      slot.repro = make_repro(seed, index);
-      if (opts_.on_complete) opts_.on_complete(seed, index, false, 0.0);
-      return;
-    }
     ReplicationContext ctx;
     ctx.seed = seed;
     ctx.index = index;
-    if (opts_.trace_capacity > 0) {
-      ctx.tracer.set_track(0, static_cast<std::uint32_t>(index));
-      ctx.tracer.enable(opts_.trace_capacity);
-    }
     const auto start = std::chrono::steady_clock::now();
     try {
       slot.payload = body(ctx);
@@ -393,18 +299,9 @@ class ParallelRunner {
                        std::chrono::steady_clock::now() - start)
                        .count();
     slot.metrics = std::move(ctx.metrics);
-    slot.profile = std::move(ctx.profile);
-    if (opts_.trace_capacity > 0 && (!slot.ok || opts_.trace_all) &&
-        ctx.tracer.total_recorded() > 0) {
-      slot.trace_json = ctx.tracer.to_json();
-    }
-    if (!slot.ok) slot.repro = make_repro(seed, index);
-    if (opts_.on_complete) opts_.on_complete(seed, index, slot.ok, slot.wall_ms);
   }
 
-  std::string make_repro(std::uint64_t seed, std::size_t index) const;
-
-  Options opts_;
+  std::size_t workers_;
 };
 
 }  // namespace iobt::sim

@@ -156,8 +156,8 @@ std::vector<Record> Tracer::snapshot() const {
 
 void Tracer::write_json(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid_
-     << ",\"args\":{\"name\":\"iobt\"}}";
+  os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0"
+        ",\"args\":{\"name\":\"iobt\"}}";
   char buf[160];
   for (const Record& r : snapshot()) {
     os << ",\n";
@@ -167,8 +167,8 @@ void Tracer::write_json(std::ostream& os) const {
     const std::string& cat = category(r.name);
     write_escaped(os, cat.empty() ? "iobt" : cat);
     os << "\",\"ph\":\"" << phase_string(r.phase) << "\"";
-    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f,\"pid\":%u,\"tid\":%u",
-                  static_cast<double>(r.wall_ns) * 1e-3, pid_, tid_);
+    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f,\"pid\":0,\"tid\":0",
+                  static_cast<double>(r.wall_ns) * 1e-3);
     os << buf;
     switch (r.phase) {
       case Phase::kComplete:

@@ -101,13 +101,6 @@ class Tracer {
   /// clock on construction / attach; pass nullptr to unbind (sim_ns = 0).
   void bind_sim_clock(const sim::SimTime* now) { sim_clock_ = now; }
 
-  /// Sets the (pid, tid) stamped on exported events. ParallelRunner sets
-  /// tid = replication index so multi-seed traces stay distinguishable.
-  void set_track(std::uint32_t pid, std::uint32_t tid) {
-    pid_ = pid;
-    tid_ = tid;
-  }
-
   // --- Record paths (hot; one branch when disabled, no allocation ever) --
 
   void instant(NameId name) {
@@ -170,8 +163,6 @@ class Tracer {
 
   bool enabled_ = false;
   std::uint16_t depth_ = 0;
-  std::uint32_t pid_ = 0;
-  std::uint32_t tid_ = 0;
   const sim::SimTime* sim_clock_ = nullptr;
   std::int64_t wall_base_ns_ = 0;
 

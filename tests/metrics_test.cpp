@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/metrics.h"
 
@@ -17,23 +19,30 @@ namespace {
 // -------------------------------------------------------------- Summary ----
 
 TEST(SummaryTest, WelfordMatchesDirectComputation) {
-  Summary s;
-  const std::vector<double> xs = {1.5, -2.0, 4.25, 0.0, 3.5, -1.25};
-  double sum = 0;
-  for (double x : xs) {
-    s.add(x);
-    sum += x;
+  // A mixed-sign stream, an ascending one (min and max at the ends), and a
+  // single sample, whose sample stddev is 0 and whose min equals its max.
+  const std::vector<std::vector<double>> inputs = {
+      {1.5, -2.0, 4.25, 0.0, 3.5, -1.25}, {1.0, 2.0, 3.0, 4.0}, {7.5}};
+  for (const std::vector<double>& xs : inputs) {
+    SCOPED_TRACE(xs.size());
+    Summary s;
+    double sum = 0;
+    for (double x : xs) {
+      s.add(x);
+      sum += x;
+    }
+    const double n = static_cast<double>(xs.size());
+    const double mean = sum / n;
+    double m2 = 0;
+    for (double x : xs) m2 += (x - mean) * (x - mean);
+    EXPECT_EQ(s.count(), xs.size());
+    EXPECT_NEAR(s.mean(), mean, 1e-12);
+    EXPECT_NEAR(s.variance(), xs.size() > 1 ? m2 / (n - 1) : 0.0, 1e-12);
+    EXPECT_NEAR(s.stddev(), std::sqrt(s.variance()), 1e-12);
+    EXPECT_DOUBLE_EQ(s.min(), *std::min_element(xs.begin(), xs.end()));
+    EXPECT_DOUBLE_EQ(s.max(), *std::max_element(xs.begin(), xs.end()));
+    EXPECT_NEAR(s.sum(), sum, 1e-12);
   }
-  const double mean = sum / static_cast<double>(xs.size());
-  double m2 = 0;
-  for (double x : xs) m2 += (x - mean) * (x - mean);
-  EXPECT_EQ(s.count(), xs.size());
-  EXPECT_NEAR(s.mean(), mean, 1e-12);
-  EXPECT_NEAR(s.variance(), m2 / static_cast<double>(xs.size() - 1), 1e-12);
-  EXPECT_NEAR(s.stddev(), std::sqrt(s.variance()), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), -2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.25);
-  EXPECT_NEAR(s.sum(), sum, 1e-12);
 }
 
 TEST(SummaryTest, EmptySummaryReportsZeros) {
@@ -41,6 +50,7 @@ TEST(SummaryTest, EmptySummaryReportsZeros) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.stddev(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
   EXPECT_EQ(s.quantile(0.5), 0.0);

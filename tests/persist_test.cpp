@@ -413,9 +413,7 @@ TEST(CampaignJournal, AppendToUnopenablePathThrows) {
 
 TEST(CampaignJournal, RunResumableSurfacesJournalWriteFailures) {
   sim::CampaignJournal journal("persist_test_scratch/no_such_dir/j.log");
-  sim::ParallelRunner::Options po;
-  po.workers = 2;
-  const sim::ParallelRunner runner(po);
+  const sim::ParallelRunner runner(2);
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
   const auto out = runner.run_resumable<std::uint64_t>(
       seeds, [](sim::ReplicationContext& ctx) { return ctx.seed * 10; },

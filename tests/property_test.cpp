@@ -261,7 +261,6 @@ double replication_body(sim::ReplicationContext& ctx) {
   ctx.metrics.count("executed", static_cast<double>(s.executed_count()));
   ctx.metrics.observe("acc", acc);
   ctx.metrics.observe("final_time_s", s.now().to_seconds());
-  ctx.capture_profile(s);
   return acc + static_cast<double>(s.executed_count());
 }
 

@@ -1,11 +1,10 @@
 // ParallelRunner: seed-ordered aggregation, worker-count invariance,
-// failure capture, SummaryStats, and the metrics snapshot/merge path the
+// failure capture, campaign resume, and the metrics snapshot/merge path the
 // runner's aggregation rides on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,33 +23,6 @@ std::uint64_t bits_of(double x) {
   std::uint64_t b = 0;
   std::memcpy(&b, &x, sizeof b);
   return b;
-}
-
-// ---------------------------------------------------------- SummaryStats ----
-
-TEST(SummaryStatsTest, ComputesMeanStddevMinMax) {
-  const auto s = SummaryStats::of({1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_NEAR(s.stddev, std::sqrt(5.0 / 3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-}
-
-TEST(SummaryStatsTest, EmptyIsAllZero) {
-  const auto s = SummaryStats::of({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.stddev, 0.0);
-}
-
-TEST(SummaryStatsTest, SingleSampleHasZeroStddev) {
-  const auto s = SummaryStats::of({7.5});
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_DOUBLE_EQ(s.mean, 7.5);
-  EXPECT_EQ(s.stddev, 0.0);
-  EXPECT_DOUBLE_EQ(s.min, 7.5);
-  EXPECT_DOUBLE_EQ(s.max, 7.5);
 }
 
 // -------------------------------------------------------- ParallelRunner ----
@@ -133,8 +105,7 @@ TEST(ParallelRunnerTest, MergedMetricsMatchHandRolledSerialLoop) {
 }
 
 TEST(ParallelRunnerTest, FailureIsCapturedWithoutTearingDownThePool) {
-  const ParallelRunner runner(
-      {.workers = 4, .repro_program = "test_runner"});
+  const ParallelRunner runner(4);
   const auto seeds = ParallelRunner::seed_range(1, 8);
   const auto outcome = runner.run<double>(seeds, [](ReplicationContext& ctx) {
     if (ctx.seed == 5) throw std::runtime_error("invariant violated: seed 5");
@@ -147,16 +118,13 @@ TEST(ParallelRunnerTest, FailureIsCapturedWithoutTearingDownThePool) {
       EXPECT_FALSE(r.ok);
       EXPECT_EQ(r.payload, 0.0);  // default-constructed on failure
       EXPECT_NE(r.error.find("invariant violated"), std::string::npos);
-      EXPECT_NE(r.repro.find("test_runner"), std::string::npos);
-      EXPECT_NE(r.repro.find("--seed=5"), std::string::npos);
-      EXPECT_NE(r.repro.find("--workers=0"), std::string::npos);
     } else {
       EXPECT_TRUE(r.ok) << r.seed;
       EXPECT_DOUBLE_EQ(r.payload, 1.0);
     }
   }
   // Failed replications contribute nothing to stats().
-  EXPECT_EQ(outcome.stats([](const double& x) { return x; }).count, 7u);
+  EXPECT_EQ(outcome.stats([](const double& x) { return x; }).count(), 7u);
 }
 
 TEST(ParallelRunnerTest, NonStdExceptionIsCaptured) {
@@ -168,27 +136,6 @@ TEST(ParallelRunnerTest, NonStdExceptionIsCaptured) {
       });
   EXPECT_EQ(outcome.failures, 1u);
   EXPECT_EQ(outcome.replications[1].error, "non-std exception");
-}
-
-TEST(ParallelRunnerTest, CapturesKernelProfilePerReplication) {
-  const ParallelRunner runner(2);
-  const auto outcome = runner.run<std::uint64_t>(
-      ParallelRunner::seed_range(1, 4), [](ReplicationContext& ctx) {
-        Simulator sim;
-        const TagId tick = sim.intern("test.tick");
-        for (int i = 0; i < 10; ++i) {
-          sim.schedule_in(Duration::millis(i + 1), [] {}, tick);
-        }
-        sim.run();
-        ctx.capture_profile(sim);
-        return sim.executed_count();
-      });
-  for (const auto& r : outcome.replications) {
-    EXPECT_EQ(r.payload, 10u);
-    ASSERT_FALSE(r.profile.empty());
-    EXPECT_EQ(r.profile[0].tag, "test.tick");
-    EXPECT_EQ(r.profile[0].executed, 10u);
-  }
 }
 
 TEST(ParallelRunnerTest, RepeatedRunsAreBitIdentical) {
@@ -208,97 +155,6 @@ TEST(ParallelRunnerTest, RepeatedRunsAreBitIdentical) {
     EXPECT_EQ(bits_of(a.replications[i].payload),
               bits_of(b.replications[i].payload));
   }
-}
-
-// ------------------------------------------------------- trace capture ----
-
-namespace {
-/// A replication body with one traced handler per run; seed 3 throws after
-/// the handler executed, so its timeline exists at unwind time.
-int traced_body(ReplicationContext& ctx) {
-  Simulator sim;
-  ctx.attach_tracer(sim);
-  sim.schedule_in(Duration::seconds(1.0), []() {}, sim.intern("repl.work"));
-  sim.run();
-  if (ctx.seed == 3) throw std::runtime_error("post-work failure");
-  return 1;
-}
-}  // namespace
-
-TEST(ParallelRunnerTest, FailingReplicationShipsItsTrace) {
-  ParallelRunner::Options opts;
-  opts.workers = 2;
-  opts.trace_capacity = 256;
-  const ParallelRunner runner(opts);
-  const auto out = runner.run<int>(ParallelRunner::seed_range(1, 4),
-                                   std::function<int(ReplicationContext&)>(traced_body));
-  EXPECT_EQ(out.failures, 1u);
-  for (const auto& r : out.replications) {
-    if (r.ok) {
-      // Successes stay lean unless trace_all asks for them.
-      EXPECT_TRUE(r.trace_json.empty()) << "seed " << r.seed;
-    } else {
-      EXPECT_EQ(r.seed, 3u);
-      // The failure record carries the timeline that led up to it.
-      EXPECT_NE(r.trace_json.find("\"traceEvents\""), std::string::npos);
-      EXPECT_NE(r.trace_json.find("repl.work"), std::string::npos);
-      // tid = replication index keeps multi-seed traces separable.
-      EXPECT_NE(r.trace_json.find("\"tid\":2"), std::string::npos);
-    }
-  }
-}
-
-TEST(ParallelRunnerTest, TraceAllCapturesEveryReplication) {
-  ParallelRunner::Options opts;
-  opts.workers = 0;  // serial reference path
-  opts.trace_capacity = 128;
-  opts.trace_all = true;
-  const ParallelRunner runner(opts);
-  const auto out = runner.run<int>(ParallelRunner::seed_range(10, 3),
-                                   std::function<int(ReplicationContext&)>(traced_body));
-  EXPECT_EQ(out.failures, 0u);
-  for (const auto& r : out.replications) {
-    EXPECT_NE(r.trace_json.find("repl.work"), std::string::npos) << r.seed;
-  }
-}
-
-TEST(ParallelRunnerTest, TracingOffByDefaultLeavesResultsLean) {
-  const ParallelRunner runner(2);
-  const auto out = runner.run<int>(ParallelRunner::seed_range(1, 4),
-                                   std::function<int(ReplicationContext&)>(traced_body));
-  EXPECT_EQ(out.failures, 1u);
-  for (const auto& r : out.replications) EXPECT_TRUE(r.trace_json.empty());
-}
-
-TEST(ParallelRunnerTest, TracingDoesNotPerturbPayloads) {
-  const auto body = [](ReplicationContext& ctx) {
-    Simulator sim;
-    ctx.attach_tracer(sim);
-    Rng rng = ctx.make_rng();
-    double acc = 0;
-    sim.schedule_every(
-        Duration::seconds(1.0),
-        [&]() {
-          acc += rng.normal(0, 1);
-          return sim.now() < SimTime::seconds(10);
-        },
-        sim.intern("accumulate"));
-    sim.run();
-    return acc;
-  };
-  ParallelRunner::Options traced;
-  traced.workers = 2;
-  traced.trace_capacity = 64;  // deliberately tiny: wraparound exercised
-  traced.trace_all = true;
-  const auto with = ParallelRunner(traced).run<double>(
-      ParallelRunner::seed_range(5, 6), body);
-  const auto without =
-      ParallelRunner(2).run<double>(ParallelRunner::seed_range(5, 6), body);
-  for (std::size_t i = 0; i < with.replications.size(); ++i) {
-    EXPECT_EQ(bits_of(with.replications[i].payload),
-              bits_of(without.replications[i].payload));
-  }
-  EXPECT_EQ(with.merged.digest(), without.merged.digest());
 }
 
 // ------------------------------------------------- Campaign journal ----
@@ -416,61 +272,6 @@ TEST(CampaignJournalTest, AppendAfterCrashTruncatedTailStartsFreshLine) {
   EXPECT_EQ(reloaded.find(9, 3), nullptr);  // the truncated entry stays lost
 }
 
-// ----------------------------------------------- Admission / observation ----
-
-TEST(ParallelRunnerTest, AdmissionGateShedsWithoutRunningBody) {
-  const auto seeds = ParallelRunner::seed_range(500, 8);
-  std::atomic<std::size_t> bodies{0};
-  std::atomic<std::size_t> completions{0};
-  const auto body = [&bodies](ReplicationContext& ctx) {
-    bodies.fetch_add(1, std::memory_order_relaxed);
-    ctx.metrics.count("ran");
-    return ctx.seed;
-  };
-
-  std::uint64_t reference_digest = 0;
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{4}}) {
-    bodies.store(0);
-    completions.store(0);
-    ParallelRunner::Options opts;
-    opts.workers = workers;
-    opts.repro_program = "test_runner";
-    // Pure function of index: shed the odd replications.
-    opts.admit = [](std::uint64_t, std::size_t index) {
-      return index % 2 == 0;
-    };
-    opts.on_complete = [&completions](std::uint64_t, std::size_t, bool,
-                                      double) {
-      completions.fetch_add(1, std::memory_order_relaxed);
-    };
-    const auto out = ParallelRunner(opts).run<std::uint64_t>(seeds, body);
-
-    EXPECT_EQ(bodies.load(), 4u);       // rejected bodies never ran
-    EXPECT_EQ(completions.load(), 8u);  // hook fires for rejected too
-    EXPECT_EQ(out.failures, 4u);
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      const auto& r = out.replications[i];
-      if (i % 2 == 0) {
-        EXPECT_TRUE(r.ok);
-        EXPECT_EQ(r.payload, seeds[i]);
-      } else {
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.error, "rejected by admission gate");
-        EXPECT_NE(r.repro.find("--seed=" + std::to_string(seeds[i])),
-                  std::string::npos);
-        EXPECT_EQ(r.payload, 0u);  // body never produced one
-      }
-    }
-    // The admitted set and merged metrics are worker-count invariant.
-    if (workers == 0) {
-      reference_digest = out.merged.digest();
-    } else {
-      EXPECT_EQ(out.merged.digest(), reference_digest);
-    }
-  }
-}
-
 TEST(ParallelRunnerTest, ResumableSkipsJournaledWorkAndMatchesUninterrupted) {
   const std::string path = temp_journal_path("resume");
   std::remove(path.c_str());
@@ -548,6 +349,45 @@ TEST(ParallelRunnerTest, ResumableSkipsJournaledWorkAndMatchesUninterrupted) {
   EXPECT_EQ(full.resumed, 10u);
   EXPECT_EQ(third_invocations.load(), 0u);
   EXPECT_EQ(full.merged.digest(), reference.merged.digest());
+  std::remove(path.c_str());
+}
+
+TEST(ParallelRunnerTest, UndecodablePayloadIsReRunNotFatal) {
+  // The journal is read back from disk, so an entry whose payload the
+  // caller's decoder rejects must be re-run, exactly like an entry whose
+  // metrics image fails to parse — never thrown out of run_resumable.
+  const std::string path = temp_journal_path("undecodable");
+  std::remove(path.c_str());
+  const auto seeds = ParallelRunner::seed_range(400, 2);
+  MetricsRegistry m;
+  m.count("ran");
+  {
+    CampaignJournal j(path);
+    j.append(JournalEntry{seeds[0], 0, 1.0, encode_double(2.5), m.serialize()});
+    j.append(JournalEntry{seeds[1], 1, 1.0, "not-a-number", m.serialize()});
+  }
+  CampaignJournal journal(path);
+  std::atomic<std::size_t> reruns{0};
+  const auto out = ParallelRunner(2).run_resumable<double>(
+      seeds,
+      [&reruns](ReplicationContext& ctx) {
+        EXPECT_EQ(ctx.index, 1u);
+        reruns.fetch_add(1, std::memory_order_relaxed);
+        ctx.metrics.count("ran");
+        return static_cast<double>(ctx.seed);
+      },
+      journal, encode_double, decode_double);
+  EXPECT_EQ(reruns.load(), 1u);
+  EXPECT_EQ(out.resumed, 1u);
+  EXPECT_EQ(out.failures, 0u);
+  EXPECT_DOUBLE_EQ(out.replications[0].payload, 2.5);
+  const auto& r = out.replications[1];
+  EXPECT_TRUE(r.ok);
+  EXPECT_DOUBLE_EQ(r.payload, static_cast<double>(seeds[1]));
+  // The re-run supersedes the bad entry (last write wins).
+  const JournalEntry* e = journal.find(seeds[1], 1);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->payload, encode_double(r.payload));
   std::remove(path.c_str());
 }
 
