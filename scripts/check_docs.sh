@@ -6,8 +6,8 @@
 # when code moves, so CI runs this script and fails the build if any doc
 # references a bench target, file path, or flag that no longer exists.
 # It also fails on orphan modules: a src/ header that nothing but its own
-# .cpp and the unit tests includes (rule 7), and on docs that name a C++
-# API the code no longer has (rule 8).
+# .cpp and the unit tests includes and uses (rule 7), and on docs that name
+# a C++ API the code no longer has (rule 8).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -105,14 +105,93 @@ for tgt in $(grep -oE 'iobt_bench\([a-z0-9_]+\)' bench/CMakeLists.txt |
 done
 
 # 7. Every src/ header must have a consumer beyond its own .cpp and the unit
-#    tests: an #include from another file under src/, or from bench/,
-#    examples/ or perfbench/. A module that only its tests reach is an
-#    orphan: give it a runtime, bench or example consumer, or delete it.
-for hdr in $(find src -name '*.h' | sort); do
-  own=${hdr%.h}.cpp
-  grep -rlF "#include \"${hdr#src/}\"" src bench examples perfbench |
-    grep -qvxF "$own" ||
-    err "$hdr is orphaned: only its own .cpp or tests/ include it"
+#    tests: a file under src/, bench/, examples/ or perfbench/ that includes
+#    it AND names, as a whole word outside comments and strings, something
+#    the header declares — a class, struct, union, enum or `using` alias it
+#    defines, or a namespace-scope function. An include nothing uses does
+#    not count. A module that only its tests reach is an orphan: give it a
+#    runtime, bench or example consumer, or delete it.
+orphans=$(python3 - <<'EOF'
+import pathlib
+import re
+
+ROOTS = ("src", "bench", "examples", "perfbench")
+# Raw strings, comments, string and char literals, in one left-to-right pass.
+NOISE = re.compile(r'R"([^(\s]*)\(.*?\)\1"|//[^\n]*|/\*.*?\*/'
+                   r'|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'', re.S)
+PREPROCESSOR = re.compile(r'^[ \t]*#.*(?:\\\n.*)*', re.M)
+TEMPLATE_HEAD = re.compile(r'\btemplate\s*<(?:[^<>]|<[^<>]*>)*>')
+TYPE_DEF = re.compile(r'\b(?:class|struct|union|enum(?:\s+class|\s+struct)?)\s+'
+                      r'([A-Za-z_]\w*)\s*(?:final\s*)?[:{]')
+ALIAS = re.compile(r'\busing\s+([A-Za-z_]\w*)\s*=')
+NOT_FUNCTION = re.compile(r'^(?:class|struct|union|enum|using|namespace|typedef|'
+                          r'static_assert|friend|extern)\b')
+KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof", "decltype",
+            "alignof", "noexcept", "operator"}
+
+
+def code(text):
+    """Text with comments, literals and preprocessor lines blanked out."""
+    return PREPROCESSOR.sub(" ", NOISE.sub(" ", text))
+
+
+def namespace_functions(body):
+    """Names of functions declared or defined at namespace scope of `body`
+    (code() output with template heads removed)."""
+    names, stack, start = set(), [], 0
+    for i, ch in enumerate(body):
+        if ch not in "{};":
+            continue
+        stmt = body[start:i].strip()
+        start = i + 1
+        if ch == "}":
+            if stack:
+                stack.pop()
+            continue
+        at_namespace_scope = all(kind == "ns" for kind in stack)
+        if ch == "{":
+            stack.append("ns" if re.match(r'(?:inline\s+)?namespace\b', stmt)
+                         else "block")
+        if not at_namespace_scope or not stmt or NOT_FUNCTION.match(stmt):
+            continue
+        prefix = stmt.split("(", 1)[0]
+        if "(" not in stmt or "=" in prefix:
+            continue
+        m = re.search(r'(::\s*)?([A-Za-z_]\w*)\s*$', prefix)
+        if m and not m.group(1) and m.group(2) not in KEYWORDS:
+            names.add(m.group(2))
+    return names
+
+
+def declared(header_text):
+    body = TEMPLATE_HEAD.sub(" ", code(header_text))
+    return (set(TYPE_DEF.findall(body)) | set(ALIAS.findall(body))
+            | namespace_functions(body))
+
+
+files = sorted(p for root in ROOTS for p in pathlib.Path(root).rglob("*")
+               if p.suffix in (".h", ".cpp"))
+texts = {p: p.read_text() for p in files}
+words = {}
+
+
+def names_any(p, names):
+    if p not in words:
+        words[p] = set(re.findall(r'\w+', code(texts[p])))
+    return bool(names & words[p])
+
+
+for hdr in sorted(pathlib.Path("src").rglob("*.h")):
+    include = '#include "%s"' % hdr.relative_to("src").as_posix()
+    names = declared(texts[hdr])
+    own = hdr.with_suffix(".cpp")
+    if not any(p not in (hdr, own) and include in texts[p] and names_any(p, names)
+               for p in files):
+        print(hdr.as_posix())
+EOF
+) || err "rule 7 scanner (python3) failed"
+for hdr in $orphans; do
+  err "$hdr is orphaned: no file outside its own .cpp and tests/ includes it and uses what it declares"
 done
 
 # 8. Every backticked qualified name (`A::b`, `ns::A::b`) in README, DESIGN

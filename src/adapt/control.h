@@ -1,63 +1,14 @@
 #pragma once
-// Adaptive control primitives (§IV-A cites adaptive control as the third
-// pillar of self-aware adaptation; §IV-B motivates controller *diversity*:
-// "instead [of] brittle controllers designed with fixed assumptions, one
-// may design novel controllers that are parameterized differently but
-// adapt their parameterization by observing their neighbors").
+// Controller diversity (§IV-B: "instead [of] brittle controllers designed
+// with fixed assumptions, one may design novel controllers that are
+// parameterized differently but adapt their parameterization by observing
+// their neighbors"). bench_diversity (E10) drives it.
 
-#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace iobt::adapt {
-
-/// AIMD rate controller (the TCP reflex): additive increase while the
-/// resource is healthy, multiplicative decrease on congestion signals.
-/// Used to adapt report rates to available bandwidth under jamming.
-class AimdController {
- public:
-  AimdController(double initial_rate, double min_rate, double max_rate,
-                 double increase = 1.0, double decrease_factor = 0.5)
-      : rate_(initial_rate),
-        min_(min_rate),
-        max_(max_rate),
-        inc_(increase),
-        dec_(decrease_factor) {}
-
-  double rate() const { return rate_; }
-
-  /// Feed one feedback signal: `congested` true when drops/latency spiked.
-  double update(bool congested) {
-    rate_ = congested ? std::max(min_, rate_ * dec_) : std::min(max_, rate_ + inc_);
-    return rate_;
-  }
-
- private:
-  double rate_, min_, max_, inc_, dec_;
-};
-
-/// Discrete PI controller for tracking a setpoint (e.g. queue occupancy,
-/// coverage level) by adjusting an actuation knob.
-class PiController {
- public:
-  PiController(double kp, double ki, double out_min, double out_max)
-      : kp_(kp), ki_(ki), out_min_(out_min), out_max_(out_max) {}
-
-  double update(double setpoint, double measured, double dt_s) {
-    const double error = setpoint - measured;
-    integral_ += error * dt_s;
-    // Anti-windup: clamp the integral so the output can always recover.
-    const double i_limit = (out_max_ - out_min_) / std::max(1e-9, ki_);
-    integral_ = std::clamp(integral_, -i_limit, i_limit);
-    return std::clamp(kp_ * error + ki_ * integral_, out_min_, out_max_);
-  }
-
-  void reset() { integral_ = 0.0; }
-
- private:
-  double kp_, ki_, out_min_, out_max_;
-  double integral_ = 0.0;
-};
 
 /// A population of parameterized controllers that adapt by imitating
 /// better-performing neighbors (E10, controller diversity). Each agent

@@ -25,11 +25,9 @@
 #include <string>
 #include <vector>
 
-#include "adapt/monitor.h"
 #include "flow/placement.h"
 #include "track/tracker.h"
 #include "adapt/perception.h"
-#include "adapt/reflex.h"
 #include "discovery/characterize.h"
 #include "discovery/service.h"
 #include "net/dispatcher.h"

@@ -171,7 +171,6 @@ void CharacterizationService::handle_response(const net::Message& m) {
   auto it = pending_.find(r.challenge_id);
   if (it == pending_.end()) return;
   it->second.answered = true;
-  ++answered_;
   const bool correct = (r.detected == it->second.present);
   if (DiscoveredAsset* e = discovery_.directory().find(r.asset)) {
     if (correct) {

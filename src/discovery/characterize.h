@@ -64,7 +64,6 @@ class CharacterizationService {
   void challenge(std::uint32_t subject, things::Modality modality);
 
   std::size_t challenges_issued() const { return issued_; }
-  std::size_t challenges_answered() const { return answered_; }
 
  private:
   void handle_response(const net::Message& m);
@@ -92,7 +91,6 @@ class CharacterizationService {
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::uint64_t next_challenge_id_ = 1;
   std::size_t issued_ = 0;
-  std::size_t answered_ = 0;
   std::size_t round_robin_ = 0;
   std::vector<bool> firmware_installed_;
 };

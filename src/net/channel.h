@@ -56,7 +56,6 @@ class ChannelModel {
 
   void add_jammer(Jammer j) { jammers_.push_back(j); }
   const std::vector<Jammer>& jammers() const { return jammers_; }
-  void clear_jammers() { jammers_.clear(); }
 
   void add_building(sim::Rect footprint) { buildings_.push_back({footprint}); }
   const std::vector<Building>& buildings() const { return buildings_; }

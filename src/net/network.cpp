@@ -23,7 +23,10 @@ std::string to_string(DropReason r) {
 
 Network::Network(sim::Simulator& simulator, ChannelModel channel, sim::Rng rng)
     : sim_(simulator), channel_(std::move(channel)), rng_(rng),
-      deliver_tag_(simulator.intern("net.deliver")) {
+      deliver_tag_(simulator.intern("net.deliver")),
+      trace_frame_(simulator.tracer().intern("net.frame", "net")),
+      trace_drop_(simulator.tracer().intern("net.drop", "net")),
+      trace_in_flight_(simulator.tracer().intern("net.frames_in_flight", "net")) {
   resolve_metric_handles();
   sim_.checkpoint().register_participant(this);
 }
@@ -239,28 +242,27 @@ std::vector<NodeId> Network::nodes_near(sim::Vec2 p, double radius) const {
   return out;
 }
 
-void Network::drop(DropReason reason, const Message& msg) {
+void Network::drop(DropReason reason) {
   ++frames_dropped_;
   *drop_counters_[static_cast<std::size_t>(reason)] += 1.0;
   trace::Tracer& tr = sim_.tracer();
-  if (tr.enabled()) tr.instant(trace_drop_.id(tr));
-  if (drop_hook_) drop_hook_(reason, msg);
+  if (tr.enabled()) tr.instant(trace_drop_);
 }
 
 bool Network::transmit(NodeId src, NodeId dst, Message msg,
                        std::vector<NodeId> route, std::uint32_t next_hop) {
   if (!up_.at(src) || !up_.at(dst)) {
-    drop(DropReason::kNodeDown, msg);
+    drop(DropReason::kNodeDown);
     return false;
   }
   if (!link_allowed(src, dst)) {
-    drop(DropReason::kLayerBlocked, msg);
+    drop(DropReason::kLayerBlocked);
     return false;
   }
   const sim::Vec2 sp = positions_[src];
   const RadioProfile& spr = profiles_[src];
   if (!channel_.in_range(sp, spr, positions_[dst], profiles_[dst])) {
-    drop(DropReason::kOutOfRange, msg);
+    drop(DropReason::kOutOfRange);
     return false;
   }
 
@@ -291,8 +293,8 @@ bool Network::transmit(NodeId src, NodeId dst, Message msg,
     trace::Tracer& tr = sim_.tracer();
     if (tr.enabled()) {
       frame_trace = next_frame_trace_id_++;
-      tr.async_begin(trace_frame_.id(tr), frame_trace);
-      tr.counter(trace_in_flight_.id(tr), static_cast<double>(frames_in_flight_));
+      tr.async_begin(trace_frame_, frame_trace);
+      tr.counter(trace_in_flight_, static_cast<double>(frames_in_flight_));
     }
   }
 
@@ -321,12 +323,12 @@ void Network::deliver_pending(std::uint32_t slot) {
   --frames_in_flight_;
   trace::Tracer& tr = sim_.tracer();
   if (pending_[slot].frame_trace != 0 && tr.enabled()) {
-    tr.async_end(trace_frame_.id(tr), pending_[slot].frame_trace);
-    tr.counter(trace_in_flight_.id(tr), static_cast<double>(frames_in_flight_));
+    tr.async_end(trace_frame_, pending_[slot].frame_trace);
+    tr.counter(trace_in_flight_, static_cast<double>(frames_in_flight_));
   }
-  // Move the frame out and recycle the slot BEFORE acting on it: drop
-  // hooks, receiver handlers, and multi-hop forwarding can all re-enter
-  // transmit(), which may grow pending_ and invalidate references into it.
+  // Move the frame out and recycle the slot BEFORE acting on it: receiver
+  // handlers and multi-hop forwarding can both re-enter transmit(), which
+  // may grow pending_ and invalidate references into it.
   Message msg = std::move(pending_[slot].msg);
   std::vector<NodeId> route = std::move(pending_[slot].route);
   const std::uint32_t next_hop = pending_[slot].next_hop;
@@ -337,11 +339,11 @@ void Network::deliver_pending(std::uint32_t slot) {
   free_pending_ = slot;
 
   if (lost) {
-    drop(DropReason::kChannelLoss, msg);
+    drop(DropReason::kChannelLoss);
     return;
   }
   if (!up_.at(dst)) {
-    drop(DropReason::kNodeDown, msg);
+    drop(DropReason::kNodeDown);
     return;
   }
   ++msg.hops;
@@ -368,7 +370,7 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
   msg.dst = kBroadcast;
   msg.sent_at = sim_.now();
   if (!up_.at(src)) {
-    drop(DropReason::kNodeDown, msg);
+    drop(DropReason::kNodeDown);
     return 0;
   }
   const sim::Vec2 sp = positions_[src];
@@ -377,9 +379,9 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
   // Cell size >= max range, so the 3x3 neighborhood covers every
   // receiver. Candidates are offered in ascending NodeId order, which fixes
   // the order the per-receiver loss draws consume the RNG stream. Copied
-  // into scratch_ because drop/transmit hooks run synchronously inside the
+  // into scratch_ because the transmit hook runs synchronously inside the
   // loop and must not be able to invalidate the memo mid-walk; the same
-  // hooks can take a candidate down, hence the liveness re-check.
+  // hook can take a candidate down, hence the liveness re-check.
   const std::vector<NodeId>& hood = grid_.neighborhood_sorted(sp);
   scratch_.assign(hood.begin(), hood.end());
   for (const NodeId other : scratch_) {
@@ -479,14 +481,14 @@ bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
   // Unknown endpoints: no route by definition — mirror route_exists
   // instead of letting the slab .at() throw out of the send path.
   if (src >= node_count() || dst >= node_count()) {
-    drop(DropReason::kNoRoute, msg);
+    drop(DropReason::kNoRoute);
     return false;
   }
   if (src == dst) {
     // Local delivery, zero hops — but a dead radio delivers nothing, not
     // even to itself (route_exists performs the same liveness check).
     if (!up_[src]) {
-      drop(DropReason::kNodeDown, msg);
+      drop(DropReason::kNodeDown);
       return false;
     }
     if (handlers_[src]) handlers_[src](msg);
@@ -495,7 +497,7 @@ bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
   std::vector<NodeId> route;
   settle_route(src, dst).path_to(dst, route);
   if (route.size() < 2) {
-    drop(DropReason::kNoRoute, msg);
+    drop(DropReason::kNoRoute);
     return false;
   }
   // route = [src, n1, n2, ..., dst]; first hop src->n1, then n2..dst.

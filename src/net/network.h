@@ -173,16 +173,9 @@ class Network : public sim::SerializableCheckpointable {
   const ChannelModel& channel() const { return channel_; }
   sim::Simulator& simulator() { return sim_; }
 
-  /// Fixed per-hop propagation + processing latency.
-  void set_hop_latency(sim::Duration d) { hop_latency_ = d; }
-
   /// Called once per transmitted frame with (node, bytes): energy hooks.
   void set_transmit_hook(std::function<void(NodeId, std::size_t)> hook) {
     transmit_hook_ = std::move(hook);
-  }
-  /// Called on every drop with (reason, message).
-  void set_drop_hook(std::function<void(DropReason, const Message&)> hook) {
-    drop_hook_ = std::move(hook);
   }
 
   sim::MetricsRegistry& metrics() { return metrics_; }
@@ -303,7 +296,7 @@ class Network : public sim::SerializableCheckpointable {
   /// the receiver handler, and recycles the slab slot.
   void deliver_pending(std::uint32_t slot);
 
-  void drop(DropReason reason, const Message& msg);
+  void drop(DropReason reason);
   /// Bumps the topology epoch: every route tree is stale, and the
   /// frontiers and frozen weight copies of the old epoch's trees are
   /// released.
@@ -344,11 +337,11 @@ class Network : public sim::SerializableCheckpointable {
   sim::Rng rng_;
   sim::TagId deliver_tag_;  // interned once: tags every in-flight frame event
   /// Trace labels: async span per in-flight frame, drop instants, and the
-  /// frames-in-flight counter track. Recorded only while the simulator's
-  /// tracer is enabled.
-  trace::Name trace_frame_{"net.frame", "net"};
-  trace::Name trace_drop_{"net.drop", "net"};
-  trace::Name trace_in_flight_{"net.frames_in_flight", "net"};
+  /// frames-in-flight counter track, interned at construction. Recorded
+  /// only while the simulator's tracer is enabled.
+  trace::NameId trace_frame_;
+  trace::NameId trace_drop_;
+  trace::NameId trace_in_flight_;
   std::uint64_t next_frame_trace_id_ = 1;
   std::uint64_t frames_in_flight_ = 0;
 
@@ -365,9 +358,9 @@ class Network : public sim::SerializableCheckpointable {
   /// Earliest time each radio's transmitter is free (half-duplex FIFO).
   std::vector<sim::SimTime> tx_free_at_;
 
+  /// Fixed per-hop propagation + processing latency; snapshots carry it.
   sim::Duration hop_latency_ = sim::Duration::millis(1);
   std::function<void(NodeId, std::size_t)> transmit_hook_;
-  std::function<void(DropReason, const Message&)> drop_hook_;
   sim::MetricsRegistry metrics_;
   std::uint64_t frames_dropped_ = 0;
   /// In-flight frame slab + free-list head (see PendingFrame).

@@ -104,22 +104,6 @@ void SpatialGrid::near(sim::Vec2 p, double radius, std::vector<NodeId>& out) con
   }
 }
 
-void SpatialGrid::ring(sim::Vec2 p, int r, std::vector<NodeId>& out) const {
-  const std::int32_t cx = coord(p.x), cy = coord(p.y);
-  if (r <= 0) {
-    append_cell(cx, cy, out);
-    return;
-  }
-  for (std::int32_t dx = -r; dx <= r; ++dx) {
-    append_cell(cx + dx, cy - r, out);
-    append_cell(cx + dx, cy + r, out);
-  }
-  for (std::int32_t dy = -r + 1; dy <= r - 1; ++dy) {
-    append_cell(cx - r, cy + dy, out);
-    append_cell(cx + r, cy + dy, out);
-  }
-}
-
 std::size_t SpatialGrid::memory_bytes() const {
   // Hash-node overhead approximated as key + bucket vector header + two
   // pointers; exact malloc bookkeeping is allocator-specific and would

@@ -65,11 +65,6 @@ class SpatialGrid {
   /// or NaN radius) it appends every indexed id instead.
   void near(sim::Vec2 p, double radius, std::vector<NodeId>& out) const;
 
-  /// Appends the ids in cells at exactly Chebyshev ring `r` around the
-  /// cell containing `p` (r = 0 is that cell itself). Used for k-nearest
-  /// expanding-ring searches.
-  void ring(sim::Vec2 p, int r, std::vector<NodeId>& out) const;
-
   /// Bytes held by the cell buckets and the neighborhood memo (container
   /// capacities x element sizes plus per-entry hash-node overhead — a
   /// structural estimate, not allocator truth). Deterministic for a given

@@ -4,20 +4,13 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
-
-#include "net/spatial_grid.h"
 
 namespace iobt::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Below this many nodes the generators use the brute-force scans; the
-/// grid's constant factors only pay off past it. Both paths produce
-/// bit-identical graphs, so the threshold is a pure wall-time knob.
-constexpr std::size_t kGridThreshold = 64;
 }
 
 bool ShortestPaths::reachable(NodeId v) const {
@@ -253,30 +246,6 @@ int Topology::component_count() const {
   return labels.empty() ? 0 : *std::max_element(labels.begin(), labels.end()) + 1;
 }
 
-std::vector<Edge> Topology::minimum_spanning_forest() const {
-  auto es = edges();
-  std::sort(es.begin(), es.end(),
-            [](const Edge& x, const Edge& y) { return x.weight < y.weight; });
-  // Union-find with path halving.
-  std::vector<NodeId> parent(node_count());
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&](NodeId v) {
-    while (parent[v] != v) {
-      parent[v] = parent[parent[v]];
-      v = parent[v];
-    }
-    return v;
-  };
-  std::vector<Edge> chosen;
-  for (const Edge& e : es) {
-    const NodeId ra = find(e.a), rb = find(e.b);
-    if (ra == rb) continue;
-    parent[ra] = rb;
-    chosen.push_back(e);
-  }
-  return chosen;
-}
-
 Topology Topology::random_geometric(std::size_t n, sim::Rect area, double radius,
                                     sim::Rng& rng, std::vector<sim::Vec2>* positions) {
   Topology t(n);
@@ -285,29 +254,10 @@ Topology Topology::random_geometric(std::size_t n, sim::Rect area, double radius
     p = {rng.uniform(area.min.x, area.max.x), rng.uniform(area.min.y, area.max.y)};
   }
   const double r2 = radius * radius;
-  if (n >= kGridThreshold && radius > 0.0) {
-    // Cell size = radius: the 3x3 neighborhood covers the disc. Edges are
-    // added in the brute-force order (a ascending, b > a ascending), so
-    // the result is bit-identical to the quadratic scan below.
-    SpatialGrid grid(radius);
-    for (NodeId i = 0; i < n; ++i) grid.insert(i, pos[i]);
-    std::vector<NodeId> cand;
-    for (NodeId a = 0; a < n; ++a) {
-      cand.clear();
-      grid.neighborhood(pos[a], cand);
-      std::sort(cand.begin(), cand.end());
-      for (const NodeId b : cand) {
-        if (b <= a) continue;
-        const double d2 = sim::distance2(pos[a], pos[b]);
-        if (d2 <= r2) t.add_edge_unique(a, b, std::sqrt(d2));
-      }
-    }
-  } else {
-    for (NodeId a = 0; a < n; ++a) {
-      for (NodeId b = a + 1; b < n; ++b) {
-        const double d2 = sim::distance2(pos[a], pos[b]);
-        if (d2 <= r2) t.add_edge_unique(a, b, std::sqrt(d2));
-      }
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = a + 1; b < n; ++b) {
+      const double d2 = sim::distance2(pos[a], pos[b]);
+      if (d2 <= r2) t.add_edge_unique(a, b, std::sqrt(d2));
     }
   }
   if (positions) *positions = std::move(pos);
@@ -345,45 +295,6 @@ Topology Topology::k_nearest(const std::vector<sim::Vec2>& positions, std::size_
   if (n < 2 || k == 0) return t;
   const std::size_t kk = std::min(k, n - 1);
 
-  // Grid path: expanding Chebyshev rings around each node until the kth
-  // candidate provably beats everything still uncollected. The k smallest
-  // (distance, id) pairs form a unique set under the pair's total order,
-  // so the result is bit-identical to the brute-force scan below.
-  sim::Vec2 lo = positions[0], hi = positions[0];
-  for (const sim::Vec2& p : positions) {
-    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
-    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
-  }
-  const double extent = std::max(hi.x - lo.x, hi.y - lo.y);
-  if (n >= kGridThreshold && extent > 0.0) {
-    // ~1 point per cell on average.
-    SpatialGrid grid(extent / std::sqrt(static_cast<double>(n)));
-    for (NodeId i = 0; i < n; ++i) grid.insert(i, positions[i]);
-    std::vector<std::pair<double, NodeId>> d;
-    std::vector<NodeId> ring_ids;
-    for (NodeId a = 0; a < n; ++a) {
-      d.clear();
-      for (int r = 0;; ++r) {
-        ring_ids.clear();
-        grid.ring(positions[a], r, ring_ids);
-        for (const NodeId b : ring_ids) {
-          if (b != a) d.push_back({sim::distance(positions[a], positions[b]), b});
-        }
-        if (d.size() == n - 1) break;  // everything collected
-        if (d.size() >= kk) {
-          std::nth_element(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(kk) - 1,
-                           d.end());
-          // Cells beyond ring r hold only points at distance >= r * cell;
-          // strict comparison keeps boundary ties in the search.
-          if (d[kk - 1].first < r * grid.cell_size()) break;
-        }
-      }
-      std::partial_sort(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(kk), d.end());
-      for (std::size_t i = 0; i < kk; ++i) t.add_edge(a, d[i].second, d[i].first);
-    }
-    return t;
-  }
-
   for (NodeId a = 0; a < n; ++a) {
     // Collect distances to all other nodes, pick k smallest.
     std::vector<std::pair<double, NodeId>> d;
@@ -393,16 +304,6 @@ Topology Topology::k_nearest(const std::vector<sim::Vec2>& positions, std::size_
     }
     std::partial_sort(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(kk), d.end());
     for (std::size_t i = 0; i < kk; ++i) t.add_edge(a, d[i].second, d[i].first);
-  }
-  return t;
-}
-
-Topology Topology::erdos_renyi(std::size_t n, double p, sim::Rng& rng) {
-  Topology t(n);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      if (rng.bernoulli(p)) t.add_edge(a, b);
-    }
   }
   return t;
 }

@@ -3,7 +3,7 @@
 //
 // Topology is a value type (cheap enough to copy for what-if analysis).
 // It provides the graph algorithms every other module leans on: shortest
-// paths, connected components, spanning trees, and standard generators
+// paths, connected components, and standard generators
 // (random geometric for forward-deployed radio networks, grids for urban
 // street layouts, stars/rings/k-nearest for learning-topology sweeps).
 
@@ -79,7 +79,7 @@ class Topology {
   /// debug builds).
   void add_edge_sorted(NodeId a, NodeId b, double weight = 1.0);
   /// Updates the weight of an edge that MUST already exist (asserts in
-  /// debug builds): unlike set_edge_weight it can never append. Finds
+  /// debug builds): unlike add_edge it can never append. Finds
   /// each endpoint by binary search, so both adjacency lists MUST be
   /// sorted ascending by neighbor id — the order add_edge_sorted keeps.
   /// The edge set is untouched: a caller that caches searches over this
@@ -91,7 +91,6 @@ class Topology {
   bool has_edge(NodeId a, NodeId b) const;
   /// Weight of the edge, or nullopt if absent.
   std::optional<double> edge_weight(NodeId a, NodeId b) const;
-  void set_edge_weight(NodeId a, NodeId b, double weight) { add_edge(a, b, weight); }
 
   /// Neighbors of `v` with edge weights.
   struct Neighbor {
@@ -114,15 +113,10 @@ class Topology {
   int component_count() const;
   bool connected() const { return node_count() == 0 || component_count() == 1; }
 
-  /// Minimum spanning forest via Kruskal. Returns selected edges.
-  std::vector<Edge> minimum_spanning_forest() const;
-
   // --- Generators -------------------------------------------------------
 
   /// Random geometric graph: n nodes uniform in `area`, edge iff distance
-  /// <= radius. Edge weight = distance. Also returns positions. Large
-  /// instances build edges from a spatial grid (O(n * density) instead of
-  /// O(n^2)); the resulting graph is bit-identical either way.
+  /// <= radius. Edge weight = distance. Also returns positions.
   static Topology random_geometric(std::size_t n, sim::Rect area, double radius,
                                    sim::Rng& rng, std::vector<sim::Vec2>* positions);
 
@@ -135,13 +129,9 @@ class Topology {
   /// Star: node 0 is the hub.
   static Topology star(std::size_t n);
 
-  /// Each node connected to its k nearest neighbors by position. Large
-  /// instances search via expanding grid rings instead of the all-pairs
-  /// scan; the resulting graph is bit-identical either way.
+  /// Each node connected to its k nearest neighbors by position (ties
+  /// broken by lower id).
   static Topology k_nearest(const std::vector<sim::Vec2>& positions, std::size_t k);
-
-  /// Erdos-Renyi G(n, p).
-  static Topology erdos_renyi(std::size_t n, double p, sim::Rng& rng);
 
   /// Two-tier hierarchy: `clusters` cliques of size `cluster_size`, with
   /// cluster heads (node c*cluster_size) fully connected to each other.

@@ -92,8 +92,6 @@ class AttackInjector : public sim::SerializableCheckpointable {
   const std::vector<things::AssetId>& sybil_ids() const { return sybil_ids_; }
   const std::vector<AttackEvent>& log() const { return log_; }
 
-  /// Number of descriptor rows the schedule_* calls have appended.
-  std::size_t scheduled_count() const { return schedule_.size(); }
   /// How many rows have fired — the schedule cursor a checkpoint carries.
   std::size_t fired_count() const;
 

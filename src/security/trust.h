@@ -72,7 +72,6 @@ class TrustRegistry {
   }
 
   bool trusted(SubjectId s) const { return score(s) >= threshold_; }
-  void set_threshold(double t) { threshold_ = t; }
   double threshold() const { return threshold_; }
 
   /// Applies exponential forgetting to every subject.

@@ -92,59 +92,6 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-std::int64_t Rng::poisson(double mean) {
-  assert(mean >= 0.0);
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's multiplicative method.
-    const double limit = std::exp(-mean);
-    std::int64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction, clamped at zero.
-  const double v = normal(mean, std::sqrt(mean));
-  return v < 0.0 ? 0 : static_cast<std::int64_t>(v + 0.5);
-}
-
-std::int64_t Rng::zipf(std::int64_t n, double s) {
-  assert(n >= 1);
-  // Rejection-inversion (Hörmann) works for s != 1 and s == 1 alike via
-  // the generalized harmonic integral; for small n the simpler inverse-CDF
-  // over the exact normalization is fine and exact.
-  if (n <= 1024) {
-    double norm = 0.0;
-    for (std::int64_t k = 1; k <= n; ++k) norm += 1.0 / std::pow(static_cast<double>(k), s);
-    double u = uniform() * norm;
-    for (std::int64_t k = 1; k <= n; ++k) {
-      u -= 1.0 / std::pow(static_cast<double>(k), s);
-      if (u <= 0.0) return k;
-    }
-    return n;
-  }
-  // For large n use rejection sampling against the continuous envelope.
-  const double nn = static_cast<double>(n);
-  while (true) {
-    const double u = uniform();
-    const double v = uniform();
-    double x;
-    if (std::abs(s - 1.0) < 1e-12) {
-      x = std::exp(u * std::log(nn + 1.0));
-    } else {
-      const double t = std::pow(nn + 1.0, 1.0 - s);
-      x = std::pow(u * (t - 1.0) + 1.0, 1.0 / (1.0 - s));
-    }
-    const std::int64_t k = static_cast<std::int64_t>(x);
-    if (k < 1 || k > n) continue;
-    const double ratio = std::pow(static_cast<double>(k) / x, s);
-    if (v * x / static_cast<double>(k) <= ratio) return k;
-  }
-}
-
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -64,11 +64,6 @@ class Rng {
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
   /// Exponential with given rate (lambda). Mean = 1/rate.
   double exponential(double rate);
-  /// Poisson-distributed count with given mean (Knuth for small, normal
-  /// approximation for large mean).
-  std::int64_t poisson(double mean);
-  /// Zipf-distributed rank in [1, n] with exponent s (rejection sampling).
-  std::int64_t zipf(std::int64_t n, double s);
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.

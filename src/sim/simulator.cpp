@@ -24,9 +24,9 @@ std::string to_string(Duration d) {
   return os.str();
 }
 
-Simulator::Simulator() { tracer_->bind_sim_clock(&now_); }
+Simulator::Simulator() { tracer_.bind_sim_clock(&now_); }
 
-Simulator::~Simulator() { tracer_->bind_sim_clock(nullptr); }
+Simulator::~Simulator() = default;
 
 CheckpointRegistry& Simulator::checkpoint() {
   if (!checkpoint_) checkpoint_ = std::make_unique<CheckpointRegistry>(*this);
@@ -72,21 +72,12 @@ void Simulator::release_slot(std::uint32_t index) {
   free_head_ = index;
 }
 
-void Simulator::attach_tracer(trace::Tracer* t) {
-  own_tracer_.bind_sim_clock(nullptr);
-  if (tracer_ != &own_tracer_ && tracer_) tracer_->bind_sim_clock(nullptr);
-  tracer_ = t ? t : &own_tracer_;
-  tracer_->bind_sim_clock(&now_);
-  // NameIds are per-tracer; force re-interning against the new one.
-  dispatch_names_.clear();
-}
-
 trace::NameId Simulator::dispatch_name(TagId tag) {
   if (tag >= dispatch_names_.size()) {
     dispatch_names_.resize(std::max<std::size_t>(tags_.size(), tag + 1), 0);
   }
   if (dispatch_names_[tag] == 0) {
-    dispatch_names_[tag] = tracer_->intern(
+    dispatch_names_[tag] = tracer_.intern(
         tag == kUntagged ? std::string_view("(untagged)")
                          : std::string_view(tags_.name(tag)),
         "sim");
@@ -202,12 +193,12 @@ bool Simulator::step() {
     --live_count_;
     ++executed_count_;
     ++stats_for(tag).executed;
-    if (tracer_->enabled()) {
+    if (tracer_.enabled()) {
       // Span per handler, named by the tag; the tracer becomes the
       // thread's ambient tracer so spans the handler opens (synthesis
-      // phases, reflex actions) nest inside this one.
-      trace::ScopedUse use(tracer_);
-      trace::Span span(*tracer_, dispatch_name(tag));
+      // phases, mission repairs) nest inside this one.
+      trace::ScopedUse use(&tracer_);
+      trace::Span span(tracer_, dispatch_name(tag));
       invoke_handler(fn, tag);
     } else {
       invoke_handler(fn, tag);

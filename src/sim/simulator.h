@@ -179,14 +179,8 @@ class Simulator {
   /// While a handler runs, this tracer is also installed as the thread's
   /// ambient tracer (trace::current()), so nested IOBT_TRACE_SCOPE spans
   /// land in the same timeline.
-  trace::Tracer& tracer() { return *tracer_; }
-  const trace::Tracer& tracer() const { return *tracer_; }
-
-  /// Redirects recording to an external tracer (e.g. one owned by a
-  /// ReplicationContext so the timeline survives this Simulator). Passing
-  /// nullptr restores the built-in tracer. The simulator binds its virtual
-  /// clock to whichever tracer is attached.
-  void attach_tracer(trace::Tracer* t);
+  trace::Tracer& tracer() { return tracer_; }
+  const trace::Tracer& tracer() const { return tracer_; }
 
   /// Per-tag scheduling statistics, busiest first (by busy time when timing
   /// was enabled, else by executed count). Untouched tags are omitted.
@@ -246,8 +240,7 @@ class Simulator {
   TagStats& stats_for(TagId tag);
   /// Runs one dequeued handler, with optional per-tag wall-time profiling.
   void invoke_handler(EventFn& fn, TagId tag);
-  /// Lazily interns `tag`'s label into the attached tracer (per-tracer ids,
-  /// re-interned after attach_tracer).
+  /// Lazily interns `tag`'s label into the tracer.
   trace::NameId dispatch_name(TagId tag);
 
   SimTime now_;
@@ -264,9 +257,8 @@ class Simulator {
   TagTable tags_;
   std::vector<TagStats> stats_;  // indexed by TagId; grown lazily
 
-  trace::Tracer own_tracer_;
-  trace::Tracer* tracer_ = &own_tracer_;
-  /// TagId -> NameId in the attached tracer (0 = not yet interned).
+  trace::Tracer tracer_;
+  /// TagId -> NameId in the tracer (0 = not yet interned).
   std::vector<trace::NameId> dispatch_names_;
 
   /// Restore rewinds the clock directly (the only sanctioned way now_ can

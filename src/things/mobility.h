@@ -118,7 +118,6 @@ class SeekPoint final : public MobilityModel {
   bool arrived(sim::Vec2 current, double tol_m = 1.0) const {
     return sim::distance(current, goal_) <= tol_m;
   }
-  void set_goal(sim::Vec2 g) { goal_ = g; }
   sim::Vec2 goal() const { return goal_; }
 
  private:

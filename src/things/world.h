@@ -87,9 +87,6 @@ class World : public sim::SerializableCheckpointable {
   const std::shared_ptr<MobilityModel>& mobility(AssetId id) const {
     return mobility_.at(id);
   }
-  void set_mobility(AssetId id, std::shared_ptr<MobilityModel> m) {
-    mobility_.at(id) = std::move(m);
-  }
 
   sim::Vec2 asset_position(AssetId id) const { return net_.position(assets_.at(id).node); }
 

@@ -10,10 +10,9 @@
 //    allocation, no ring writes. The ring buffer is allocated by enable()
 //    and never grows afterwards, so the enabled record path is
 //    allocation-free too.
-//  * Per-replication. A Tracer is single-threaded by design, like the
-//    Simulator it observes: one tracer per replication, owned by (or
-//    attached to) that replication's Simulator. ParallelRunner gives each
-//    replication its own tracer, so worker threads never share one.
+//  * Per-simulator. A Tracer is single-threaded by design, like the
+//    Simulator it observes: each Simulator owns exactly one, so
+//    replications on different worker threads never share one.
 //  * Dual clocks. Every record carries virtual sim-time (from the bound
 //    Simulator clock) and wall-time (steady_clock, relative to enable()).
 //    Handlers execute at a frozen sim-time, so scoped spans get their
@@ -209,30 +208,6 @@ class Span {
   std::int64_t sim0_ = 0;
   std::int64_t wall0_ = 0;
   std::uint16_t depth_ = 0;
-};
-
-/// A named record label a service holds across tracer swaps: the NameId is
-/// interned lazily against whichever tracer is asked for it, and
-/// re-interned when the tracer changes (e.g. after
-/// Simulator::attach_tracer). id() is a pointer compare on the hot path.
-class Name {
- public:
-  Name(std::string name, std::string category)
-      : name_(std::move(name)), category_(std::move(category)) {}
-
-  NameId id(Tracer& t) {
-    if (&t != tracer_) {
-      id_ = t.intern(name_, category_);
-      tracer_ = &t;
-    }
-    return id_;
-  }
-
- private:
-  std::string name_;
-  std::string category_;
-  Tracer* tracer_ = nullptr;
-  NameId id_ = 0;
 };
 
 /// The calling thread's ambient tracer (nullptr if none). Lets pure

@@ -1,68 +1,8 @@
 #include "track/behavior.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace iobt::track {
-
-std::size_t MarkovMotionModel::cell_of(sim::Vec2 p) const {
-  const double fx = (p.x - area_.min.x) / std::max(1e-9, area_.width());
-  const double fy = (p.y - area_.min.y) / std::max(1e-9, area_.height());
-  const auto cx = std::min(n_ - 1, static_cast<std::size_t>(
-                                       std::max(0.0, fx) * static_cast<double>(n_)));
-  const auto cy = std::min(n_ - 1, static_cast<std::size_t>(
-                                       std::max(0.0, fy) * static_cast<double>(n_)));
-  return cy * n_ + cx;
-}
-
-void MarkovMotionModel::observe(sim::Vec2 from, sim::Vec2 to) {
-  const std::size_t f = cell_of(from), t = cell_of(to);
-  auto& row = counts_[f];
-  for (auto& [cell, count] : row) {
-    if (cell == t) {
-      count += 1.0;
-      return;
-    }
-  }
-  row.push_back({t, 1.0});
-}
-
-double MarkovMotionModel::transition_probability(std::size_t from,
-                                                 std::size_t to) const {
-  const auto& row = counts_.at(from);
-  if (row.empty()) return to == from ? 1.0 : 0.0;  // stay-put prior
-  double total = 0.0, hit = 0.0;
-  for (const auto& [cell, count] : row) {
-    total += count;
-    if (cell == to) hit = count;
-  }
-  return total > 0.0 ? hit / total : 0.0;
-}
-
-std::size_t MarkovMotionModel::predict_next_cell(sim::Vec2 from) const {
-  const std::size_t f = cell_of(from);
-  const auto& row = counts_[f];
-  if (row.empty()) return f;
-  std::size_t best = row[0].first;
-  double best_count = row[0].second;
-  for (const auto& [cell, count] : row) {
-    if (count > best_count || (count == best_count && cell < best)) {
-      best = cell;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
-double MarkovMotionModel::top1_accuracy(
-    const std::vector<std::pair<sim::Vec2, sim::Vec2>>& test) const {
-  if (test.empty()) return 0.0;
-  std::size_t ok = 0;
-  for (const auto& [from, to] : test) {
-    if (predict_next_cell(from) == cell_of(to)) ++ok;
-  }
-  return static_cast<double>(ok) / static_cast<double>(test.size());
-}
 
 std::optional<Rendezvous> predict_rendezvous(const MultiTargetTracker& tracker,
                                              const RendezvousConfig& cfg) {

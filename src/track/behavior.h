@@ -3,17 +3,12 @@
 // behaviors/activities"; §III-B: "track a collection of insurgents and
 // report on their activities and rendezvous points").
 //
-// Two predictors:
-//  * MarkovMotionModel — learns a first-order transition model over grid
-//    cells from observed track histories, then predicts where a target
-//    goes next. Captures habitual movement (patrol routes, corridors)
-//    that straight-line extrapolation misses.
-//  * RendezvousDetector — extrapolates confirmed tracks forward under
-//    constant velocity and looks for a time horizon at which several
-//    tracks converge within a radius: a predicted rendezvous, reported
-//    with location, time-to-event, and the participating tracks.
+// predict_rendezvous extrapolates confirmed tracks forward under constant
+// velocity and looks for a time horizon at which several tracks converge
+// within a radius: a predicted rendezvous, reported with location,
+// time-to-event, and the participating tracks. bench_tracking drives it.
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -21,36 +16,6 @@
 #include "track/tracker.h"
 
 namespace iobt::track {
-
-/// First-order Markov model over an n x n grid of cells.
-class MarkovMotionModel {
- public:
-  MarkovMotionModel(sim::Rect area, std::size_t grid_n)
-      : area_(area), n_(grid_n), counts_(grid_n * grid_n) {}
-
-  std::size_t cell_of(sim::Vec2 p) const;
-  std::size_t cell_count() const { return n_ * n_; }
-
-  /// Feeds one observed transition (consecutive positions of one target).
-  void observe(sim::Vec2 from, sim::Vec2 to);
-
-  /// P(next = to-cell | current = from-cell). Unseen from-cells fall back
-  /// to "stay put" (the max-likelihood prior for slow targets).
-  double transition_probability(std::size_t from, std::size_t to) const;
-
-  /// Most likely next cell from a position.
-  std::size_t predict_next_cell(sim::Vec2 from) const;
-
-  /// Fraction of held-out transitions whose true next cell is the model's
-  /// argmax (scoring helper).
-  double top1_accuracy(const std::vector<std::pair<sim::Vec2, sim::Vec2>>& test) const;
-
- private:
-  sim::Rect area_;
-  std::size_t n_;
-  /// counts_[from] = sparse (to, count) pairs.
-  std::vector<std::vector<std::pair<std::size_t, double>>> counts_;
-};
 
 struct Rendezvous {
   sim::Vec2 point;

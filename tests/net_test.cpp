@@ -109,19 +109,6 @@ TEST(Topology, ComponentsAndConnectivity) {
   EXPECT_TRUE(t.connected());
 }
 
-TEST(Topology, MinimumSpanningForest) {
-  Topology t(4);
-  t.add_edge(0, 1, 1.0);
-  t.add_edge(1, 2, 2.0);
-  t.add_edge(0, 2, 10.0);
-  t.add_edge(2, 3, 1.0);
-  const auto mst = t.minimum_spanning_forest();
-  ASSERT_EQ(mst.size(), 3u);
-  double total = 0;
-  for (const auto& e : mst) total += e.weight;
-  EXPECT_DOUBLE_EQ(total, 4.0);
-}
-
 TEST(Topology, GeneratorShapes) {
   EXPECT_EQ(Topology::ring(5).edge_count(), 5u);
   EXPECT_EQ(Topology::star(5).edge_count(), 4u);
@@ -160,15 +147,6 @@ TEST(Topology, KNearestMinimumDegree) {
   for (auto& p : pos) p = {rng.uniform(0, 100), rng.uniform(0, 100)};
   const auto t = Topology::k_nearest(pos, 3);
   for (NodeId v = 0; v < 20; ++v) EXPECT_GE(t.degree(v), 3u);
-}
-
-TEST(Topology, ErdosRenyiEdgeCountNearExpectation) {
-  Rng rng(3);
-  const std::size_t n = 100;
-  const double p = 0.1;
-  const auto t = Topology::erdos_renyi(n, p, rng);
-  const double expected = p * n * (n - 1) / 2.0;
-  EXPECT_NEAR(static_cast<double>(t.edge_count()), expected, expected * 0.25);
 }
 
 // -------------------------------------------------------------- Channel ----
@@ -769,28 +747,6 @@ TEST(SpatialGrid, SortedNeighborhoodMemoFollowsMutations) {
   EXPECT_TRUE(grid.neighborhood_sorted({10, 10}).empty());
 }
 
-TEST(SpatialGrid, RingsPartitionTheNeighborhood) {
-  SpatialGrid grid(100.0);
-  Rng rng(11);
-  std::vector<Vec2> pts;
-  for (NodeId i = 0; i < 100; ++i) {
-    pts.push_back({rng.uniform(0, 500), rng.uniform(0, 500)});
-    grid.insert(i, pts.back());
-  }
-  // ring(0) + ring(1) == the 3x3 neighborhood, with no id in both rings.
-  const Vec2 q{250, 250};
-  std::vector<NodeId> rings, hood;
-  grid.ring(q, 0, rings);
-  const std::size_t inner = rings.size();
-  grid.ring(q, 1, rings);
-  grid.neighborhood(q, hood);
-  std::sort(rings.begin(), rings.end());
-  std::sort(hood.begin(), hood.end());
-  EXPECT_EQ(rings, hood);
-  EXPECT_EQ(std::unique(rings.begin(), rings.end()), rings.end());
-  EXPECT_LE(inner, rings.size());
-}
-
 // ------------------------------------------------- Topology bulk build ----
 
 TEST(Topology, BulkConstructorMatchesIncrementalBuild) {
@@ -826,63 +782,6 @@ TEST(Topology, BulkConstructorSkipsSelfLoopsAndValidates) {
   EXPECT_EQ(t.edge_count(), 2u);  // the self-loop is ignored
   const std::vector<Edge> bad{{0, 7, 1.0}};
   EXPECT_THROW(Topology(3, bad), std::out_of_range);
-}
-
-TEST(Topology, RandomGeometricGridPathMatchesBruteReference) {
-  // n = 200 is above the internal grid threshold, so this exercises the
-  // grid path; the reference below is the documented O(n^2) rule applied
-  // to the returned positions, in the same edge order.
-  Rng rng(17);
-  std::vector<Vec2> pos;
-  const Rect area{{0, 0}, {1500, 1500}};
-  const double radius = 180.0;
-  const auto t = Topology::random_geometric(200, area, radius, rng, &pos);
-  ASSERT_EQ(pos.size(), 200u);
-
-  Topology ref(200);
-  for (NodeId a = 0; a < 200; ++a) {
-    for (NodeId b = a + 1; b < 200; ++b) {
-      const double d2 = sim::distance2(pos[a], pos[b]);
-      if (d2 <= radius * radius) ref.add_edge_unique(a, b, std::sqrt(d2));
-    }
-  }
-  const auto te = t.edges();
-  const auto re = ref.edges();
-  ASSERT_EQ(te.size(), re.size());
-  for (std::size_t i = 0; i < te.size(); ++i) {
-    EXPECT_EQ(te[i].a, re[i].a);
-    EXPECT_EQ(te[i].b, re[i].b);
-    EXPECT_DOUBLE_EQ(te[i].weight, re[i].weight);
-  }
-}
-
-TEST(Topology, KNearestGridPathMatchesBruteReference) {
-  // n = 150 exercises the expanding-ring grid path; the reference is the
-  // brute-force k-smallest-(distance, id) rule.
-  Rng rng(23);
-  std::vector<Vec2> pos;
-  for (int i = 0; i < 150; ++i) pos.push_back({rng.uniform(0, 1000), rng.uniform(0, 1000)});
-  const std::size_t k = 4;
-  const auto t = Topology::k_nearest(pos, k);
-
-  Topology ref(pos.size());
-  for (NodeId a = 0; a < pos.size(); ++a) {
-    std::vector<std::pair<double, NodeId>> d;
-    for (NodeId b = 0; b < pos.size(); ++b) {
-      if (b != a) d.push_back({sim::distance(pos[a], pos[b]), b});
-    }
-    std::partial_sort(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(k), d.end());
-    for (std::size_t i = 0; i < k; ++i) ref.add_edge(a, d[i].second, d[i].first);
-  }
-  EXPECT_EQ(t.edge_count(), ref.edge_count());
-  const auto te = t.edges();
-  const auto re = ref.edges();
-  ASSERT_EQ(te.size(), re.size());
-  for (std::size_t i = 0; i < te.size(); ++i) {
-    EXPECT_EQ(te[i].a, re[i].a);
-    EXPECT_EQ(te[i].b, re[i].b);
-    EXPECT_DOUBLE_EQ(te[i].weight, re[i].weight);
-  }
 }
 
 // ----------------------------------------- Brute-force oracle identity ----

@@ -393,20 +393,6 @@ TEST(TracerTest, AmbientScopeInstallsAndRestores) {
   EXPECT_EQ(t.name(records[2].name), "amb.span");
 }
 
-TEST(TracerTest, NameReinternsAcrossTracerSwaps) {
-  trace::Tracer a;
-  trace::Tracer b;
-  a.intern("padding", "test");  // skew the id spaces apart
-  trace::Name label("svc.op", "test");
-  const trace::NameId ia = label.id(a);
-  EXPECT_EQ(label.id(a), ia);  // cached: same tracer, same id
-  const trace::NameId ib = label.id(b);
-  EXPECT_EQ(a.name(ia), "svc.op");
-  EXPECT_EQ(b.name(ib), "svc.op");
-  EXPECT_EQ(b.category(ib), "test");
-  EXPECT_NE(ia, ib);  // id spaces are per-tracer
-}
-
 // ------------------------------------------------- simulator integration ----
 
 TEST(SimulatorTraceTest, DispatchEmitsTaggedSpansWithNesting) {
@@ -431,50 +417,6 @@ TEST(SimulatorTraceTest, DispatchEmitsTaggedSpansWithNesting) {
   // Handlers run at frozen sim time: the sim timestamp matches the event.
   EXPECT_EQ(records[1].sim_ns, sim::Duration::seconds(1.0).nanos());
   EXPECT_EQ(records[1].sim_dur_ns, 0);
-}
-
-TEST(SimulatorTraceTest, AttachExternalTracerRedirectsRecording) {
-  sim::Simulator sim;
-  trace::Tracer external;
-  external.enable(128);
-  sim.attach_tracer(&external);
-  EXPECT_EQ(&sim.tracer(), &external);
-  const sim::TagId tag = sim.intern("ext.handler");
-  sim.schedule_in(sim::Duration::seconds(2.0), []() {}, tag);
-  sim.run();
-  {
-    const auto records = external.snapshot();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(external.name(records[0].name), "ext.handler");
-    EXPECT_EQ(records[0].sim_ns, sim::Duration::seconds(2.0).nanos());
-  }
-  // Detach: recording returns to the (disabled) built-in tracer.
-  sim.attach_tracer(nullptr);
-  EXPECT_NE(&sim.tracer(), &external);
-  sim.schedule_in(sim::Duration::seconds(1.0), []() {}, tag);
-  sim.run();
-  EXPECT_EQ(external.snapshot().size(), 1u);
-  EXPECT_EQ(sim.tracer().size(), 0u);
-}
-
-// The external tracer must keep working after its Simulator dies (that is
-// the whole point of ReplicationContext owning it).
-TEST(SimulatorTraceTest, ExternalTracerSurvivesSimulatorDestruction) {
-  trace::Tracer external;
-  external.enable(64);
-  {
-    sim::Simulator sim;
-    sim.attach_tracer(&external);
-    sim.schedule_in(sim::Duration::seconds(1.0), []() {}, sim.intern("t"));
-    sim.run();
-  }
-  // Sim clock unbound by ~Simulator: new records read sim_ns = 0.
-  const trace::NameId n = external.intern("after", "test");
-  external.instant(n);
-  const auto records = external.snapshot();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].sim_ns, 0);
-  EXPECT_NE(external.to_json().size(), 0u);
 }
 
 TEST(SimulatorTraceTest, TracingDoesNotPerturbResults) {

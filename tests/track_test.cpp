@@ -218,47 +218,6 @@ TEST(Tracker, CrossingTargetsKeepTwoTracks) {
 
 // ------------------------------------------------------------- Behavior ----
 
-TEST(Markov, LearnsCorridorPattern) {
-  // Targets habitually move east along a corridor: the model should
-  // predict east-neighbor cells.
-  MarkovMotionModel m({{0, 0}, {1000, 1000}}, 10);
-  for (int rep = 0; rep < 20; ++rep) {
-    for (double x = 50; x < 900; x += 100) {
-      m.observe({x, 450}, {x + 100, 450});
-    }
-  }
-  const std::size_t from = m.cell_of({350, 450});
-  const std::size_t predicted = m.predict_next_cell({350, 450});
-  EXPECT_EQ(predicted, from + 1);  // east neighbor on the row
-  EXPECT_GT(m.transition_probability(from, from + 1), 0.9);
-}
-
-TEST(Markov, UnseenCellFallsBackToStayPut) {
-  MarkovMotionModel m({{0, 0}, {100, 100}}, 4);
-  const std::size_t c = m.cell_of({10, 10});
-  EXPECT_EQ(m.predict_next_cell({10, 10}), c);
-  EXPECT_DOUBLE_EQ(m.transition_probability(c, c), 1.0);
-}
-
-TEST(Markov, Top1AccuracyOnHabitualMotion) {
-  MarkovMotionModel m({{0, 0}, {1000, 1000}}, 8);
-  Rng rng(5);
-  std::vector<std::pair<Vec2, Vec2>> train, test;
-  // Two habitual flows: eastbound along y=300, northbound along x=700.
-  for (int i = 0; i < 400; ++i) {
-    const double x = rng.uniform(0, 800);
-    train.push_back({{x, 300}, {x + 125, 300}});
-    const double y = rng.uniform(0, 800);
-    train.push_back({{700, y}, {700, y + 125}});
-  }
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.uniform(100, 700);
-    test.push_back({{x, 300}, {x + 125, 300}});
-  }
-  for (const auto& [f, t] : train) m.observe(f, t);
-  EXPECT_GT(m.top1_accuracy(test), 0.8);
-}
-
 /// Builds a tracker with confirmed tracks moving at given velocities.
 MultiTargetTracker tracker_with_tracks(
     const std::vector<std::pair<Vec2, Vec2>>& pos_vel) {
