@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "sim/rng.h"
 
 namespace iobt::diag {
 

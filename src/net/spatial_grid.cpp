@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 
 namespace iobt::net {
 
 void SpatialGrid::set_cell_size(double c) {
   // A non-positive cell size (no radios registered yet) degenerates to a
-  // 1 m grid; correctness only needs cell_ >= max range, which holds
-  // vacuously until the first insert after reset().
+  // 1 m grid; correctness only needs cell_ >= every member's range, which
+  // holds vacuously until the first insert after reset().
   cell_ = c > 0.0 ? c : 1.0;
   inv_cell_ = 1.0 / cell_;
 }
@@ -72,8 +73,27 @@ void SpatialGrid::neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const {
   }
 }
 
+void SpatialGrid::neighborhood_union(sim::Vec2 from, sim::Vec2 to,
+                                     std::vector<NodeId>& out) const {
+  const std::int32_t fx = coord(from.x), fy = coord(from.y);
+  const std::int32_t tx = coord(to.x), ty = coord(to.y);
+  neighborhood(from, out);
+  if (fx == tx && fy == ty) return;
+  // Each id lives in exactly one cell, so visiting each cell of the union
+  // once appends each id once.
+  for (std::int32_t dy = -1; dy <= 1; ++dy) {
+    for (std::int32_t dx = -1; dx <= 1; ++dx) {
+      const std::int32_t cx = tx + dx, cy = ty + dy;
+      if (std::abs(std::int64_t{cx} - fx) <= 1 && std::abs(std::int64_t{cy} - fy) <= 1) {
+        continue;
+      }
+      append_cell(cx, cy, out);
+    }
+  }
+}
+
 const std::vector<NodeId>& SpatialGrid::neighborhood_sorted(sim::Vec2 p) const {
-  Hood& h = hood_memo_[cell_key(p)];
+  Hood& h = hood_memo_[key(coord(p.x), coord(p.y))];
   if (h.version != version_) {
     h.ids.clear();
     neighborhood(p, h.ids);

@@ -2,15 +2,18 @@
 // Uniform hash-grid spatial index over node positions.
 //
 // The wireless substrate's geometric queries (one-hop broadcast fan-out,
-// connectivity rebuilds, disc scans) were all O(N) or O(N^2) scans over the
-// node table, which is the quadratic wall the paper's "1,000s to 10,000s of
-// nodes" claim runs into. The grid buckets nodes by cell, with the cell
-// size chosen >= the maximum radio range, so any two nodes that can be in
-// radio range of each other lie within one Chebyshev cell of each other:
-// the 3x3 cell neighborhood of a position is a SUPERSET of its radio
-// neighborhood. Queries therefore return raw candidates; callers apply the
-// exact in_range/distance filter — and any ordering they need for RNG-draw
-// determinism — themselves.
+// link patching on moves, connectivity rebuilds, disc scans) were all O(N)
+// or O(N^2) scans over the node table, which is the quadratic wall the
+// paper's "1,000s to 10,000s of nodes" claim runs into. The grid buckets
+// nodes by cell. Its owner keeps the cell size >= the radio range of every
+// node it indexes, so any two indexed nodes that can be in radio range of
+// each other lie within one Chebyshev cell of each other: the 3x3 cell
+// neighborhood of a member's position is a SUPERSET of its radio
+// neighborhood among the members. net::Network keeps one grid per layer
+// and one of gateways, each sized to its own members' longest radio.
+// Queries return raw candidates; callers apply the exact in_range/distance
+// filter — and any ordering they need for RNG-draw determinism —
+// themselves.
 
 #include <cstdint>
 #include <unordered_map>
@@ -25,6 +28,8 @@ class SpatialGrid {
  public:
   explicit SpatialGrid(double cell_size_m = 250.0) { set_cell_size(cell_size_m); }
 
+  /// Edge of a cell; a non-positive size given at construction or reset
+  /// reads as 1 m.
   double cell_size() const { return cell_; }
   /// Number of ids currently indexed.
   std::size_t size() const { return count_; }
@@ -37,12 +42,18 @@ class SpatialGrid {
   void move(NodeId id, sim::Vec2 from, sim::Vec2 to);
 
   /// Drops every entry and adopts a new cell size (used when a node with a
-  /// larger radio range joins and the covering guarantee must be restored).
+  /// longer radio joins and the covering guarantee must be restored).
   void reset(double cell_size_m);
 
   /// Appends every id in the 3x3 cell neighborhood of `p`. Output is
   /// unsorted but duplicate-free (each id lives in exactly one cell).
   void neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const;
+
+  /// Appends every id in the union of the 3x3 cell neighborhoods of `from`
+  /// and `to`, each id once, unsorted: the candidates of a move from `from`
+  /// to `to`. Cells of `to`'s block that `from`'s block already holds are
+  /// skipped, so a move within one cell gathers one block.
+  void neighborhood_union(sim::Vec2 from, sim::Vec2 to, std::vector<NodeId>& out) const;
 
   /// The 3x3 neighborhood of `p`, sorted ascending, served from a per-cell
   /// memo. Any mutation that changes cell membership (insert, remove, a
@@ -53,11 +64,6 @@ class SpatialGrid {
   /// plus a sort. The reference is valid until the next mutation or
   /// neighborhood_sorted call.
   const std::vector<NodeId>& neighborhood_sorted(sim::Vec2 p) const;
-
-  /// Opaque identifier of the cell containing `p` — equal keys iff equal
-  /// cells. Lets batch queries (connectivity rebuilds) share one gathered
-  /// + sorted neighborhood among all nodes in a cell.
-  std::uint64_t cell_key(sim::Vec2 p) const { return key(coord(p.x), coord(p.y)); }
 
   /// Appends every id in cells intersecting the disc (p, radius) — a
   /// superset of the ids within `radius` of `p`, unsorted. When the

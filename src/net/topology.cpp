@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -246,24 +245,6 @@ int Topology::component_count() const {
   return labels.empty() ? 0 : *std::max_element(labels.begin(), labels.end()) + 1;
 }
 
-Topology Topology::random_geometric(std::size_t n, sim::Rect area, double radius,
-                                    sim::Rng& rng, std::vector<sim::Vec2>* positions) {
-  Topology t(n);
-  std::vector<sim::Vec2> pos(n);
-  for (auto& p : pos) {
-    p = {rng.uniform(area.min.x, area.max.x), rng.uniform(area.min.y, area.max.y)};
-  }
-  const double r2 = radius * radius;
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      const double d2 = sim::distance2(pos[a], pos[b]);
-      if (d2 <= r2) t.add_edge_unique(a, b, std::sqrt(d2));
-    }
-  }
-  if (positions) *positions = std::move(pos);
-  return t;
-}
-
 Topology Topology::grid(std::size_t w, std::size_t h) {
   Topology t(w * h);
   auto id = [w](std::size_t x, std::size_t y) { return static_cast<NodeId>(y * w + x); };
@@ -304,26 +285,6 @@ Topology Topology::k_nearest(const std::vector<sim::Vec2>& positions, std::size_
     }
     std::partial_sort(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(kk), d.end());
     for (std::size_t i = 0; i < kk; ++i) t.add_edge(a, d[i].second, d[i].first);
-  }
-  return t;
-}
-
-Topology Topology::hierarchical(std::size_t clusters, std::size_t cluster_size) {
-  Topology t(clusters * cluster_size);
-  for (std::size_t c = 0; c < clusters; ++c) {
-    const NodeId base = static_cast<NodeId>(c * cluster_size);
-    for (std::size_t i = 0; i < cluster_size; ++i) {
-      for (std::size_t j = i + 1; j < cluster_size; ++j) {
-        t.add_edge(base + static_cast<NodeId>(i), base + static_cast<NodeId>(j));
-      }
-    }
-  }
-  // Cluster heads form a full mesh among themselves.
-  for (std::size_t c1 = 0; c1 < clusters; ++c1) {
-    for (std::size_t c2 = c1 + 1; c2 < clusters; ++c2) {
-      t.add_edge(static_cast<NodeId>(c1 * cluster_size),
-                 static_cast<NodeId>(c2 * cluster_size));
-    }
   }
   return t;
 }

@@ -3,8 +3,7 @@
 //
 // Topology is a value type (cheap enough to copy for what-if analysis).
 // It provides the graph algorithms every other module leans on: shortest
-// paths, connected components, and standard generators
-// (random geometric for forward-deployed radio networks, grids for urban
+// paths, connected components, and standard generators (grids for urban
 // street layouts, stars/rings/k-nearest for learning-topology sweeps).
 
 #include <cstdint>
@@ -13,7 +12,6 @@
 
 #include "net/message.h"
 #include "sim/geometry.h"
-#include "sim/rng.h"
 
 namespace iobt::net {
 
@@ -115,11 +113,6 @@ class Topology {
 
   // --- Generators -------------------------------------------------------
 
-  /// Random geometric graph: n nodes uniform in `area`, edge iff distance
-  /// <= radius. Edge weight = distance. Also returns positions.
-  static Topology random_geometric(std::size_t n, sim::Rect area, double radius,
-                                   sim::Rng& rng, std::vector<sim::Vec2>* positions);
-
   /// w x h grid with unit-weight edges (urban street abstraction).
   static Topology grid(std::size_t w, std::size_t h);
 
@@ -132,10 +125,6 @@ class Topology {
   /// Each node connected to its k nearest neighbors by position (ties
   /// broken by lower id).
   static Topology k_nearest(const std::vector<sim::Vec2>& positions, std::size_t k);
-
-  /// Two-tier hierarchy: `clusters` cliques of size `cluster_size`, with
-  /// cluster heads (node c*cluster_size) fully connected to each other.
-  static Topology hierarchical(std::size_t clusters, std::size_t cluster_size);
 
   /// Bytes held by the adjacency structure (vector capacities x element
   /// sizes, not allocator truth). Deterministic for a given operation

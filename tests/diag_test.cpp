@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "diag/tomography.h"
+#include "topology_fixtures.h"
 
 namespace iobt::diag {
 namespace {
@@ -45,7 +46,7 @@ TEST(Tomography, AllNodesAsMonitorsIdentifyEverything) {
 TEST(Tomography, EstimateDegradesGracefullyWithNoise) {
   Rng rng(1);
   std::vector<sim::Vec2> pos;
-  const auto t = Topology::random_geometric(20, {{0, 0}, {500, 500}}, 220, rng, &pos);
+  const auto t = iobt::testing::random_geometric(20, {{0, 0}, {500, 500}}, 220, rng, &pos);
   if (!t.connected()) GTEST_SKIP() << "disconnected sample";
   std::vector<net::NodeId> monitors;
   for (net::NodeId v = 0; v < 20; v += 2) monitors.push_back(v);

@@ -17,6 +17,7 @@
 #include "net/spatial_grid.h"
 #include "net/topology.h"
 #include "net_oracle.h"
+#include "topology_fixtures.h"
 #include "sim/checkpoint.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -119,21 +120,10 @@ TEST(Topology, GeneratorShapes) {
   EXPECT_TRUE(g.connected());
 }
 
-TEST(Topology, HierarchicalGenerator) {
-  const auto t = Topology::hierarchical(3, 4);
-  EXPECT_EQ(t.node_count(), 12u);
-  EXPECT_TRUE(t.connected());
-  // Cluster heads (0, 4, 8) form a mesh.
-  EXPECT_TRUE(t.has_edge(0, 4));
-  EXPECT_TRUE(t.has_edge(4, 8));
-  // Non-heads of different clusters are not directly linked.
-  EXPECT_FALSE(t.has_edge(1, 5));
-}
-
 TEST(Topology, RandomGeometricRespectsRadius) {
   Rng rng(1);
   std::vector<Vec2> pos;
-  const auto t = Topology::random_geometric(50, Rect{{0, 0}, {1000, 1000}}, 200.0, rng, &pos);
+  const auto t = iobt::testing::random_geometric(50, Rect{{0, 0}, {1000, 1000}}, 200.0, rng, &pos);
   ASSERT_EQ(pos.size(), 50u);
   for (const auto& e : t.edges()) {
     EXPECT_LE(sim::distance(pos[e.a], pos[e.b]), 200.0 + 1e-9);
@@ -747,6 +737,46 @@ TEST(SpatialGrid, SortedNeighborhoodMemoFollowsMutations) {
   EXPECT_TRUE(grid.neighborhood_sorted({10, 10}).empty());
 }
 
+TEST(SpatialGrid, NeighborhoodUnionIsBothBlocksEachIdOnce) {
+  // Two ids per cell over a 10x10-cell patch of 100 m cells.
+  SpatialGrid grid(100.0);
+  std::vector<Vec2> at;
+  for (int cx = 0; cx < 10; ++cx) {
+    for (int cy = 0; cy < 10; ++cy) {
+      for (const double off : {20.0, 70.0}) {
+        at.push_back({cx * 100.0 + off, cy * 100.0 + off});
+        grid.insert(static_cast<NodeId>(at.size() - 1), at.back());
+      }
+    }
+  }
+  const auto in_block = [](Vec2 p, Vec2 q) {
+    return std::abs(std::floor(p.x / 100.0) - std::floor(q.x / 100.0)) <= 1.0 &&
+           std::abs(std::floor(p.y / 100.0) - std::floor(q.y / 100.0)) <= 1.0;
+  };
+  const std::pair<Vec2, Vec2> moves[] = {
+      {{450, 450}, {480, 410}},  // same cell
+      {{450, 450}, {550, 450}},  // adjacent cell
+      {{450, 450}, {350, 550}},  // diagonal cell
+      {{150, 150}, {850, 750}},  // far jump: disjoint blocks
+      {{250, 450}, {450, 450}},  // two cells over: blocks share a column
+      {{30, 30}, {130, 30}},     // at the patch corner
+  };
+  for (const auto& [from, to] : moves) {
+    std::vector<NodeId> got;
+    grid.neighborhood_union(from, to, got);
+    std::vector<NodeId> sorted = got;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+        << "an id appears twice";
+    std::vector<NodeId> want;
+    for (NodeId id = 0; id < at.size(); ++id) {
+      if (in_block(at[id], from) || in_block(at[id], to)) want.push_back(id);
+    }
+    EXPECT_EQ(sorted, want) << "move (" << from.x << ", " << from.y << ") -> ("
+                            << to.x << ", " << to.y << ")";
+  }
+}
+
 // ------------------------------------------------- Topology bulk build ----
 
 TEST(Topology, BulkConstructorMatchesIncrementalBuild) {
@@ -1059,14 +1089,14 @@ TEST_F(NetFixture, EpochOnlyBumpsWhenAnInRangeRelationshipChanges) {
 
 TEST_F(NetFixture, LongRangeJoinRebuildsGridAndKeepsCoverage) {
   const NodeId a = add({0, 0});  // range 300 sets the initial cell size
-  EXPECT_GE(net.spatial_grid().cell_size(), 300.0);
+  // A peer 290 m away is a receiver only if the cells cover a's radio.
+  add({-290, 0});
   const NodeId b = add({900, 0});  // 300 m radio, isolated for now
-  EXPECT_EQ(net.broadcast(a, Message{.kind = "hello", .size_bytes = 8}), 0u);
+  EXPECT_EQ(net.broadcast(a, Message{.kind = "hello", .size_bytes = 8}), 1u);
   // A 1200 m radio joining must rebuild the grid (cells must cover the new
   // maximum range) and re-index the existing nodes. Links stay bounded by
   // the *smaller* radio on each pair, so big reaches only a for now.
   const NodeId big = add({100, 0}, 1200.0);
-  EXPECT_GE(net.spatial_grid().cell_size(), 1200.0);
   int got = 0;
   for (const NodeId id : {a, b, big}) {
     net.set_handler(id, [&](const Message&) { ++got; });
@@ -1269,6 +1299,114 @@ TEST(NetworkLayers, GatewayChurnIsIdenticalAcrossAllMaintenanceModes) {
     fold(net.topology_epoch());
   }
   EXPECT_EQ(trail, kGoldenTrail);
+}
+
+/// Checks one layered network against brute force: the edge store must
+/// equal the oracle, and a broadcast from every live node must reach
+/// exactly the nodes a brute in-range filter over all ids selects, in
+/// ascending id order. Needs a lossless channel and radios.
+void expect_layered_net_matches_brute(Simulator& sim, Network& net, const std::string& tag) {
+  expect_identical_topologies(net.connectivity(), brute_connectivity(net), tag.c_str());
+  std::vector<NodeId> received;
+  for (NodeId id = 0; id < net.node_count(); ++id) {
+    net.set_handler(id, [&received, id](const Message&) { received.push_back(id); });
+  }
+  for (NodeId src = 0; src < net.node_count(); ++src) {
+    if (!net.node_up(src)) continue;
+    std::vector<NodeId> want;
+    for (NodeId other = 0; other < net.node_count(); ++other) {
+      if (other == src || !net.node_up(other)) continue;
+      const bool allowed = net.layer(other) == net.layer(src) ||
+                           (net.is_gateway(other) && net.is_gateway(src));
+      if (allowed && net.channel().in_range(net.position(src), net.profile(src),
+                                            net.position(other), net.profile(other))) {
+        want.push_back(other);
+      }
+    }
+    received.clear();
+    EXPECT_EQ(net.broadcast(src, Message{.kind = "hello", .size_bytes = 8}), want.size())
+        << tag << ": src " << src;
+    sim.run();
+    EXPECT_EQ(received, want) << tag << ": src " << src;
+  }
+  // The handlers point at this frame's `received`.
+  for (NodeId id = 0; id < net.node_count(); ++id) net.set_handler(id, {});
+}
+
+TEST(NetworkLayers, PerLayerRangesAndGatewayGridResizingMatchBrute) {
+  // Three layers with three radio ranges, so each layer grid has its own
+  // cell size and the gateway grid grows as longer radios are promoted:
+  // short radios first, then longer ones, then every gateway demoted.
+  // Moves redraw positions over the whole area, crossing cells of every
+  // grid.
+  Simulator sim;
+  Network net(sim, ChannelModel(2.0, 0.0), Rng(12));
+  Rng drive(0x1A7E5);
+  constexpr double kRange[] = {150.0, 400.0, 900.0};
+  constexpr double kSide = 1600.0;
+  std::vector<NodeId> layer_nodes[3];
+  for (int i = 0; i < 48; ++i) {
+    const auto layer = static_cast<LayerId>(i % 3);
+    layer_nodes[layer].push_back(
+        net.add_node({drive.uniform(0, kSide), drive.uniform(0, kSide)},
+                     {.range_m = kRange[layer], .base_loss = 0.0}, layer));
+  }
+  const auto churn = [&] {
+    for (NodeId id = 0; id < net.node_count(); ++id) {
+      const double action = drive.uniform();
+      if (action < 0.1) {
+        net.set_node_up(id, !net.node_up(id));
+      } else if (action < 0.7) {
+        net.set_position(id, {drive.uniform(0, kSide), drive.uniform(0, kSide)});
+      }
+    }
+  };
+  expect_layered_net_matches_brute(sim, net, "initial");
+  for (const bool promote : {true, false}) {
+    for (LayerId layer = 0; layer < 3; ++layer) {
+      for (std::size_t k = 0; k < layer_nodes[layer].size(); k += 2) {
+        net.set_gateway(layer_nodes[layer][k], promote);
+      }
+      const std::string tag = std::string(promote ? "promote " : "demote ") +
+                              to_string(layer);
+      expect_layered_net_matches_brute(sim, net, tag);
+      for (int round = 0; round < 3; ++round) {
+        churn();
+        expect_layered_net_matches_brute(sim, net, tag + " churn");
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(NetworkLayers, DownGatewayIsIndexedAtItsRangeOnRevival) {
+  // Gateways promoted while down enter the gateway grid only when they
+  // come back up, so the grid must grow to their range then. Here the
+  // only gateway so far has a 150 m radio; an aerial and a command node,
+  // 300 m apart and both longer-range, are promoted while down and
+  // revived. Their bridge is found only if the grid covers 300 m.
+  Simulator sim;
+  Network net(sim, ChannelModel(2.0, 0.0), Rng(13));
+  const NodeId g = net.add_node({0, 0}, {.range_m = 150, .base_loss = 0.0}, kLayerGround);
+  net.add_node({100, 0}, {.range_m = 150, .base_loss = 0.0}, kLayerGround);
+  const NodeId a = net.add_node({300, 0}, {.range_m = 400, .base_loss = 0.0}, kLayerAerial);
+  const NodeId c = net.add_node({600, 0}, {.range_m = 900, .base_loss = 0.0}, kLayerCommand);
+  net.set_gateway(g, true);
+  net.set_node_up(a, false);
+  net.set_node_up(c, false);
+  net.set_gateway(c, true);
+  net.set_gateway(a, true);
+  expect_layered_net_matches_brute(sim, net, "promoted while down");
+  net.set_node_up(c, true);
+  expect_layered_net_matches_brute(sim, net, "command revived");
+  net.set_node_up(a, true);
+  expect_layered_net_matches_brute(sim, net, "aerial revived");
+  EXPECT_TRUE(net.connectivity().has_edge(a, c));
+  // Moves across cells keep the bridge exact.
+  for (const Vec2 p : {Vec2{900, 0}, Vec2{1000, 350}, Vec2{250, 1000}}) {
+    net.set_position(a, p);
+    expect_layered_net_matches_brute(sim, net, "aerial moved");
+  }
 }
 
 }  // namespace
