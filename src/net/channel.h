@@ -76,13 +76,17 @@ class ChannelModel {
   /// Forced inline: it runs once per candidate in Network's per-frame and
   /// per-move loops, and GCC's inlining heuristics leave it an out-of-line
   /// call in Network::broadcast and Network::transmit in an optimized build
-  /// (EXPERIMENTS.md N4).
+  /// (EXPERIMENTS.md N4). In open air the answer is the distance test's
+  /// flag, with no branch on it: in Network's per-move loop about half of
+  /// the candidates are out of range, so a branch on the distance is
+  /// mispredicted often (EXPERIMENTS.md N5).
   [[gnu::always_inline]]
   bool in_range(sim::Vec2 a, const RadioProfile& ra, sim::Vec2 b,
                 const RadioProfile& rb) const {
     const double lim = std::min(ra.range_m, rb.range_m);
-    if (sim::distance2(a, b) > lim * lim) return false;
-    return buildings_.empty() || !line_of_sight_blocked(a, b);
+    const bool within = !(sim::distance2(a, b) > lim * lim);
+    if (buildings_.empty()) return within;
+    return within && !line_of_sight_blocked(a, b);
   }
 
   /// Loss probability for one frame from a->b at virtual time t.
