@@ -107,9 +107,7 @@ std::vector<std::vector<net::NodeId>> diverse_routes(const net::Topology& topo,
     // Remove interior vertices' incident edges so the next route diverges.
     for (std::size_t i = 1; i + 1 < path.size(); ++i) {
       const auto neighbors = work.neighbors(path[i]);  // copy: we mutate
-      for (const auto& nb : std::vector<net::Topology::Neighbor>(neighbors)) {
-        work.remove_edge(path[i], nb.id);
-      }
+      for (const auto& nb : neighbors) work.remove_edge(path[i], nb.id);
     }
   }
   return routes;

@@ -8,6 +8,7 @@
 // near-certainty inside their footprint while active.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/geometry.h"
@@ -64,7 +65,11 @@ class ChannelModel {
   double max_edge_loss() const { return max_edge_loss_; }
 
   /// True if the straight path between two points crosses a building.
+  /// Symmetric in its endpoints: the segment test's rounding depends on
+  /// which end it starts from, so the endpoints are tested in
+  /// lexicographic order and a link looks the same from both radios.
   bool line_of_sight_blocked(sim::Vec2 a, sim::Vec2 b) const {
+    if (b.x < a.x || (b.x == a.x && b.y < a.y)) std::swap(a, b);
     for (const Building& bl : buildings_) {
       if (sim::segment_intersects_rect(a, b, bl.footprint)) return true;
     }
@@ -72,10 +77,12 @@ class ChannelModel {
   }
 
   /// True if two radios at these positions can exchange frames at all:
-  /// within both ranges AND line of sight clear of buildings.
+  /// within both ranges AND line of sight clear of buildings. Symmetric in
+  /// the two radios, so Network's edge store does not depend on which
+  /// endpoint moved last.
   /// Forced inline: it runs once per candidate in Network's per-frame and
   /// per-move loops, and GCC's inlining heuristics leave it an out-of-line
-  /// call in Network::broadcast and Network::transmit in an optimized build
+  /// call in Network::transmit in an optimized build
   /// (EXPERIMENTS.md N4). In open air the answer is the distance test's
   /// flag, with no branch on it: in Network's per-move loop about half of
   /// the candidates are out of range, so a branch on the distance is

@@ -204,22 +204,6 @@ void Network::gather_link_candidates(NodeId id, sim::Vec2 from, sim::Vec2 to,
             out.end());
 }
 
-const std::vector<NodeId>& Network::sorted_link_candidates(NodeId id) const {
-  const sim::Vec2 p = positions_[id];
-  const LayerId layer = layers_[id];
-  const std::vector<NodeId>& hood = layer_grids_[layer].neighborhood_sorted(p);
-  if (!gateway_[id]) return hood;
-  merge_scratch_.clear();
-  auto h = hood.begin();
-  for (const NodeId g : gateway_grid_.neighborhood_sorted(p)) {
-    if (layers_[g] == layer) continue;  // already in hood
-    for (; h != hood.end() && *h < g; ++h) merge_scratch_.push_back(*h);
-    merge_scratch_.push_back(g);
-  }
-  merge_scratch_.insert(merge_scratch_.end(), h, hood.end());
-  return merge_scratch_;
-}
-
 bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
   // Any node whose in-range relationship with `id` can flip lies in id's
   // blocks around `from` or `to` (covering invariant, per grid). The grids
@@ -439,23 +423,20 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
     drop(DropReason::kNodeDown);
     return 0;
   }
-  const sim::Vec2 sp = positions_[src];
-  const RadioProfile& spr = profiles_[src];
+  // The receivers are src's edge-store row: exactly its live, link-allowed,
+  // in-range peers, ascending by id, which fixes the order the per-receiver
+  // loss draws consume the RNG stream. The transmit hook runs inside the
+  // loop and may change the network, so each step re-reads the row and
+  // resumes at the first id past the last receiver.
   std::size_t put_on_air = 0;
-  // src's grid blocks cover every receiver (covering invariant).
-  // Candidates are offered in ascending NodeId order, which fixes the order
-  // the per-receiver loss draws consume the RNG stream. Copied into
-  // scratch_ because the transmit hook runs synchronously inside the loop
-  // and must not be able to invalidate the memo mid-walk; the same hook can
-  // take a candidate down or flip a gateway, hence the liveness and layer
-  // re-checks.
-  const std::vector<NodeId>& candidates = sorted_link_candidates(src);
-  scratch_.assign(candidates.begin(), candidates.end());
-  for (const NodeId other : scratch_) {
-    if (other == src || !up_[other] || !link_allowed(src, other)) continue;
-    if (!channel_.in_range(sp, spr, positions_[other], profiles_[other])) continue;
-    Message copy = msg;
-    if (transmit(src, other, std::move(copy))) ++put_on_air;
+  for (NodeId next = 0;;) {
+    const std::vector<Topology::Neighbor>& row = links_.neighbors(src);
+    const auto it = std::lower_bound(
+        row.begin(), row.end(), next,
+        [](const Topology::Neighbor& nb, NodeId id) { return nb.id < id; });
+    if (it == row.end()) break;
+    next = it->id + 1;
+    if (transmit(src, it->id, msg)) ++put_on_air;
   }
   return put_on_air;
 }
@@ -577,17 +558,19 @@ Topology Network::full_connectivity() const {
   // so the build allocates nothing once warm) and the Topology is built in
   // one bulk pass with exact-size adjacency reserves. The list order (a
   // ascending, then b > a ascending) leaves every adjacency list id-sorted,
-  // the invariant the patched store keeps. Candidates come from the per-
-  // cell sorted memos: all non-gateway nodes sharing a cell of a layer grid
-  // share one gathered + sorted list.
+  // the invariant the patched store keeps, so each node's candidates are
+  // sorted before they are tested.
   edge_scratch_.clear();
   for (NodeId a = 0; a < node_count(); ++a) {
     if (!up_[a]) continue;
-    for (const NodeId b : sorted_link_candidates(a)) {
+    const sim::Vec2 p = positions_[a];
+    scratch_.clear();
+    gather_link_candidates(a, p, p, scratch_);
+    std::sort(scratch_.begin(), scratch_.end());
+    for (const NodeId b : scratch_) {
       if (b <= a) continue;
-      if (channel_.in_range(positions_[a], profiles_[a], positions_[b],
-                            profiles_[b])) {
-        edge_scratch_.push_back({a, b, sim::distance(positions_[a], positions_[b])});
+      if (channel_.in_range(p, profiles_[a], positions_[b], profiles_[b])) {
+        edge_scratch_.push_back({a, b, sim::distance(p, positions_[b])});
       }
     }
   }
@@ -612,9 +595,7 @@ Network::MemoryFootprint Network::memory_footprint() const {
                  gateway_.capacity() * sizeof(std::uint8_t) +
                  bytes_sent_.capacity() * sizeof(std::uint64_t) +
                  tx_free_at_.capacity() * sizeof(sim::SimTime);
-  m.grid = gateway_grid_.memory_bytes() +
-           layer_grids_.capacity() * sizeof(SpatialGrid) +
-           merge_scratch_.capacity() * sizeof(NodeId);
+  m.grid = gateway_grid_.memory_bytes() + layer_grids_.capacity() * sizeof(SpatialGrid);
   for (const SpatialGrid& g : layer_grids_) m.grid += g.memory_bytes();
   m.links = links_.memory_bytes() + stale_.capacity() * sizeof(NodeId) +
             stale_flag_.capacity() * sizeof(std::uint8_t) +

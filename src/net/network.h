@@ -73,8 +73,8 @@ class Network : public sim::SerializableCheckpointable {
   // --- Layers -------------------------------------------------------------
   // Links form only within a layer, except between two gateway nodes,
   // which bridge any pair of layers (explicit inter-layer edges). The
-  // predicate is applied uniformly by transmit/broadcast, the edge store,
-  // and the restore-time reseed.
+  // predicate is applied uniformly by transmit, the edge store (which
+  // broadcast reads), and the restore-time reseed.
 
   LayerId layer(NodeId id) const { return layers_.at(id); }
   bool is_gateway(NodeId id) const { return gateway_.at(id) != 0; }
@@ -96,8 +96,9 @@ class Network : public sim::SerializableCheckpointable {
   /// (down node / out of range); channel loss is decided at delivery time.
   bool send(NodeId src, NodeId dst, Message msg);
 
-  /// One-hop broadcast to every live node in radio range of src.
-  /// Returns number of frames put on the air.
+  /// One-hop broadcast to every live node in radio range of src (src's
+  /// edge-store row), in ascending id order. Returns number of frames put
+  /// on the air.
   std::size_t broadcast(NodeId src, Message msg);
 
   /// Multi-hop unicast along a shortest path, where a path's length is
@@ -168,7 +169,10 @@ class Network : public sim::SerializableCheckpointable {
   /// was.
   std::vector<NodeId> nodes_near(sim::Vec2 p, double radius) const;
 
-  ChannelModel& channel() { return channel_; }
+  /// The channel is fixed at construction except for jammers, which raise
+  /// loss but never change which pairs are in range: the edge store stays
+  /// the in_range relation without a rebuild.
+  void add_jammer(Jammer j) { channel_.add_jammer(j); }
   const ChannelModel& channel() const { return channel_; }
   sim::Simulator& simulator() { return sim_; }
 
@@ -190,7 +194,7 @@ class Network : public sim::SerializableCheckpointable {
   /// that decides whether one world fits 100k+ nodes.
   struct MemoryFootprint {
     std::size_t node_slabs = 0;   ///< SoA per-node field vectors
-    std::size_t grid = 0;         ///< spatial index cells + memos, every grid
+    std::size_t grid = 0;         ///< spatial index cells, every grid
     std::size_t links = 0;        ///< edge store, stale-weight list, link flags
     std::size_t route_cache = 0;  ///< route trees, frontiers, frozen weights
     std::size_t pending = 0;      ///< in-flight frame slab
@@ -326,13 +330,10 @@ class Network : public sim::SerializableCheckpointable {
   /// passes link_allowed by construction.
   void gather_link_candidates(NodeId id, sim::Vec2 from, sim::Vec2 to,
                               std::vector<NodeId>& out) const;
-  /// The same candidates at `id`'s position in ascending NodeId order, from
-  /// the grids' sorted memos (merged for a gateway). Valid until the next
-  /// call or grid mutation.
-  const std::vector<NodeId>& sorted_link_candidates(NodeId id) const;
 
-  /// Bulk connectivity build from grid neighborhoods: reseeds the edge
-  /// store on restore, where patching from a delta is impossible.
+  /// Bulk connectivity build from grid neighborhoods (each node's
+  /// gather_link_candidates, sorted): reseeds the edge store on restore,
+  /// where patching from a delta is impossible.
   Topology full_connectivity() const;
   /// Patches links_ for a move of live node `id` (must run BEFORE the slab
   /// position and grids are updated). The candidates are gathered raw from
@@ -412,11 +413,11 @@ class Network : public sim::SerializableCheckpointable {
   // radio's cell size.
   std::vector<SpatialGrid> layer_grids_;
   SpatialGrid gateway_grid_{0.0};
-  /// Candidate scratch buffer for grid queries (avoids an allocation per
-  /// broadcast); mutable because const queries reuse it.
+  /// Id scratch buffer for moves, attaches, detaches, gateway flips and the
+  /// restore reseed (avoids an allocation per call); mutable because the
+  /// const reseed reuses it. Broadcast must not use it: its transmit hook
+  /// can run any of those.
   mutable std::vector<NodeId> scratch_;
-  /// A gateway's merged sorted candidates (sorted_link_candidates).
-  mutable std::vector<NodeId> merge_scratch_;
   /// Per-node 0/1 "linked to the mover" flags for patch_links_for_move;
   /// all zero between calls.
   std::vector<std::uint8_t> linked_;

@@ -22,7 +22,6 @@ std::int32_t SpatialGrid::coord(double v) const {
 void SpatialGrid::insert(NodeId id, sim::Vec2 p) {
   cells_[key(coord(p.x), coord(p.y))].push_back(id);
   ++count_;
-  ++version_;
 }
 
 void SpatialGrid::remove(NodeId id, sim::Vec2 p) {
@@ -33,12 +32,11 @@ void SpatialGrid::remove(NodeId id, sim::Vec2 p) {
   const auto pos = std::find(bucket.begin(), bucket.end(), id);
   assert(pos != bucket.end() && "SpatialGrid::remove: id not in its cell");
   if (pos == bucket.end()) return;
-  // Bucket order is irrelevant (queries sort), so swap-erase.
+  // Bucket order is irrelevant (queries are unsorted), so swap-erase.
   *pos = bucket.back();
   bucket.pop_back();
   if (bucket.empty()) cells_.erase(it);
   --count_;
-  ++version_;
 }
 
 void SpatialGrid::move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
@@ -51,9 +49,7 @@ void SpatialGrid::move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
 
 void SpatialGrid::reset(double cell_size_m) {
   cells_.clear();
-  hood_memo_.clear();
   count_ = 0;
-  ++version_;
   set_cell_size(cell_size_m);
 }
 
@@ -92,17 +88,6 @@ void SpatialGrid::neighborhood_union(sim::Vec2 from, sim::Vec2 to,
   }
 }
 
-const std::vector<NodeId>& SpatialGrid::neighborhood_sorted(sim::Vec2 p) const {
-  Hood& h = hood_memo_[key(coord(p.x), coord(p.y))];
-  if (h.version != version_) {
-    h.ids.clear();
-    neighborhood(p, h.ids);
-    std::sort(h.ids.begin(), h.ids.end());
-    h.version = version_;
-  }
-  return h.ids;
-}
-
 void SpatialGrid::near(sim::Vec2 p, double radius, std::vector<NodeId>& out) const {
   // Half-width of the query square in cells, kept in double: an infinite,
   // NaN (std::max passes it through) or huge radius must never reach the
@@ -132,9 +117,6 @@ std::size_t SpatialGrid::memory_bytes() const {
   std::size_t bytes = 0;
   for (const auto& [key, ids] : cells_) {
     bytes += kNodeOverhead + sizeof(ids) + ids.capacity() * sizeof(NodeId);
-  }
-  for (const auto& [key, hood] : hood_memo_) {
-    bytes += kNodeOverhead + sizeof(hood) + hood.ids.capacity() * sizeof(NodeId);
   }
   return bytes;
 }

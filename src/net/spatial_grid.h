@@ -1,19 +1,19 @@
 #pragma once
 // Uniform hash-grid spatial index over node positions.
 //
-// The wireless substrate's geometric queries (one-hop broadcast fan-out,
-// link patching on moves, connectivity rebuilds, disc scans) were all O(N)
-// or O(N^2) scans over the node table, which is the quadratic wall the
-// paper's "1,000s to 10,000s of nodes" claim runs into. The grid buckets
-// nodes by cell. Its owner keeps the cell size >= the radio range of every
-// node it indexes, so any two indexed nodes that can be in radio range of
-// each other lie within one Chebyshev cell of each other: the 3x3 cell
-// neighborhood of a member's position is a SUPERSET of its radio
+// The wireless substrate's geometric queries (link patching on moves and
+// liveness flips, the restore-time connectivity rebuild, disc scans) were
+// all O(N) or O(N^2) scans over the node table, which is the quadratic wall
+// the paper's "1,000s to 10,000s of nodes" claim runs into. The grid
+// buckets nodes by cell. Its owner keeps the cell size >= the radio range
+// of every node it indexes, so any two indexed nodes that can be in radio
+// range of each other lie within one Chebyshev cell of each other: the 3x3
+// cell neighborhood of a member's position is a SUPERSET of its radio
 // neighborhood among the members. net::Network keeps one grid per layer
-// and one of gateways, each sized to its own members' longest radio.
-// Queries return raw candidates; callers apply the exact in_range/distance
-// filter — and any ordering they need for RNG-draw determinism —
-// themselves.
+// and one of gateways, each sized to its own members' longest radio, and
+// uses them to keep its edge store exact; broadcasts read the store, not
+// the grid. Queries return raw candidates, unsorted; callers apply the
+// exact in_range/distance filter and any ordering they need themselves.
 
 #include <cstdint>
 #include <unordered_map>
@@ -55,26 +55,16 @@ class SpatialGrid {
   /// skipped, so a move within one cell gathers one block.
   void neighborhood_union(sim::Vec2 from, sim::Vec2 to, std::vector<NodeId>& out) const;
 
-  /// The 3x3 neighborhood of `p`, sorted ascending, served from a per-cell
-  /// memo. Any mutation that changes cell membership (insert, remove, a
-  /// move that crosses a cell boundary) invalidates the memo via a version
-  /// stamp; a within-cell move does not, because the id list is unchanged.
-  /// This makes steady-state repeat queries (periodic hello broadcasts,
-  /// back-to-back connectivity rebuilds) one hash lookup instead of nine
-  /// plus a sort. The reference is valid until the next mutation or
-  /// neighborhood_sorted call.
-  const std::vector<NodeId>& neighborhood_sorted(sim::Vec2 p) const;
-
   /// Appends every id in cells intersecting the disc (p, radius) — a
   /// superset of the ids within `radius` of `p`, unsorted. When the
   /// covering square spans more cells than are occupied (a huge, infinite
   /// or NaN radius) it appends every indexed id instead.
   void near(sim::Vec2 p, double radius, std::vector<NodeId>& out) const;
 
-  /// Bytes held by the cell buckets and the neighborhood memo (container
-  /// capacities x element sizes plus per-entry hash-node overhead — a
-  /// structural estimate, not allocator truth). Deterministic for a given
-  /// operation sequence; feeds the memory-per-node bench column.
+  /// Bytes held by the cell buckets (container capacities x element sizes
+  /// plus per-entry hash-node overhead — a structural estimate, not
+  /// allocator truth). Deterministic for a given operation sequence; feeds
+  /// the memory-per-node bench column.
   std::size_t memory_bytes() const;
 
  private:
@@ -90,14 +80,6 @@ class SpatialGrid {
   double inv_cell_ = 1.0 / 250.0;
   std::size_t count_ = 0;
   std::unordered_map<std::uint64_t, std::vector<NodeId>> cells_;
-  /// Membership version + per-cell sorted-neighborhood memo (see
-  /// neighborhood_sorted). Mutable: the memo is a pure cache over cells_.
-  std::uint64_t version_ = 0;
-  struct Hood {
-    std::uint64_t version = ~0ULL;
-    std::vector<NodeId> ids;
-  };
-  mutable std::unordered_map<std::uint64_t, Hood> hood_memo_;
 };
 
 }  // namespace iobt::net

@@ -156,7 +156,7 @@ void AttackInjector::schedule_jamming(sim::Vec2 center, double radius_m,
   // The jammer is registered immediately (the channel gates on its active
   // window — and the channel state rides the Network's checkpoint); the
   // on/off rows exist for experiment timelines.
-  world_.network().channel().add_jammer(
+  world_.network().add_jammer(
       {.center = center, .radius_m = radius_m, .start = start, .end = end,
        .induced_loss = strength});
   Scheduled on;

@@ -557,6 +557,13 @@ TEST(Channel, BuildingBlocksLineOfSight) {
   EXPECT_TRUE(ch.in_range({0, 0}, r, {100, 50}, r));  // path above the wall
   EXPECT_DOUBLE_EQ(ch.loss_probability({0, 0}, r, {100, 0}, r, SimTime::zero()),
                    1.0);
+  // A long link that grazes the wall: the segment test rounds differently
+  // from each end, and the answer must not depend on which radio asks.
+  const RadioProfile wide{.range_m = 1000, .base_loss = 0.0};
+  const Vec2 p{-138.11511892082862, -51.383380771966415};
+  const Vec2 q{720.99802779974812, 128.07292054720588};
+  EXPECT_EQ(ch.in_range(p, wide, q, wide), ch.in_range(q, wide, p, wide));
+  EXPECT_EQ(ch.line_of_sight_blocked(p, q), ch.line_of_sight_blocked(q, p));
 }
 
 TEST(Channel, EndpointInsideBuildingIsBlocked) {
@@ -710,31 +717,6 @@ TEST(SpatialGrid, MoveTracksCellMembership) {
   grid.neighborhood({10, 10}, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(grid.size(), 1u);
-}
-
-TEST(SpatialGrid, SortedNeighborhoodMemoFollowsMutations) {
-  SpatialGrid grid(100.0);
-  grid.insert(2, {10, 10});
-  grid.insert(0, {150, 150});
-  grid.insert(1, {50, 50});
-  EXPECT_EQ(grid.neighborhood_sorted({10, 10}), (std::vector<NodeId>{0, 1, 2}));
-  // Repeat query is served from the memo and stays correct.
-  EXPECT_EQ(grid.neighborhood_sorted({10, 10}), (std::vector<NodeId>{0, 1, 2}));
-
-  grid.insert(3, {20, 20});  // membership change invalidates the memo
-  EXPECT_EQ(grid.neighborhood_sorted({10, 10}), (std::vector<NodeId>{0, 1, 2, 3}));
-
-  grid.remove(1, {50, 50});
-  EXPECT_EQ(grid.neighborhood_sorted({10, 10}), (std::vector<NodeId>{0, 2, 3}));
-
-  grid.move(2, {10, 10}, {90, 90});  // within-cell: list unchanged
-  EXPECT_EQ(grid.neighborhood_sorted({10, 10}), (std::vector<NodeId>{0, 2, 3}));
-
-  grid.move(0, {150, 150}, {950, 950});  // crosses cells: drops out
-  EXPECT_EQ(grid.neighborhood_sorted({10, 10}), (std::vector<NodeId>{2, 3}));
-
-  grid.reset(50.0);
-  EXPECT_TRUE(grid.neighborhood_sorted({10, 10}).empty());
 }
 
 TEST(SpatialGrid, NeighborhoodUnionIsBothBlocksEachIdOnce) {
@@ -903,6 +885,35 @@ TEST_F(NetFixture, BroadcastReceiversAreOracleNeighborsInIdOrder) {
     sim.run();
     EXPECT_EQ(received, want) << "src " << src;
   }
+}
+
+TEST(NetworkBroadcast, TransmitHookChangesTheNetworkMidBroadcast) {
+  // The transmit hook runs inside the broadcast loop. Taking down a far
+  // node with many links from it must not disturb the walk over the
+  // sender's receivers: each gets exactly one frame.
+  Simulator sim;
+  Network net(sim, ChannelModel(2.0, 0.0), Rng(4));
+  const RadioProfile r{.range_m = 300, .base_loss = 0.0};
+  const NodeId src = net.add_node({0, 0}, r);
+  std::vector<NodeId> receivers;
+  for (const double x : {10.0, 20.0, 30.0}) receivers.push_back(net.add_node({x, 0}, r));
+  const NodeId far = net.add_node({5000, 0}, r);
+  for (int i = 0; i < 40; ++i) net.add_node({5000.0 + i, 10.0}, r);
+  ASSERT_EQ(net.connectivity().neighbors(far).size(), 40u);
+  std::vector<int> got(net.node_count(), 0);
+  for (NodeId n = 0; n < net.node_count(); ++n) {
+    net.set_handler(n, [&got, n](const Message&) { ++got[n]; });
+  }
+  bool fired = false;
+  net.set_transmit_hook([&](NodeId, std::size_t) {
+    if (fired) return;
+    fired = true;
+    net.set_node_up(far, false);
+  });
+  EXPECT_EQ(net.broadcast(src, Message{.kind = "hello", .size_bytes = 8}), 3u);
+  sim.run();
+  for (const NodeId n : receivers) EXPECT_EQ(got[n], 1) << "receiver " << n;
+  EXPECT_FALSE(net.node_up(far));
 }
 
 TEST(NetworkOracle, EpochBumpsIffOracleEdgeSetChanges) {
