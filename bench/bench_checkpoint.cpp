@@ -3,10 +3,12 @@
 // The checkpoint layer's contract is digest identity: restore-at-t-then-
 // run-to-T must be bit-identical to the uninterrupted run. This bench
 // measures what that buys operationally:
-//   1. snapshot/restore cost vs world size (save is a deep POD copy; cost
-//      should scale linearly with assets + in-flight frames),
+//   1. snapshot/restore cost vs world size (save writes the state as one
+//      wire image, restore decodes it; cost should scale linearly with
+//      assets + in-flight frames),
 //   2. the identity matrix — 8 seeds x workers {1,2,8}, every restore
-//      digest-checked against its uninterrupted run,
+//      digest-checked against its uninterrupted run; its merged digest
+//      goes into the JSON as merged_digest, which CI pins to a golden,
 //   3. branched what-if execution: snapshot an adversarial scenario at
 //      t = 0.9T and fan K escalation variants out on the ParallelRunner,
 //      vs naively re-simulating each variant from t = 0. Every branch must
@@ -30,6 +32,7 @@
 #include "sim/rng.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
+#include "sim/wire.h"
 #include "things/mobility.h"
 #include "things/population.h"
 #include "things/world.h"
@@ -65,37 +68,30 @@ class BeaconDriver final : public sim::Checkpointable {
 
   std::string_view checkpoint_key() const override { return "bench.beacon"; }
 
-  void save(sim::Snapshot& snap, const std::string& key) const override {
-    snap.put(key, State{next_at_, period_, round_, sim_.pending_seq(event_),
-                        started_});
+  void save(sim::WireWriter& w) const override {
+    w.time(next_at_).dur(period_).u64(round_).u64(sim_.pending_seq(event_))
+        .boolean(started_);
   }
 
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override {
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override {
     sim_.cancel(event_);
     event_ = sim::kNoEvent;
-    const auto& st = snap.get<State>(key);
-    next_at_ = st.next_at;
-    period_ = st.period;
-    round_ = st.round;
-    started_ = st.started;
+    next_at_ = r.time();
+    period_ = r.dur();
+    round_ = r.u64();
+    const std::uint64_t seq = r.u64();
+    started_ = r.boolean();
+    if (!r.ok()) return false;
     if (started_) {
       install_handlers();
-      if (st.seq != 0) {
-        armer.rearm(next_at_, st.seq, [this] { run(); }, tag_, &event_);
+      if (seq != 0) {
+        armer.rearm(next_at_, seq, [this] { run(); }, tag_, &event_);
       }
     }
+    return true;
   }
 
  private:
-  struct State {
-    sim::SimTime next_at;
-    sim::Duration period;
-    std::uint64_t round = 0;
-    std::uint64_t seq = 0;
-    bool started = false;
-  };
-
   void install_handlers() {
     for (net::NodeId n = 0; n < net_.node_count(); ++n) {
       net_.set_handler(n, [this](const net::Message&) {
@@ -421,8 +417,9 @@ int main() {
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"matrix\": {\"seeds\": %zu, \"workers\": [1, 2, 8], "
-                 "\"all_identical\": %s},\n",
-                 seeds.size(), matrix_identical ? "true" : "false");
+                 "\"all_identical\": %s, \"merged_digest\": \"%016llx\"},\n",
+                 seeds.size(), matrix_identical ? "true" : "false",
+                 static_cast<unsigned long long>(matrix_reference));
     std::fprintf(f,
                  "  \"fanout\": {\"branches\": %zu, \"population\": %zu, "
                  "\"naive_ms\": %.1f, \"branched_ms\": %.1f, \"speedup\": "

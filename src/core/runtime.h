@@ -17,7 +17,9 @@
 // scenario, build a fresh Runtime with the same config (the same scenario
 // code path), then restore the snapshot into it — the rebuild-then-restore
 // pattern of DESIGN.md §S3. Service-internal state that must survive a
-// restore belongs in a service-owned Checkpointable.
+// restore belongs in a service-owned Checkpointable. The services' messages
+// carry std::any payloads, which have no wire form: Network::save throws
+// while one is in flight, so a running mission stack cannot be saved yet.
 
 #include <memory>
 #include <optional>

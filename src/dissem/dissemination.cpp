@@ -139,50 +139,56 @@ std::uint64_t Disseminator::digest() const {
   return h;
 }
 
-void Disseminator::save(sim::Snapshot& snap, const std::string& key) const {
-  CheckpointState st;
-  st.informed_at = informed_at_;
-  st.rows.reserve(rows_.size());
-  for (const Row& r : rows_) {
-    st.rows.push_back(
-        SavedRow{r.node, r.when, r.round, r.fired, sim_.pending_seq(r.armed)});
+void Disseminator::save(sim::WireWriter& w) const {
+  w.u64(informed_at_.size());
+  for (sim::SimTime t : informed_at_) w.time(t);
+  w.u64(rows_.size());
+  for (const Row& row : rows_) {
+    w.u64(row.node).time(row.when).i64(row.round).boolean(row.fired)
+        .u64(sim_.pending_seq(row.armed));
   }
-  st.informed_count = informed_count_;
-  st.seeded_at = seeded_at_;
-  st.attached = attached_;
-  snap.put(key, std::move(st));
+  w.u64(informed_count_).time(seeded_at_).boolean(attached_);
 }
 
-void Disseminator::restore(const sim::Snapshot& snap, const std::string& key,
-                           sim::RestoreArmer& armer) {
-  const auto& st = snap.get<CheckpointState>(key);
-  for (Row& r : rows_) {
-    sim_.cancel(r.armed);
-    r.armed = sim::kNoEvent;
+bool Disseminator::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
+  for (Row& row : rows_) {
+    sim_.cancel(row.armed);
+    row.armed = sim::kNoEvent;
   }
-  informed_at_ = st.informed_at;
-  informed_count_ = st.informed_count;
-  seeded_at_ = st.seeded_at;
-  attached_ = st.attached;
-  // Rebuild the full row table first (re-arm closures capture indices into
-  // it, and &rows_[i].armed must stay valid until the registry replays).
+  const std::uint64_t informed = r.u64();
+  if (!r.ok() || informed > r.remaining()) return false;
+  informed_at_.resize(static_cast<std::size_t>(informed));
+  for (sim::SimTime& t : informed_at_) t = r.time();
+  // Rebuild the full row table; reserve() first: re-arm closures capture
+  // indices into it, and &rows_[i].armed must stay valid until the
+  // registry replays.
+  const std::uint64_t count = r.u64();
+  if (!r.ok() || count > r.remaining()) return false;
   rows_.clear();
-  rows_.reserve(st.rows.size());
-  for (const SavedRow& r : st.rows) {
-    rows_.push_back(Row{r.node, r.when, r.round, r.fired, sim::kNoEvent});
-  }
-  for (std::size_t i = 0; i < st.rows.size(); ++i) {
-    if (st.rows[i].fired) continue;
-    if (st.rows[i].seq == 0) {
+  rows_.reserve(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < count; ++i) {
+    Row& row = rows_.emplace_back();
+    row.node = static_cast<net::NodeId>(r.u64());
+    row.when = r.time();
+    row.round = static_cast<int>(r.i64());
+    row.fired = r.boolean();
+    const std::uint64_t seq = r.u64();
+    if (!r.ok()) return false;
+    if (row.fired) continue;
+    if (seq == 0) {
       throw std::logic_error("Disseminator::restore: unfired gossip row " +
                              std::to_string(i) + " was not armed at save time");
     }
-    armer.rearm(rows_[i].when, st.rows[i].seq, [this, i] { fire(i); },
-                gossip_tag_, &rows_[i].armed);
+    armer.rearm(row.when, seq, [this, i] { fire(i); }, gossip_tag_, &row.armed);
   }
+  informed_count_ = static_cast<std::size_t>(r.u64());
+  seeded_at_ = r.time();
+  attached_ = r.boolean();
+  if (!r.ok()) return false;
   // Handlers are live-stack closures: re-install for every restored node
   // (including endpoints that exist only in the snapshot).
   if (attached_) install_handlers();
+  return true;
 }
 
 ReconfigController::ReconfigController(things::World& world) : world_(world) {
@@ -222,82 +228,23 @@ void ReconfigController::on_asset_down(things::AssetId id) {
   promotions_.push_back({lost, best, world_.simulator().now()});
 }
 
-void ReconfigController::save(sim::Snapshot& snap, const std::string& key) const {
-  snap.put(key, promotions_);
-}
-
-void ReconfigController::restore(const sim::Snapshot& snap, const std::string& key,
-                                 sim::RestoreArmer&) {
-  promotions_ = snap.get<std::vector<Promotion>>(key);
-}
-
-// --- Wire persistence ------------------------------------------------------
-
-bool Disseminator::encode_state(const sim::Snapshot& snap,
-                                const std::string& key,
-                                sim::WireWriter& w) const {
-  const auto& st = snap.get<CheckpointState>(key);
-  w.u64(st.informed_at.size());
-  for (sim::SimTime t : st.informed_at) w.time(t);
-  w.u64(st.rows.size());
-  for (const SavedRow& row : st.rows) {
-    w.u64(row.node).time(row.when).i64(row.round).boolean(row.fired).u64(row.seq);
-  }
-  w.u64(st.informed_count).time(st.seeded_at).boolean(st.attached);
-  return true;
-}
-
-bool Disseminator::decode_state(sim::Snapshot& snap, const std::string& key,
-                                sim::WireReader& r) const {
-  CheckpointState st;
-  const std::uint64_t informed = r.u64();
-  if (!r.ok() || informed > r.remaining()) return false;
-  st.informed_at.resize(static_cast<std::size_t>(informed));
-  for (sim::SimTime& t : st.informed_at) t = r.time();
-  const std::uint64_t rows = r.u64();
-  if (!r.ok() || rows > r.remaining()) return false;
-  st.rows.resize(static_cast<std::size_t>(rows));
-  for (SavedRow& row : st.rows) {
-    row.node = static_cast<net::NodeId>(r.u64());
-    row.when = r.time();
-    row.round = static_cast<int>(r.i64());
-    row.fired = r.boolean();
-    row.seq = r.u64();
-  }
-  st.informed_count = static_cast<std::size_t>(r.u64());
-  st.seeded_at = r.time();
-  st.attached = r.boolean();
-  if (!r.ok()) return false;
-  snap.put(key, std::move(st));
-  return true;
-}
-
-bool ReconfigController::encode_state(const sim::Snapshot& snap,
-                                      const std::string& key,
-                                      sim::WireWriter& w) const {
-  const auto& promotions = snap.get<std::vector<Promotion>>(key);
-  w.u64(promotions.size());
-  for (const Promotion& p : promotions) {
+void ReconfigController::save(sim::WireWriter& w) const {
+  w.u64(promotions_.size());
+  for (const Promotion& p : promotions_) {
     w.u64(p.lost).u64(p.promoted).time(p.at);
   }
-  return true;
 }
 
-bool ReconfigController::decode_state(sim::Snapshot& snap,
-                                      const std::string& key,
-                                      sim::WireReader& r) const {
-  std::vector<Promotion> promotions;
+bool ReconfigController::restore(sim::WireReader& r, sim::RestoreArmer&) {
   const std::uint64_t n = r.u64();
   if (!r.ok() || n > r.remaining()) return false;
-  promotions.resize(static_cast<std::size_t>(n));
-  for (Promotion& p : promotions) {
+  promotions_.resize(static_cast<std::size_t>(n));
+  for (Promotion& p : promotions_) {
     p.lost = static_cast<net::NodeId>(r.u64());
     p.promoted = static_cast<net::NodeId>(r.u64());
     p.at = r.time();
   }
-  if (!r.ok()) return false;
-  snap.put(key, std::move(promotions));
-  return true;
+  return r.ok();
 }
 
 }  // namespace iobt::dissem

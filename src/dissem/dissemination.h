@@ -46,7 +46,7 @@ struct GossipConfig {
 /// after the population exists; seed() schedules the initial injection.
 /// Reach/time accessors answer the percolation questions; digest() folds
 /// the full per-node informed-time table for equivalence checks.
-class Disseminator final : public sim::SerializableCheckpointable {
+class Disseminator final : public sim::Checkpointable {
  public:
   Disseminator(sim::Simulator& sim, net::Network& net, GossipConfig cfg);
   ~Disseminator() override;
@@ -80,13 +80,8 @@ class Disseminator final : public sim::SerializableCheckpointable {
   std::uint64_t digest() const;
 
   std::string_view checkpoint_key() const override { return "dissem.epidemic"; }
-  void save(sim::Snapshot& snap, const std::string& key) const override;
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override;
-  bool encode_state(const sim::Snapshot& snap, const std::string& key,
-                    sim::WireWriter& w) const override;
-  bool decode_state(sim::Snapshot& snap, const std::string& key,
-                    sim::WireReader& r) const override;
+  void save(sim::WireWriter& w) const override;
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override;
 
  private:
   /// One pending gossip transmission: the seed injection (round == -1) or
@@ -100,21 +95,6 @@ class Disseminator final : public sim::SerializableCheckpointable {
     bool fired = false;
     sim::EventId armed = sim::kNoEvent;
   };
-  struct SavedRow {
-    net::NodeId node = 0;
-    sim::SimTime when;
-    int round = 0;
-    bool fired = false;
-    std::uint64_t seq = 0;
-  };
-  struct CheckpointState {
-    std::vector<sim::SimTime> informed_at;
-    std::vector<SavedRow> rows;
-    std::size_t informed_count = 0;
-    sim::SimTime seeded_at;
-    bool attached = false;
-  };
-
   void install_handlers();
   void add_row(Row row);
   void fire(std::size_t index);
@@ -143,7 +123,7 @@ class Disseminator final : public sim::SerializableCheckpointable {
 /// same layer (lowest id on ties) so the layer keeps its bridge count.
 /// The Network's own checkpoint carries the gateway flags; this
 /// participant carries only its promotion log.
-class ReconfigController final : public sim::SerializableCheckpointable {
+class ReconfigController final : public sim::Checkpointable {
  public:
   explicit ReconfigController(things::World& world);
   ~ReconfigController() override;
@@ -156,13 +136,8 @@ class ReconfigController final : public sim::SerializableCheckpointable {
   const std::vector<Promotion>& promotions() const { return promotions_; }
 
   std::string_view checkpoint_key() const override { return "dissem.reconfig"; }
-  void save(sim::Snapshot& snap, const std::string& key) const override;
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override;
-  bool encode_state(const sim::Snapshot& snap, const std::string& key,
-                    sim::WireWriter& w) const override;
-  bool decode_state(sim::Snapshot& snap, const std::string& key,
-                    sim::WireReader& r) const override;
+  void save(sim::WireWriter& w) const override;
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override;
 
  private:
   void on_asset_down(things::AssetId id);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 
 #include "sim/wire.h"
 
@@ -627,41 +628,69 @@ Network::MemoryFootprint Network::memory_footprint() const {
   return m;
 }
 
-void Network::save(sim::Snapshot& snap, const std::string& key) const {
-  CheckpointState st;
+void Network::save(sim::WireWriter& w) const {
   // Handlers are live-stack closures and stay out of the snapshot; the
   // grid, edge store, and route cache are derived state rebuilt on
   // restore.
-  st.positions = positions_;
-  st.profiles = profiles_;
-  st.up = up_;
-  st.layers = layers_;
-  st.gateway = gateway_;
-  st.node_bytes_sent = bytes_sent_;
-  st.tx_free_at = tx_free_at_;
-  st.channel = channel_;
-  st.rng = rng_;
-  st.metrics = metrics_;
-  st.frames_dropped = frames_dropped_;
-  st.hop_latency = hop_latency_;
-  st.next_frame_trace_id = next_frame_trace_id_;
-  for (const RadioProfile& p : profiles_) st.max_range_m = std::max(st.max_range_m, p.range_m);
-  st.topology_epoch = topology_epoch_;
+  w.u64(node_count());
+  for (sim::Vec2 p : positions_) w.vec2(p);
+  for (const RadioProfile& p : profiles_) {
+    w.f64(p.range_m).f64(p.data_rate_bps).f64(p.base_loss);
+  }
+  for (std::uint8_t v : up_) w.u64(v);
+  for (LayerId l : layers_) w.u64(l);
+  for (std::uint8_t v : gateway_) w.u64(v);
+  for (std::uint64_t b : bytes_sent_) w.u64(b);
+  for (sim::SimTime t : tx_free_at_) w.time(t);
+
+  w.f64(channel_.edge_exponent()).f64(channel_.max_edge_loss());
+  w.u64(channel_.jammers().size());
+  for (const Jammer& j : channel_.jammers()) {
+    w.vec2(j.center).f64(j.radius_m).time(j.start).time(j.end).f64(j.induced_loss);
+  }
+  w.u64(channel_.buildings().size());
+  for (const Building& b : channel_.buildings()) w.rect(b.footprint);
+
+  w.rng(rng_);
+  metrics_.save(w);
+  w.u64(frames_dropped_).dur(hop_latency_).u64(next_frame_trace_id_).u64(topology_epoch_);
+
   const std::vector<bool> free_slot = free_slots();
+  w.u64(static_cast<std::uint64_t>(std::count(free_slot.begin(), free_slot.end(), false)));
   for (std::uint32_t s = 0; s < pending_.size(); ++s) {
     if (free_slot[s]) continue;
     const PendingFrame& f = pending_[s];
-    st.in_flight.push_back(SavedFrame{
-        f.msg, std::vector<NodeId>(f.route.begin() + f.next_hop, f.route.end()), f.dst,
-        f.lost, f.deliver_at, sim_.pending_seq(f.event)});
+    // Structured payloads (std::any) have no wire form; gossip traffic and
+    // every other wire-shaped message travel payload-free. Only the mission
+    // services attach payloads, and no stack that checkpoints runs them.
+    if (f.msg.payload.has_value()) {
+      throw std::logic_error(
+          "Network::save: an in-flight '" + f.msg.kind +
+          "' frame carries a std::any payload, which has no wire form");
+    }
+    w.u64(f.msg.src).u64(f.msg.dst).bytes(f.msg.kind).u64(f.msg.size_bytes)
+        .i64(f.msg.hops).time(f.msg.sent_at);
+    w.u64(f.route.size() - f.next_hop);
+    for (std::size_t h = f.next_hop; h < f.route.size(); ++h) w.u64(f.route[h]);
+    w.u64(f.dst).boolean(f.lost).time(f.deliver_at).u64(sim_.pending_seq(f.event));
   }
-  snap.put(key, std::move(st));
 }
 
-void Network::restore(const sim::Snapshot& snap, const std::string& key,
-                      sim::RestoreArmer& armer) {
-  const auto& st = snap.get<CheckpointState>(key);
+namespace {
 
+/// Reads a u64 that must be below `limit` (flags, layer ids, node ids).
+template <typename T>
+bool read_below(sim::WireReader& r, std::uint64_t limit, T& out) {
+  const std::uint64_t v = r.u64();
+  out = static_cast<T>(v);
+  return r.ok() && v < limit;
+}
+
+constexpr std::uint64_t kLayerLimit = std::uint64_t{std::numeric_limits<LayerId>::max()} + 1;
+
+}  // namespace
+
+bool Network::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
   // Cancel every live delivery and drop the slab; it is rebuilt below.
   const std::vector<bool> free_slot = free_slots();
   for (std::uint32_t s = 0; s < pending_.size(); ++s) {
@@ -669,6 +698,7 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
   }
   pending_.clear();
   free_pending_ = kNoPending;
+  frames_in_flight_ = 0;
 
   // Node slabs: adopt the saved state but keep whatever handlers the
   // restoring stack already installed per node (construction-time firmware
@@ -677,133 +707,38 @@ void Network::restore(const sim::Snapshot& snap, const std::string& key,
   // past the restoring stack's count (pre-snapshot Sybils restored into a
   // fresh stack) arrive with null handlers until their owning service's
   // participant re-installs them.
-  handlers_.resize(st.positions.size());
-  positions_ = st.positions;
-  profiles_ = st.profiles;
-  up_ = st.up;
-  // Layer tags and gateway flags must land before the edge-store reseed
-  // below: full_connectivity consults link_allowed.
-  layers_ = st.layers;
-  gateway_ = st.gateway;
-  bytes_sent_ = st.node_bytes_sent;
-  tx_free_at_ = st.tx_free_at;
-
-  channel_ = st.channel;
-  rng_ = st.rng;
-  metrics_ = st.metrics;
-  resolve_metric_handles();
-  frames_dropped_ = st.frames_dropped;
-  hop_latency_ = st.hop_latency;
-  next_frame_trace_id_ = st.next_frame_trace_id;
-  frames_in_flight_ = st.in_flight.size();
-  topology_epoch_ = st.topology_epoch;
-  route_cache_.clear();
-  route_cache_.resize(node_count());
-  epoch_trees_.clear();
-  unfrozen_from_ = 0;
-
-  // The grids and the edge store are derived state: rebuild them from the
-  // restored slabs, cell sizes included.
-  rebuild_grids();
-  links_ = full_connectivity();
-  stale_.clear();
-  stale_flag_.assign(node_count(), 0);
-  linked_.assign(node_count(), 0);
-
-  // Re-park every in-flight frame and queue its delivery re-arm under the
-  // frame's original FIFO seq. reserve() first: &p.event must stay valid
-  // until the registry schedules the re-arms.
-  pending_.reserve(st.in_flight.size());
-  for (const SavedFrame& f : st.in_flight) {
-    const auto slot = static_cast<std::uint32_t>(pending_.size());
-    pending_.emplace_back();
-    PendingFrame& p = pending_[slot];
-    p.msg = f.msg;
-    p.route = f.path_tail;
-    p.next_hop = 0;
-    p.frame_trace = 0;  // async trace spans do not survive restore
-    p.dst = f.dst;
-    p.lost = f.lost;
-    p.deliver_at = f.deliver_at;
-    armer.rearm(f.deliver_at, f.seq, [this, slot] { deliver_pending(slot); },
-                deliver_tag_, &p.event);
-  }
-}
-
-bool Network::encode_state(const sim::Snapshot& snap, const std::string& key,
-                           sim::WireWriter& w) const {
-  const auto& st = snap.get<CheckpointState>(key);
-  // Structured payloads (std::any) cannot cross a process boundary; gossip
-  // traffic and every other wire-shaped message travel payload-free, so in
-  // practice only exotic snapshots are rejected here.
-  for (const SavedFrame& f : st.in_flight) {
-    if (f.msg.payload.has_value()) return false;
-  }
-  w.u64(st.positions.size());
-  for (sim::Vec2 p : st.positions) w.vec2(p);
-  for (const RadioProfile& p : st.profiles) {
-    w.f64(p.range_m).f64(p.data_rate_bps).f64(p.base_loss);
-  }
-  for (std::uint8_t v : st.up) w.u64(v);
-  for (LayerId l : st.layers) w.u64(l);
-  for (std::uint8_t v : st.gateway) w.u64(v);
-  for (std::uint64_t b : st.node_bytes_sent) w.u64(b);
-  for (sim::SimTime t : st.tx_free_at) w.time(t);
-
-  w.f64(st.channel.edge_exponent()).f64(st.channel.max_edge_loss());
-  w.u64(st.channel.jammers().size());
-  for (const Jammer& j : st.channel.jammers()) {
-    w.vec2(j.center).f64(j.radius_m).time(j.start).time(j.end).f64(j.induced_loss);
-  }
-  w.u64(st.channel.buildings().size());
-  for (const Building& b : st.channel.buildings()) w.rect(b.footprint);
-
-  w.rng(st.rng);
-  w.bytes(st.metrics.serialize());
-  w.u64(st.frames_dropped)
-      .dur(st.hop_latency)
-      .u64(st.next_frame_trace_id)
-      .f64(st.max_range_m)
-      .u64(st.topology_epoch);
-  w.u64(st.in_flight.size());
-  for (const SavedFrame& f : st.in_flight) {
-    w.u64(f.msg.src).u64(f.msg.dst).bytes(f.msg.kind).u64(f.msg.size_bytes)
-        .i64(f.msg.hops).time(f.msg.sent_at);
-    w.u64(f.path_tail.size());
-    for (NodeId n : f.path_tail) w.u64(n);
-    w.u64(f.dst).boolean(f.lost).time(f.deliver_at).u64(f.seq);
-  }
-  return true;
-}
-
-bool Network::decode_state(sim::Snapshot& snap, const std::string& key,
-                           sim::WireReader& r) const {
-  CheckpointState st;
   const std::uint64_t nodes = r.u64();
   if (!r.ok() || nodes > r.remaining()) return false;
   const auto n = static_cast<std::size_t>(nodes);
-  st.positions.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) st.positions.push_back(r.vec2());
-  st.profiles.resize(n);
-  for (RadioProfile& p : st.profiles) {
+  handlers_.resize(n);
+  positions_.resize(n);
+  for (sim::Vec2& p : positions_) p = r.vec2();
+  profiles_.resize(n);
+  for (RadioProfile& p : profiles_) {
     p.range_m = r.f64();
     p.data_rate_bps = r.f64();
     p.base_loss = r.f64();
   }
-  st.up.resize(n);
-  for (std::uint8_t& v : st.up) v = static_cast<std::uint8_t>(r.u64());
-  st.layers.resize(n);
-  for (LayerId& l : st.layers) l = static_cast<LayerId>(r.u64());
-  st.gateway.resize(n);
-  for (std::uint8_t& v : st.gateway) v = static_cast<std::uint8_t>(r.u64());
-  st.node_bytes_sent.resize(n);
-  for (std::uint64_t& b : st.node_bytes_sent) b = r.u64();
-  st.tx_free_at.resize(n);
-  for (sim::SimTime& t : st.tx_free_at) t = r.time();
+  up_.resize(n);
+  for (std::uint8_t& v : up_) {
+    if (!read_below(r, 2, v)) return false;
+  }
+  layers_.resize(n);
+  for (LayerId& l : layers_) {
+    if (!read_below(r, kLayerLimit, l)) return false;
+  }
+  gateway_.resize(n);
+  for (std::uint8_t& v : gateway_) {
+    if (!read_below(r, 2, v)) return false;
+  }
+  bytes_sent_.resize(n);
+  for (std::uint64_t& b : bytes_sent_) b = r.u64();
+  tx_free_at_.resize(n);
+  for (sim::SimTime& t : tx_free_at_) t = r.time();
 
   const double edge_exponent = r.f64();
   const double max_edge_loss = r.f64();
-  st.channel = ChannelModel(edge_exponent, max_edge_loss);
+  ChannelModel channel(edge_exponent, max_edge_loss);
   const std::uint64_t jammers = r.u64();
   if (!r.ok() || jammers > r.remaining()) return false;
   for (std::uint64_t i = 0; i < jammers; ++i) {
@@ -813,42 +748,66 @@ bool Network::decode_state(sim::Snapshot& snap, const std::string& key,
     j.start = r.time();
     j.end = r.time();
     j.induced_loss = r.f64();
-    st.channel.add_jammer(j);
+    channel.add_jammer(j);
   }
   const std::uint64_t buildings = r.u64();
   if (!r.ok() || buildings > r.remaining()) return false;
-  for (std::uint64_t i = 0; i < buildings; ++i) st.channel.add_building(r.rect());
+  for (std::uint64_t i = 0; i < buildings; ++i) channel.add_building(r.rect());
+  channel_ = std::move(channel);
 
-  st.rng = r.rng();
-  auto metrics = sim::MetricsRegistry::deserialize(r.bytes());
-  if (!metrics) return false;
-  st.metrics = std::move(*metrics);
-  st.frames_dropped = r.u64();
-  st.hop_latency = r.dur();
-  st.next_frame_trace_id = r.u64();
-  st.max_range_m = r.f64();
-  st.topology_epoch = r.u64();
+  rng_ = r.rng();
+  // The registry is replaced wholesale: re-bind the hot-path handles even
+  // when its image is rejected, so none is left dangling.
+  const bool metrics_ok = metrics_.restore(r);
+  resolve_metric_handles();
+  if (!metrics_ok) return false;
+  frames_dropped_ = r.u64();
+  hop_latency_ = r.dur();
+  next_frame_trace_id_ = r.u64();
+  topology_epoch_ = r.u64();
+
+  // Re-park every in-flight frame and queue its delivery re-arm under the
+  // frame's original FIFO seq. reserve() first: &p.event must stay valid
+  // until the registry schedules the re-arms.
   const std::uint64_t frames = r.u64();
   if (!r.ok() || frames > r.remaining()) return false;
-  st.in_flight.resize(static_cast<std::size_t>(frames));
-  for (SavedFrame& f : st.in_flight) {
-    f.msg.src = static_cast<NodeId>(r.u64());
-    f.msg.dst = static_cast<NodeId>(r.u64());
-    f.msg.kind = r.bytes();
-    f.msg.size_bytes = static_cast<std::size_t>(r.u64());
-    f.msg.hops = static_cast<int>(r.i64());
-    f.msg.sent_at = r.time();
+  pending_.reserve(static_cast<std::size_t>(frames));
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    const auto slot = static_cast<std::uint32_t>(pending_.size());
+    PendingFrame& p = pending_.emplace_back();
+    p.msg.src = static_cast<NodeId>(r.u64());
+    p.msg.dst = static_cast<NodeId>(r.u64());
+    p.msg.kind = r.bytes();
+    p.msg.size_bytes = static_cast<std::size_t>(r.u64());
+    p.msg.hops = static_cast<int>(r.i64());
+    p.msg.sent_at = r.time();
     const std::uint64_t tail = r.u64();
     if (!r.ok() || tail > r.remaining()) return false;
-    f.path_tail.resize(static_cast<std::size_t>(tail));
-    for (NodeId& hop : f.path_tail) hop = static_cast<NodeId>(r.u64());
-    f.dst = static_cast<NodeId>(r.u64());
-    f.lost = r.boolean();
-    f.deliver_at = r.time();
-    f.seq = r.u64();
+    p.route.resize(static_cast<std::size_t>(tail));
+    for (NodeId& hop : p.route) {
+      if (!read_below(r, n, hop)) return false;
+    }
+    if (!read_below(r, n, p.dst)) return false;
+    p.lost = r.boolean();
+    p.deliver_at = r.time();
+    armer.rearm(p.deliver_at, r.u64(), [this, slot] { deliver_pending(slot); },
+                deliver_tag_, &p.event);
   }
   if (!r.ok()) return false;
-  snap.put(key, std::move(st));
+  frames_in_flight_ = pending_.size();
+
+  route_cache_.clear();
+  route_cache_.resize(node_count());
+  epoch_trees_.clear();
+  unfrozen_from_ = 0;
+  // The grids and the edge store are derived state: rebuild them from the
+  // restored slabs, cell sizes included. Layer tags and gateway flags are
+  // in place: full_connectivity consults link_allowed.
+  rebuild_grids();
+  links_ = full_connectivity();
+  stale_.clear();
+  stale_flag_.assign(node_count(), 0);
+  linked_.assign(node_count(), 0);
   return true;
 }
 

@@ -50,7 +50,7 @@ inline constexpr std::size_t kDropReasonCount = 6;
 
 std::string to_string(DropReason r);
 
-class Network : public sim::SerializableCheckpointable {
+class Network : public sim::Checkpointable {
  public:
   Network(sim::Simulator& simulator, ChannelModel channel, sim::Rng rng);
   ~Network() override;
@@ -216,17 +216,10 @@ class Network : public sim::SerializableCheckpointable {
   // firmware) must re-install them from their own participant restore.
 
   std::string_view checkpoint_key() const override { return "net.network"; }
-  void save(sim::Snapshot& snap, const std::string& key) const override;
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override;
-  /// Wire persistence (sim/wire.h). Metrics embed their own bit-exact
-  /// serialize() image. Returns false when any in-flight frame carries a
-  /// live std::any payload — structured payloads cannot cross a process
-  /// boundary, so such snapshots stay memory-only.
-  bool encode_state(const sim::Snapshot& snap, const std::string& key,
-                    sim::WireWriter& w) const override;
-  bool decode_state(sim::Snapshot& snap, const std::string& key,
-                    sim::WireReader& r) const override;
+  /// Throws std::logic_error when an in-flight frame carries a std::any
+  /// payload: structured payloads have no wire form.
+  void save(sim::WireWriter& w) const override;
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override;
 
  private:
   /// A frame on the air, parked in the pending slab until its delivery
@@ -250,38 +243,6 @@ class Network : public sim::SerializableCheckpointable {
     sim::EventId event = sim::kNoEvent;
   };
   static constexpr std::uint32_t kNoPending = 0xFFFFFFFFu;
-
-  /// One in-flight frame as saved in a Snapshot.
-  struct SavedFrame {
-    Message msg;
-    std::vector<NodeId> path_tail;
-    NodeId dst = 0;
-    bool lost = false;
-    sim::SimTime deliver_at;
-    std::uint64_t seq = 0;
-  };
-  struct CheckpointState {
-    // Node slabs, parallel by NodeId (handlers excluded: live-stack
-    // closures never enter a snapshot).
-    std::vector<sim::Vec2> positions;
-    std::vector<RadioProfile> profiles;
-    std::vector<std::uint8_t> up;
-    std::vector<LayerId> layers;
-    std::vector<std::uint8_t> gateway;
-    std::vector<std::uint64_t> node_bytes_sent;
-    std::vector<sim::SimTime> tx_free_at;
-    ChannelModel channel;
-    sim::Rng rng;
-    sim::MetricsRegistry metrics;
-    std::uint64_t frames_dropped = 0;
-    sim::Duration hop_latency;
-    std::uint64_t next_frame_trace_id = 1;
-    /// Longest radio in the slabs. Restore does not need it (the grids
-    /// size themselves from the slabs); it stays in the wire image.
-    double max_range_m = 0.0;
-    std::uint64_t topology_epoch = 0;
-    std::vector<SavedFrame> in_flight;
-  };
 
   /// Marks the slab slots currently on the free list; live in-flight
   /// frames are the rest.

@@ -16,7 +16,17 @@ void SpatialGrid::set_cell_size(double c) {
 }
 
 std::int32_t SpatialGrid::coord(double v) const {
-  return static_cast<std::int32_t>(std::floor(v * inv_cell_));
+  // Saturate at +-2^30 cells: a far-out or non-finite coordinate (NaN goes
+  // to the low end) must never reach an overflowing int cast, and the
+  // cell offsets the queries add stay representable. Clamping is monotone
+  // and never widens the gap between two cells, so every pair of adjacent
+  // cells stays adjacent and the covering invariant holds. Plain compares:
+  // std::fmin/fmax are library calls here, on the hot path of every move.
+  constexpr std::int32_t kLimit = 1 << 30;
+  const double c = std::floor(v * inv_cell_);
+  if (!(c > -kLimit)) return -kLimit;
+  if (c < kLimit) return static_cast<std::int32_t>(c);
+  return kLimit;
 }
 
 void SpatialGrid::insert(NodeId id, sim::Vec2 p) {

@@ -251,22 +251,55 @@ void AttackInjector::schedule_sybil(std::size_t count, sim::SimTime when,
   add_scheduled(std::move(s));
 }
 
-void AttackInjector::save(sim::Snapshot& snap, const std::string& key) const {
-  CheckpointState st;
-  st.rows.reserve(schedule_.size());
+void AttackInjector::save(sim::WireWriter& w) const {
+  w.u64(schedule_.size());
   for (const Scheduled& s : schedule_) {
-    st.rows.push_back(SavedRow{static_cast<int>(s.kind), s.when, s.fired, s.rng,
-                               world_.simulator().pending_seq(s.armed)});
+    w.i64(static_cast<int>(s.kind)).time(s.when).boolean(s.fired).rng(s.rng)
+        .u64(world_.simulator().pending_seq(s.armed));
   }
-  st.sybil_ids = sybil_ids_;
-  st.log = log_;
-  snap.put(key, std::move(st));
+  w.u64(sybil_ids_.size());
+  for (things::AssetId id : sybil_ids_) w.u64(id);
+  w.u64(log_.size());
+  for (const AttackEvent& e : log_) {
+    w.bytes(e.type).time(e.at).bytes(e.detail);
+  }
 }
 
-void AttackInjector::restore(const sim::Snapshot& snap, const std::string& key,
-                             sim::RestoreArmer& armer) {
-  const auto& st = snap.get<CheckpointState>(key);
-  if (st.rows.size() > schedule_.size()) {
+bool AttackInjector::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
+  // The schedule-prefix check below must see every row before anything is
+  // touched, so the image is read into locals first.
+  struct Row {
+    int kind = 0;
+    sim::SimTime when;
+    bool fired = false;
+    sim::Rng rng;
+    std::uint64_t seq = 0;  // original FIFO seq while armed; 0 once fired
+  };
+  const std::uint64_t count = r.u64();
+  if (!r.ok() || count > r.remaining()) return false;
+  std::vector<Row> rows(static_cast<std::size_t>(count));
+  for (Row& row : rows) {
+    row.kind = static_cast<int>(r.i64());
+    row.when = r.time();
+    row.fired = r.boolean();
+    row.rng = r.rng();
+    row.seq = r.u64();
+  }
+  const std::uint64_t sybils = r.u64();
+  if (!r.ok() || sybils > r.remaining()) return false;
+  std::vector<things::AssetId> sybil_ids(static_cast<std::size_t>(sybils));
+  for (things::AssetId& id : sybil_ids) id = static_cast<things::AssetId>(r.u64());
+  const std::uint64_t events = r.u64();
+  if (!r.ok() || events > r.remaining()) return false;
+  std::vector<AttackEvent> log(static_cast<std::size_t>(events));
+  for (AttackEvent& e : log) {
+    e.type = r.bytes();
+    e.at = r.time();
+    e.detail = r.bytes();
+  }
+  if (!r.ok()) return false;
+
+  if (rows.size() > schedule_.size()) {
     throw std::logic_error(
         "AttackInjector::restore: the snapshot holds more scheduled attacks "
         "than this stack declared — branch stacks must be built by the same "
@@ -279,79 +312,31 @@ void AttackInjector::restore(const sim::Snapshot& snap, const std::string& key,
     world_.simulator().cancel(s.armed);
     s.armed = sim::kNoEvent;
   }
-  for (std::size_t i = 0; i < st.rows.size(); ++i) {
-    if (static_cast<int>(schedule_[i].kind) != st.rows[i].kind ||
-        schedule_[i].when != st.rows[i].when) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (static_cast<int>(schedule_[i].kind) != rows[i].kind ||
+        schedule_[i].when != rows[i].when) {
       throw std::logic_error(
           "AttackInjector::restore: scheduled attack " + std::to_string(i) +
           " does not match the snapshot (different kind or time)");
     }
   }
-  schedule_.resize(st.rows.size());
+  schedule_.resize(rows.size());
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
-    const SavedRow& r = st.rows[i];
-    schedule_[i].fired = r.fired;
-    schedule_[i].rng = r.rng;
-    if (!r.fired) {
-      if (r.seq == 0) {
+    const Row& row = rows[i];
+    schedule_[i].fired = row.fired;
+    schedule_[i].rng = row.rng;
+    if (!row.fired) {
+      if (row.seq == 0) {
         throw std::logic_error(
             "AttackInjector::restore: unfired attack row " + std::to_string(i) +
             " was not armed at save time");
       }
-      armer.rearm(schedule_[i].when, r.seq, [this, i] { fire(i); },
+      armer.rearm(schedule_[i].when, row.seq, [this, i] { fire(i); },
                   schedule_[i].tag, &schedule_[i].armed);
     }
   }
-  sybil_ids_ = st.sybil_ids;
-  log_ = st.log;
-}
-
-bool AttackInjector::encode_state(const sim::Snapshot& snap,
-                                  const std::string& key,
-                                  sim::WireWriter& w) const {
-  const auto& st = snap.get<CheckpointState>(key);
-  w.u64(st.rows.size());
-  for (const SavedRow& row : st.rows) {
-    w.i64(row.kind).time(row.when).boolean(row.fired).rng(row.rng).u64(row.seq);
-  }
-  w.u64(st.sybil_ids.size());
-  for (things::AssetId id : st.sybil_ids) w.u64(id);
-  w.u64(st.log.size());
-  for (const AttackEvent& e : st.log) {
-    w.bytes(e.type).time(e.at).bytes(e.detail);
-  }
-  return true;
-}
-
-bool AttackInjector::decode_state(sim::Snapshot& snap, const std::string& key,
-                                  sim::WireReader& r) const {
-  CheckpointState st;
-  const std::uint64_t rows = r.u64();
-  if (!r.ok() || rows > r.remaining()) return false;
-  st.rows.resize(static_cast<std::size_t>(rows));
-  for (SavedRow& row : st.rows) {
-    row.kind = static_cast<int>(r.i64());
-    row.when = r.time();
-    row.fired = r.boolean();
-    row.rng = r.rng();
-    row.seq = r.u64();
-  }
-  const std::uint64_t sybils = r.u64();
-  if (!r.ok() || sybils > r.remaining()) return false;
-  st.sybil_ids.resize(static_cast<std::size_t>(sybils));
-  for (things::AssetId& id : st.sybil_ids) {
-    id = static_cast<things::AssetId>(r.u64());
-  }
-  const std::uint64_t events = r.u64();
-  if (!r.ok() || events > r.remaining()) return false;
-  st.log.resize(static_cast<std::size_t>(events));
-  for (AttackEvent& e : st.log) {
-    e.type = r.bytes();
-    e.at = r.time();
-    e.detail = r.bytes();
-  }
-  if (!r.ok()) return false;
-  snap.put(key, std::move(st));
+  sybil_ids_ = std::move(sybil_ids);
+  log_ = std::move(log);
   return true;
 }
 

@@ -40,7 +40,7 @@ struct AttackEvent {
 /// the caller's Rng, keyed by the row index — passing one Rng (or copies
 /// of it) to several schedule_* calls yields INDEPENDENT streams instead
 /// of silently duplicated ones.
-class AttackInjector : public sim::SerializableCheckpointable {
+class AttackInjector : public sim::Checkpointable {
  public:
   explicit AttackInjector(things::World& world);
   ~AttackInjector() override;
@@ -98,16 +98,11 @@ class AttackInjector : public sim::SerializableCheckpointable {
   // --- Checkpointing ----------------------------------------------------
 
   std::string_view checkpoint_key() const override { return "security.attacks"; }
-  void save(sim::Snapshot& snap, const std::string& key) const override;
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override;
-  /// Wire persistence (sim/wire.h): the schedule-cursor rows, Sybil ids,
-  /// and event log round-trip; restore() prefix-matches the rows against
-  /// the live stack's declared schedule exactly as in the in-memory path.
-  bool encode_state(const sim::Snapshot& snap, const std::string& key,
-                    sim::WireWriter& w) const override;
-  bool decode_state(sim::Snapshot& snap, const std::string& key,
-                    sim::WireReader& r) const override;
+  /// The schedule-cursor rows, Sybil ids, and event log round-trip;
+  /// restore() prefix-matches the rows against the live stack's declared
+  /// schedule.
+  void save(sim::WireWriter& w) const override;
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override;
 
  private:
   enum class Kind {
@@ -132,19 +127,6 @@ class AttackInjector : public sim::SerializableCheckpointable {
     std::function<bool(const things::Asset&)> pred;  // mass_kill
     bool fired = false;
     sim::EventId armed = sim::kNoEvent;
-  };
-
-  struct SavedRow {
-    int kind = 0;
-    sim::SimTime when;
-    bool fired = false;
-    sim::Rng rng;
-    std::uint64_t seq = 0;  // original FIFO seq while armed; 0 once fired
-  };
-  struct CheckpointState {
-    std::vector<SavedRow> rows;
-    std::vector<things::AssetId> sybil_ids;
-    std::vector<AttackEvent> log;
   };
 
   void add_scheduled(Scheduled s);

@@ -227,13 +227,13 @@ std::shared_ptr<const sim::Snapshot> CampaignService::disk_get(
     case SnapshotStore::GetStatus::kHit:
       break;
   }
-  // Decode against a scratch stack built from the query itself: the
-  // registry roster (participant keys, order) comes from the live stack,
-  // so the wire image is validated against exactly the scenario this
-  // query would cold-simulate. A file from a different roster decodes to
-  // nullopt; a file for a different prefix fails the stamp check. Either
-  // way the caller falls back to a cold sim — never a crash, never a
-  // silently divergent snapshot.
+  // Decode by restoring into a scratch stack built from the query itself:
+  // the registry roster (participant keys, order) comes from the live
+  // stack, so the image is validated by the same decoder, against exactly
+  // the scenario this query would cold-simulate. A file from a different
+  // roster decodes to nullopt; a file for a different prefix fails the
+  // stamp check. Either way the caller falls back to a cold sim — never a
+  // crash, never a silently divergent snapshot.
   try {
     dissem::DissemScenario s(q.spec, q.seed);
     auto snap = s.sim.checkpoint().deserialize_snapshot(bytes);
@@ -336,49 +336,32 @@ BatchResult CampaignService::submit(const std::vector<Query>& queries) {
   out.prefix_sims = cold.size();
 
   // ---- 3. Simulate cold prefixes once each, in parallel ----------------
-  // Each replication returns the snapshot AND (when the durable tier is
-  // on) its wire image — serialization needs the live registry roster,
-  // which only exists inside the replication body. The disk write itself
-  // happens on this thread afterwards, so the store sees one writer.
-  struct PrefixArtifact {
-    std::shared_ptr<const sim::Snapshot> snapshot;
-    std::string wire;  ///< empty when not serializable / tier disabled
-  };
+  // Each snapshot is its wire image, so the disk write needs nothing but
+  // the snapshot; it happens on this thread afterwards, so the store sees
+  // one writer.
   if (!cold.empty()) {
     const sim::ParallelRunner prefix_runner(opts_.workers);
     std::vector<std::uint64_t> seeds;
     seeds.reserve(cold.size());
     for (std::size_t i : cold) seeds.push_back(queries[i].seed);
-    const bool want_wire = store_ != nullptr;
-    const auto prefixes = prefix_runner.run<PrefixArtifact>(
+    const auto prefixes = prefix_runner.run<std::shared_ptr<const sim::Snapshot>>(
         seeds, [&](sim::ReplicationContext& ctx) {
           const Query& q = queries[cold[ctx.index]];
           dissem::DissemScenario s(q.spec, q.seed);
           s.sim.run_until(sim::SimTime::seconds(q.branch_time_s));
           // The snapshot carries its prefix key; the branch body verifies
           // the stamp before restoring (cache-integrity check).
-          PrefixArtifact art;
-          art.snapshot = std::make_shared<const sim::Snapshot>(
+          return std::make_shared<const sim::Snapshot>(
               s.sim.checkpoint().save(out.results[cold[ctx.index]].prefix));
-          if (want_wire) {
-            std::string wire;
-            if (s.sim.checkpoint().serialize_snapshot(*art.snapshot, wire)) {
-              art.wire = std::move(wire);
-            }
-          }
-          return art;
         });
     for (std::size_t j = 0; j < cold.size(); ++j) {
       const std::uint64_t key = out.results[cold[j]].prefix;
       const auto& rep = prefixes.replications[j];
       prefix_wall_ms[key] = rep.wall_ms;
       if (rep.ok) {
-        batch_snaps[key] = rep.payload.snapshot;
-        cache_put(key, rep.payload.snapshot, rep.wall_ms);
-        if (store_ && !rep.payload.wire.empty() &&
-            store_->put(key, rep.payload.wire)) {
-          ++stats_.disk_stores;
-        }
+        batch_snaps[key] = rep.payload;
+        cache_put(key, rep.payload, rep.wall_ms);
+        if (store_ && store_->put(key, rep.payload->image())) ++stats_.disk_stores;
       } else {
         prefix_errors[key] = "prefix simulation failed: " + rep.error;
       }

@@ -134,12 +134,12 @@ class CampaignService {
     std::string repro_program = "bench_serve";
     /// Directory of the durable snapshot tier (SnapshotStore). Empty
     /// disables the disk tier: the service is then memory-only, exactly
-    /// the pre-durability behaviour. When set, every cold prefix whose
-    /// registry state is wire-representable is persisted (crash-safe
-    /// temp-file + rename), and a restarted service re-warms from disk —
-    /// answering digest-identically to run_uncached, by the same contract
-    /// as the memory tier. Corrupt/truncated/mismatched files are rejected
-    /// back to a cold simulation, never a crash.
+    /// the pre-durability behaviour. When set, every cold prefix's
+    /// snapshot image is persisted (crash-safe temp-file + rename), and a
+    /// restarted service re-warms from disk — answering digest-identically
+    /// to run_uncached, by the same contract as the memory tier.
+    /// Corrupt/truncated/mismatched files are rejected back to a cold
+    /// simulation, never a crash.
     std::string snapshot_dir;
   };
 

@@ -15,7 +15,7 @@ namespace iobt::serve {
 namespace {
 
 constexpr char kMagic[] = "iosnap";
-constexpr std::uint64_t kFormatVersion = 1;
+constexpr std::uint64_t kFormatVersion = 2;
 
 /// FNV-1a over the payload bytes — cheap, deterministic, and enough to
 /// catch truncation and bit rot (adversarial tampering is out of scope;

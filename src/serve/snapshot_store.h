@@ -2,12 +2,15 @@
 // Durable snapshot store: the disk tier under CampaignService's memory cache.
 //
 // One file per canonical prefix hash, named snap_<hash>.iosnap, holding a
-// one-line header followed by the registry wire image
-// (CheckpointRegistry::serialize_snapshot). The header carries the format
-// version, the prefix stamp, the payload size, and an FNV-1a checksum:
+// one-line header followed by a snapshot's byte image (Snapshot::image).
+// The header carries the format version, the prefix stamp, the payload
+// size, and an FNV-1a checksum:
 //
-//   iosnap 1 <prefix 16 hex> <payload bytes, decimal> <checksum 16 hex>\n
+//   iosnap 2 <prefix 16 hex> <payload bytes, decimal> <checksum 16 hex>\n
 //   <payload>
+//
+// Version 2 embeds the MetricsRegistry image as sim/wire.h tokens; a
+// version-1 file (the older metrics text image) is rejected.
 //
 // Writes are crash-safe: the image lands in a temp file in the same
 // directory and is renamed into place (std::filesystem::rename is atomic

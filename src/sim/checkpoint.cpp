@@ -38,28 +38,54 @@ Snapshot CheckpointRegistry::save(std::uint64_t prefix_hash) const {
   Snapshot snap;
   snap.at_ = sim_.now();
   snap.prefix_hash_ = prefix_hash;
-  for (const Entry& e : participants_) e.participant->save(snap, e.key);
+  // Blobs first, so the image is allocated once at its final size: a large
+  // image is not regrown, and the cache that keeps it holds no slack. A
+  // token is at most 21 bytes with its separator: the header is three,
+  // and each participant adds two length prefixes and two separators.
+  std::vector<WireWriter> blobs(participants_.size());
+  std::size_t size = 3 * 21;
+  for (std::size_t i = 0; i < participants_.size(); ++i) {
+    participants_[i].participant->save(blobs[i]);
+    size += participants_[i].key.size() + blobs[i].out().size() + 2 * 21 + 2;
+  }
+  WireWriter w;
+  w.reserve(size);
+  w.u64(prefix_hash).time(snap.at_).u64(participants_.size());
+  for (std::size_t i = 0; i < participants_.size(); ++i) {
+    w.bytes(participants_[i].key).bytes(blobs[i].out());
+  }
+  snap.image_ = w.take();
   return snap;
 }
 
 void CheckpointRegistry::restore(const Snapshot& snap) {
   // The restore stack must mirror the save stack: same participants, same
-  // registration order. Verify the key sets up front for a usable error
-  // instead of a mid-restore type mismatch.
-  if (snap.blobs_.size() != participants_.size()) {
+  // registration order. Split the image into per-participant blobs and
+  // check the roster up front, before any state is touched.
+  WireReader r(snap.image_);
+  r.u64();   // prefix stamp, also held by snap
+  r.time();  // clock, also held by snap
+  const std::uint64_t count = r.u64();
+  if (r.ok() && count != participants_.size()) {
     throw std::logic_error(
-        "CheckpointRegistry::restore: snapshot has " +
-        std::to_string(snap.blobs_.size()) + " participant states but " +
-        std::to_string(participants_.size()) +
+        "CheckpointRegistry::restore: snapshot has " + std::to_string(count) +
+        " participant states but " + std::to_string(participants_.size()) +
         " participants are registered — the restore stack must be built by "
         "the same scenario code as the saved one");
   }
+  std::vector<std::string_view> blobs;
+  blobs.reserve(participants_.size());
   for (const Entry& e : participants_) {
-    if (!snap.has(e.key)) {
+    if (r.ok() && r.bytes_view() != e.key) {
       throw std::logic_error(
           "CheckpointRegistry::restore: snapshot is missing state for "
           "participant '" + e.key + "'");
     }
+    blobs.push_back(r.bytes_view());
+  }
+  if (!r.ok() || !r.at_end()) {
+    throw std::logic_error(
+        "CheckpointRegistry::restore: malformed snapshot image");
   }
 
   // Clock first: participants may consult now() while restoring, and the
@@ -67,8 +93,16 @@ void CheckpointRegistry::restore(const Snapshot& snap) {
   sim_.now_ = snap.at_;
 
   RestoreArmer armer;
-  for (const Entry& e : participants_) {
-    e.participant->restore(snap, e.key, armer);
+  for (std::size_t i = 0; i < participants_.size(); ++i) {
+    WireReader br(blobs[i]);
+    // A reader must consume its blob exactly — leftover bytes mean the
+    // image was written by a different state layout (version skew).
+    if (!participants_[i].participant->restore(br, armer) || !br.ok() ||
+        !br.at_end()) {
+      throw std::logic_error(
+          "CheckpointRegistry::restore: participant '" + participants_[i].key +
+          "' rejected its state image");
+    }
   }
 
   // Every event pending in THIS stack must have been cancelled by its
@@ -104,44 +138,27 @@ void CheckpointRegistry::restore(const Snapshot& snap) {
 
 bool CheckpointRegistry::serialize_snapshot(const Snapshot& snap,
                                             std::string& out) const {
-  WireWriter w;
-  w.u64(snap.prefix_hash_).i64(snap.at_.nanos()).u64(participants_.size());
-  for (const Entry& e : participants_) {
-    const auto* s = dynamic_cast<const SerializableCheckpointable*>(e.participant);
-    if (s == nullptr) return false;
-    WireWriter blob;
-    if (!s->encode_state(snap, e.key, blob)) return false;
-    w.bytes(e.key);
-    w.bytes(blob.out());
-  }
-  out = w.take();
+  out = snap.image_;
   return true;
 }
 
 std::optional<Snapshot> CheckpointRegistry::deserialize_snapshot(
-    std::string_view bytes) const {
+    std::string_view bytes) {
   WireReader r(bytes);
   Snapshot snap;
   snap.prefix_hash_ = r.u64();
-  snap.at_ = SimTime(r.i64());
-  const std::uint64_t count = r.u64();
-  if (!r.ok() || count != participants_.size()) return std::nullopt;
-  for (const Entry& e : participants_) {
-    const auto* s = dynamic_cast<const SerializableCheckpointable*>(e.participant);
-    if (s == nullptr) return std::nullopt;
-    const std::string key = r.bytes();
-    const std::string blob = r.bytes();
-    // The image must have been written over a roster built by the same
-    // scenario code: key order is the participant dispatch.
-    if (!r.ok() || key != e.key) return std::nullopt;
-    WireReader br(blob);
-    // A decoder must consume its blob exactly — leftover bytes mean the
-    // image was written by a different state layout (version skew).
-    if (!s->decode_state(snap, e.key, br) || !br.ok() || !br.at_end()) {
-      return std::nullopt;
-    }
+  snap.at_ = r.time();
+  if (!r.ok()) return std::nullopt;
+  snap.image_ = std::string(bytes);
+  // The one decoder: restore validates the roster, every participant's
+  // blob, and the re-arm schedule. Each of its rejections is a
+  // std::logic_error (a corrupt image can also ask to schedule into the
+  // past, which the kernel refuses the same way).
+  try {
+    restore(snap);
+  } catch (const std::logic_error&) {
+    return std::nullopt;
   }
-  if (!r.ok() || !r.at_end()) return std::nullopt;
   return snap;
 }
 

@@ -1,11 +1,15 @@
 #pragma once
 // Deterministic checkpoint / branch / restore for the sim kernel.
 //
-// Closures are never serialized — state is. A Snapshot holds each
-// participant's POD model state (typed, immutable blobs) plus the sim
-// clock; the participants themselves (World, Network, AttackInjector,
-// scenario harnesses) re-create their closures on restore by re-arming
-// events. This is the shape optimistic PDES kernels use for state saving
+// Closures are never serialized — state is. A Snapshot is the sim clock,
+// the caller's prefix stamp and one immutable byte image: every
+// participant's model state written as sim/wire.h tokens (integers as
+// decimal tokens, doubles as raw bit patterns, strings length-prefixed).
+// The same image lives in memory, in the checkpoint cache and on disk;
+// each participant has one writer (save) and one reader (restore). The
+// participants themselves (World, Network, AttackInjector, scenario
+// harnesses) re-create their closures on restore by re-arming events.
+// This is the shape optimistic PDES kernels use for state saving
 // (ROOT-Sim's LP checkpoints): the saved image is data only, and the code
 // that interprets it is re-bound by the live process.
 //
@@ -29,12 +33,9 @@
 // restore, because an event the registry cannot re-arm would silently
 // diverge the branch.
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <typeinfo>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -46,10 +47,11 @@ class CheckpointRegistry;
 class WireReader;  // sim/wire.h
 class WireWriter;
 
-/// Immutable image of one simulation instant: the sim clock plus one typed
-/// state blob per participant, keyed by the participant's registry key.
-/// Snapshots own no pointers into the source stack — restoring into a
-/// different Simulator (branching) is the intended use — and are safe to
+/// Immutable image of one simulation instant: the sim clock, the prefix
+/// stamp, and the byte image CheckpointRegistry::save wrote — clock, stamp,
+/// then one length-prefixed wire blob per participant in registration
+/// order. Snapshots own no pointers into the source stack — restoring into
+/// a different Simulator (branching) is the intended use — and are safe to
 /// share read-only across threads (ParallelRunner fan-out).
 class Snapshot {
  public:
@@ -62,44 +64,16 @@ class Snapshot {
   /// restoring, so a cache bug can never silently branch the wrong world.
   std::uint64_t prefix_hash() const { return prefix_hash_; }
 
-  /// Stores `state` under `key`. Participants call this from save().
-  template <typename T>
-  void put(std::string key, T state) {
-    blobs_[std::move(key)] =
-        Blob{std::make_shared<const T>(std::move(state)), &typeid(T)};
-  }
-
-  /// The blob stored under `key`, or throws std::logic_error if the key is
-  /// absent or was saved as a different type (a participant-ordering or
-  /// stack-mismatch bug, never a recoverable condition).
-  template <typename T>
-  const T& get(std::string_view key) const {
-    auto it = blobs_.find(key);
-    if (it == blobs_.end()) {
-      throw std::logic_error("Snapshot::get: no state saved under key '" +
-                             std::string(key) + "'");
-    }
-    if (*it->second.type != typeid(T)) {
-      throw std::logic_error("Snapshot::get: state under key '" +
-                             std::string(key) + "' has a different type");
-    }
-    return *static_cast<const T*>(it->second.data.get());
-  }
-
-  bool has(std::string_view key) const { return blobs_.find(key) != blobs_.end(); }
-  std::size_t size() const { return blobs_.size(); }
+  /// The byte image: what the disk tier stores and deserialize_snapshot
+  /// reads back.
+  const std::string& image() const { return image_; }
 
  private:
   friend class CheckpointRegistry;
 
-  struct Blob {
-    std::shared_ptr<const void> data;
-    const std::type_info* type = nullptr;
-  };
-
   SimTime at_;
   std::uint64_t prefix_hash_ = 0;
-  std::map<std::string, Blob, std::less<>> blobs_;
+  std::string image_;
 };
 
 /// Collects re-arm requests during restore. Participants hand over the
@@ -136,11 +110,16 @@ class RestoreArmer {
 };
 
 /// Interface a subsystem implements to participate in checkpointing.
-/// save() must copy POD model state only (deep-copying owned polymorphic
-/// state, e.g. mobility models — never closures); restore() must cancel
-/// the participant's armed events, overwrite its state from the snapshot,
-/// and queue re-arms for every event that was pending at save time.
-/// Participants must be destroyed before their Simulator (the stack order
+/// save() writes the participant's model state as sim/wire.h tokens (POD
+/// state and owned polymorphic state such as mobility models — never
+/// closures). restore() cancels the participant's armed events, reads the
+/// same tokens back over its state, and queues re-arms for every event that
+/// was pending at save time. restore() returns false on malformed input
+/// (a failed token, an out-of-range enum or index, a count past the bytes
+/// left); the stack is then unspecified and the registry rejects the image.
+/// A restore that must check the whole image before it mutates anything
+/// (a schedule-prefix match) reads into a local buffer first. Participants
+/// must be destroyed before their Simulator (the stack order
 /// `Simulator sim; Network net; World world; ...` guarantees this).
 class Checkpointable {
  public:
@@ -148,32 +127,11 @@ class Checkpointable {
 
   /// Stable identity of this participant's state inside a Snapshot.
   /// Duplicates among participants of one Simulator get a "#<n>" suffix at
-  /// registration; the registry passes the final key into save()/restore().
+  /// registration; the image carries the final keys in roster order.
   virtual std::string_view checkpoint_key() const = 0;
 
-  virtual void save(Snapshot& snap, const std::string& key) const = 0;
-  virtual void restore(const Snapshot& snap, const std::string& key,
-                       RestoreArmer& armer) = 0;
-};
-
-/// Checkpointable whose snapshot blob can additionally cross a process
-/// boundary: encode_state writes the blob saved under `key` to the
-/// byte-exact wire format (sim/wire.h — integers as decimal tokens,
-/// doubles as raw bit patterns, strings length-prefixed), and decode_state
-/// rebuilds an equivalent blob into a fresh Snapshot. The contract is the
-/// digest bar of the checkpoint layer extended over the wire: restoring a
-/// decoded snapshot must behave bit-identically to restoring the original.
-///
-/// encode_state may return false when the live state is not representable
-/// (e.g. an in-flight frame carrying a non-empty std::any payload);
-/// decode_state returns false on any malformed or truncated input — both
-/// make the caller fall back to re-simulation rather than diverge.
-class SerializableCheckpointable : public Checkpointable {
- public:
-  virtual bool encode_state(const Snapshot& snap, const std::string& key,
-                            WireWriter& w) const = 0;
-  virtual bool decode_state(Snapshot& snap, const std::string& key,
-                            WireReader& r) const = 0;
+  virtual void save(WireWriter& w) const = 0;
+  virtual bool restore(WireReader& r, RestoreArmer& armer) = 0;
 };
 
 /// Per-Simulator roster of checkpoint participants (Simulator::checkpoint()).
@@ -201,25 +159,27 @@ class CheckpointRegistry {
 
   std::size_t participant_count() const { return participants_.size(); }
 
-  /// Saves every participant's state. `prefix_hash` is an optional caller
-  /// key (canonical scenario-prefix hash, sim/hash.h) stamped onto the
-  /// snapshot for cache-integrity checks; 0 leaves it unkeyed.
+  /// Saves every participant's state into one byte image. `prefix_hash`
+  /// is an optional caller key (canonical scenario-prefix hash,
+  /// sim/hash.h) stamped onto the snapshot for cache-integrity checks; 0
+  /// leaves it unkeyed.
   Snapshot save(std::uint64_t prefix_hash = 0) const;
+  /// Decodes `snap` over this roster. Throws std::logic_error when the
+  /// image does not match the roster (participant count or key order), a
+  /// participant rejects its blob, or an unowned pending event survives.
   void restore(const Snapshot& snap);
 
-  /// Byte-exact image of `snap` over this registry's roster: clock, prefix
-  /// stamp, and one length-prefixed wire blob per participant in
-  /// registration order. Returns false (leaving `out` unspecified) when any
-  /// participant does not implement SerializableCheckpointable or reports
-  /// its state unrepresentable — the caller keeps the snapshot memory-only.
+  /// Copies `snap`'s byte image into `out`; always true (every snapshot is
+  /// its wire image).
   bool serialize_snapshot(const Snapshot& snap, std::string& out) const;
 
-  /// Rebuilds a Snapshot from a serialize_snapshot image, dispatching each
-  /// blob to the matching participant of THIS roster (a scratch stack built
-  /// by the same scenario code as the writer). Any mismatch — roster size,
-  /// key order, malformed or trailing bytes — returns nullopt; corrupt
-  /// input must reject cleanly, never throw or half-decode.
-  std::optional<Snapshot> deserialize_snapshot(std::string_view bytes) const;
+  /// Rebuilds a Snapshot from a byte image by restoring it into THIS stack
+  /// (a scratch stack built by the same scenario code as the writer), so
+  /// the image is checked by the one decoder every restore runs. Any
+  /// mismatch — roster size, key order, malformed, truncated or trailing
+  /// bytes, a row the stack rejects — returns nullopt, never a throw; the
+  /// stack's state is then unspecified.
+  std::optional<Snapshot> deserialize_snapshot(std::string_view bytes);
 
  private:
   struct Entry {

@@ -1,9 +1,6 @@
 #include "sim/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "sim/rng.h"
@@ -133,124 +130,111 @@ Summary Summary::from_state(State s) {
 
 namespace {
 
-// Doubles travel as the hex of their raw bit pattern — the only encoding
-// that survives a text round trip bit-for-bit (printf %.17g does not
-// preserve NaN payloads or distinguish every -0.0 path).
-void append_double_bits(std::string& out, double x) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &x, sizeof bits);
-  char buf[20];
-  std::snprintf(buf, sizeof buf, " %016" PRIx64, bits);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out += ' ';
-  out += std::to_string(v);
-}
-
-bool read_u64(std::istream& in, std::uint64_t& v) {
-  std::string tok;
-  return (in >> tok) && parse_u64_token(tok, v);
-}
-
-bool read_double_bits(std::istream& in, double& x) {
-  std::string tok;
-  return (in >> tok) && parse_f64_token(tok, x);
+/// Journal-safe key: non-empty, free of whitespace, ';' and '\\'.
+bool key_ok(std::string_view key) {
+  return !key.empty() && key.find_first_of(" \t\r\n;\\") == std::string_view::npos;
 }
 
 void check_key(const std::string& key) {
-  if (key.empty() ||
-      key.find_first_of(" \t\r\n;\\") != std::string::npos) {
+  if (!key_ok(key)) {
     throw std::logic_error(
-        "MetricsRegistry::serialize: key '" + key +
+        "MetricsRegistry::save: key '" + key +
         "' is not journal-safe (empty or contains whitespace/';'/'\\')");
   }
 }
 
+/// Reads one section key: journal-safe and strictly after `prev`, the
+/// order save() writes a std::map in — so an accepted image re-encodes to
+/// the same bytes.
+bool read_key(WireReader& r, const std::string* prev, std::string& out) {
+  const std::string_view key = r.bytes_view();
+  if (!r.ok() || !key_ok(key) || (prev != nullptr && key <= *prev)) return false;
+  out = key;
+  return true;
+}
+
+void save_doubles(WireWriter& w, const std::map<std::string, double>& section) {
+  w.u64(section.size());
+  for (const auto& [key, value] : section) {
+    check_key(key);
+    w.bytes(key).f64(value);
+  }
+}
+
+bool restore_doubles(WireReader& r, std::map<std::string, double>& section) {
+  section.clear();
+  const std::uint64_t n = r.u64();
+  if (!r.ok() || n > r.remaining()) return false;
+  const std::string* prev = nullptr;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string key;
+    if (!read_key(r, prev, key)) return false;
+    const auto it = section.emplace_hint(section.end(), std::move(key), r.f64());
+    prev = &it->first;
+  }
+  return r.ok();
+}
+
 }  // namespace
 
-std::string MetricsRegistry::serialize() const {
-  std::string out = "m1";
-  append_u64(out, counters_.size());
-  for (const auto& [key, value] : counters_) {
-    check_key(key);
-    out += ' ';
-    out += key;
-    append_double_bits(out, value);
-  }
-  append_u64(out, gauges_.size());
-  for (const auto& [key, value] : gauges_) {
-    check_key(key);
-    out += ' ';
-    out += key;
-    append_double_bits(out, value);
-  }
-  append_u64(out, summaries_.size());
+void MetricsRegistry::save(WireWriter& w) const {
+  save_doubles(w, counters_);
+  save_doubles(w, gauges_);
+  w.u64(summaries_.size());
   for (const auto& [key, summary] : summaries_) {
     check_key(key);
-    out += ' ';
-    out += key;
     const Summary::State st = summary.state();
-    append_u64(out, st.count);
-    append_double_bits(out, st.mean);
-    append_double_bits(out, st.m2);
-    append_double_bits(out, st.min);
-    append_double_bits(out, st.max);
-    append_u64(out, st.seen_for_reservoir);
-    append_u64(out, st.reservoir.size());
-    for (double x : st.reservoir) append_double_bits(out, x);
+    w.bytes(key).u64(st.count).f64(st.mean).f64(st.m2).f64(st.min).f64(st.max);
+    w.u64(st.seen_for_reservoir).u64(st.reservoir.size());
+    for (double x : st.reservoir) w.f64(x);
   }
-  return out;
+}
+
+bool MetricsRegistry::restore(WireReader& r) {
+  if (!restore_doubles(r, counters_) || !restore_doubles(r, gauges_)) return false;
+  summaries_.clear();
+  const std::uint64_t n = r.u64();
+  if (!r.ok() || n > r.remaining()) return false;
+  const std::string* prev = nullptr;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string key;
+    if (!read_key(r, prev, key)) return false;
+    Summary::State st;
+    st.count = r.u64();
+    st.mean = r.f64();
+    st.m2 = r.f64();
+    st.min = r.f64();
+    st.max = r.f64();
+    st.seen_for_reservoir = r.u64();
+    // A corrupt length must not drive a giant allocation; real reservoirs
+    // are bounded by kReservoirCap.
+    const std::uint64_t reservoir_size = r.u64();
+    if (!r.ok() || reservoir_size > Summary::kReservoirCap ||
+        reservoir_size > r.remaining()) {
+      return false;
+    }
+    st.reservoir.resize(static_cast<std::size_t>(reservoir_size));
+    for (double& x : st.reservoir) x = r.f64();
+    if (!r.ok()) return false;
+    const auto it = summaries_.emplace_hint(summaries_.end(), std::move(key),
+                                            Summary::from_state(std::move(st)));
+    prev = &it->first;
+  }
+  return true;
+}
+
+std::string MetricsRegistry::serialize() const {
+  WireWriter w;
+  save(w);
+  return w.take();
 }
 
 std::optional<MetricsRegistry> MetricsRegistry::deserialize(
     std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string tok;
-  if (!(in >> tok) || tok != "m1") return std::nullopt;
-
+  WireReader r(text);
   MetricsRegistry out;
-  std::uint64_t n = 0;
-  if (!read_u64(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key;
-    double value = 0.0;
-    if (!(in >> key) || !read_double_bits(in, value)) return std::nullopt;
-    out.counters_[key] = value;
-  }
-  if (!read_u64(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key;
-    double value = 0.0;
-    if (!(in >> key) || !read_double_bits(in, value)) return std::nullopt;
-    out.gauges_[key] = value;
-  }
-  if (!read_u64(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key;
-    Summary::State st;
-    std::uint64_t reservoir_size = 0;
-    if (!(in >> key) || !read_u64(in, st.count) ||
-        !read_double_bits(in, st.mean) || !read_double_bits(in, st.m2) ||
-        !read_double_bits(in, st.min) || !read_double_bits(in, st.max) ||
-        !read_u64(in, st.seen_for_reservoir) ||
-        !read_u64(in, reservoir_size)) {
-      return std::nullopt;
-    }
-    // A corrupt length must not drive a giant allocation; real reservoirs
-    // are bounded by kReservoirCap.
-    if (reservoir_size > Summary::kReservoirCap) return std::nullopt;
-    st.reservoir.reserve(reservoir_size);
-    for (std::uint64_t r = 0; r < reservoir_size; ++r) {
-      double x = 0.0;
-      if (!read_double_bits(in, x)) return std::nullopt;
-      st.reservoir.push_back(x);
-    }
-    out.summaries_[key] = Summary::from_state(std::move(st));
-  }
-  // Trailing garbage means the line was not produced by serialize().
-  if (in >> tok) return std::nullopt;
+  // Trailing bytes mean the image was not produced by serialize().
+  if (!out.restore(r) || !r.at_end()) return std::nullopt;
   return out;
 }
 

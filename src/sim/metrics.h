@@ -19,6 +19,9 @@
 
 namespace iobt::sim {
 
+class WireReader;  // sim/wire.h
+class WireWriter;
+
 /// Online summary of a stream of samples: count/mean/variance via Welford,
 /// min/max, and exact quantiles from a bounded reservoir.
 class Summary {
@@ -135,15 +138,22 @@ class MetricsRegistry {
   /// bit-identical — the check the determinism-under-parallelism tests use.
   std::uint64_t digest() const;
 
-  /// One-line text image of the full registry, bit-exact: doubles travel
-  /// as the hex of their bit pattern (NaN payloads, -0.0 and infinities
-  /// survive), so deserialize(serialize()) digests identically. Used by the
-  /// campaign journal to persist per-replication metrics across process
-  /// restarts. Keys must be free of whitespace, ';' and '\\' (all repo keys
-  /// are dotted identifiers); serialize throws std::logic_error otherwise.
+  /// Writes the full registry as sim/wire.h tokens, bit-exact: doubles
+  /// travel as the hex of their bit pattern (NaN payloads, -0.0 and
+  /// infinities survive), so restore(save()) digests identically. Network
+  /// checkpoints embed this image; campaign journals persist it per
+  /// replication (serialize). Keys must be non-empty and free of
+  /// whitespace, ';' and '\\' (all repo keys are dotted identifiers); save
+  /// throws std::logic_error otherwise.
+  void save(WireWriter& w) const;
+  /// Reads a save() image over this registry. False on malformed input —
+  /// a bad token, a reservoir past kReservoirCap, keys out of order or not
+  /// journal-safe — leaving the registry unspecified.
+  bool restore(WireReader& r);
+  /// save() as a standalone string, and its exact inverse (nullopt on any
+  /// malformed or trailing input: a journal line truncated by a crash, an
+  /// image from another format version, ...).
   std::string serialize() const;
-  /// Parses a serialize() image; std::nullopt on any malformed input
-  /// (truncated journal line after a crash, version mismatch, ...).
   static std::optional<MetricsRegistry> deserialize(std::string_view text);
 
  private:

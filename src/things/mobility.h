@@ -29,15 +29,10 @@ class MobilityModel {
 
   virtual ~MobilityModel() = default;
   virtual sim::Vec2 step(sim::Vec2 current, double dt_s) = 0;
-  /// Deep copy, including the model's Rng position — checkpoint snapshots
-  /// clone mobility so a restored branch advances exactly where the saved
-  /// run would have, without sharing mutable state with the source.
-  virtual std::shared_ptr<MobilityModel> clone() const = 0;
-
   virtual Kind kind() const = 0;
-  /// Writes the full model state (Rng position included) to the wire; the
-  /// bit-exact counterpart of clone() for the persistence path. The kind
-  /// tag itself is written/dispatched by encode_model / decode_model.
+  /// Writes the full model state (Rng position included) to the wire, so a
+  /// restored branch advances exactly where the saved run would have. The
+  /// kind tag itself is written/dispatched by encode_model / decode_model.
   virtual void encode(sim::WireWriter& w) const = 0;
 };
 
@@ -51,9 +46,6 @@ std::shared_ptr<MobilityModel> decode_model(sim::WireReader& r);
 class Stationary final : public MobilityModel {
  public:
   sim::Vec2 step(sim::Vec2 current, double /*dt_s*/) override { return current; }
-  std::shared_ptr<MobilityModel> clone() const override {
-    return std::make_shared<Stationary>(*this);
-  }
   Kind kind() const override { return Kind::kStationary; }
   void encode(sim::WireWriter& w) const override;
 };
@@ -64,9 +56,6 @@ class RandomWaypoint final : public MobilityModel {
  public:
   RandomWaypoint(sim::Rect area, double speed_mps, double pause_s, sim::Rng rng);
   sim::Vec2 step(sim::Vec2 current, double dt_s) override;
-  std::shared_ptr<MobilityModel> clone() const override {
-    return std::make_shared<RandomWaypoint>(*this);
-  }
   Kind kind() const override { return Kind::kRandomWaypoint; }
   void encode(sim::WireWriter& w) const override;
   static std::shared_ptr<RandomWaypoint> decode(sim::WireReader& r);
@@ -87,9 +76,6 @@ class GridPatrol final : public MobilityModel {
  public:
   GridPatrol(sim::Rect area, double block_m, double speed_mps, sim::Rng rng);
   sim::Vec2 step(sim::Vec2 current, double dt_s) override;
-  std::shared_ptr<MobilityModel> clone() const override {
-    return std::make_shared<GridPatrol>(*this);
-  }
   Kind kind() const override { return Kind::kGridPatrol; }
   void encode(sim::WireWriter& w) const override;
   static std::shared_ptr<GridPatrol> decode(sim::WireReader& r);
@@ -110,9 +96,6 @@ class SeekPoint final : public MobilityModel {
  public:
   SeekPoint(sim::Vec2 goal, double speed_mps) : goal_(goal), speed_(speed_mps) {}
   sim::Vec2 step(sim::Vec2 current, double dt_s) override;
-  std::shared_ptr<MobilityModel> clone() const override {
-    return std::make_shared<SeekPoint>(*this);
-  }
   Kind kind() const override { return Kind::kSeekPoint; }
   void encode(sim::WireWriter& w) const override;
   bool arrived(sim::Vec2 current, double tol_m = 1.0) const {

@@ -7,24 +7,6 @@
 
 namespace iobt::things {
 
-namespace {
-
-/// Clones a mobility model once per distinct source object: assets that
-/// share a model before save share the clone after restore (aliasing is
-/// part of the model state — a shared Rng stream must stay shared).
-std::shared_ptr<MobilityModel> clone_memoized(
-    const std::shared_ptr<MobilityModel>& m,
-    std::map<const MobilityModel*, std::shared_ptr<MobilityModel>>& memo) {
-  if (!m) return nullptr;
-  auto it = memo.find(m.get());
-  if (it != memo.end()) return it->second;
-  auto clone = m->clone();
-  memo.emplace(m.get(), clone);
-  return clone;
-}
-
-}  // namespace
-
 World::World(sim::Simulator& simulator, net::Network& network, sim::Rect area,
              sim::Rng rng)
     : sim_(simulator), net_(network), area_(area), rng_(rng) {
@@ -183,62 +165,6 @@ std::vector<Observation> World::sense(AssetId asset_id, Modality modality) {
                        area_, sensor_rng);
 }
 
-void World::save(sim::Snapshot& snap, const std::string& key) const {
-  CheckpointState st;
-  std::map<const MobilityModel*, std::shared_ptr<MobilityModel>> memo;
-  st.assets = assets_;
-  st.alive = alive_;
-  st.energy = energy_;
-  st.mobility.reserve(mobility_.size());
-  for (const auto& m : mobility_) st.mobility.push_back(clone_memoized(m, memo));
-  st.targets = targets_;
-  for (Target& t : st.targets) t.mobility = clone_memoized(t.mobility, memo);
-  st.node_to_asset = node_to_asset_;
-  st.disruptions = disruptions_;
-  st.rng = rng_;
-  st.started = started_;
-  st.tick_period = tick_period_;
-  st.next_tick_at = next_tick_at_;
-  st.tick_seq = sim_.pending_seq(tick_event_);
-  snap.put(key, std::move(st));
-}
-
-void World::restore(const sim::Snapshot& snap, const std::string& key,
-                    sim::RestoreArmer& armer) {
-  const auto& st = snap.get<CheckpointState>(key);
-  sim_.cancel(tick_event_);
-  tick_event_ = sim::kNoEvent;
-  // Clone OUT of the snapshot (never adopt its pointers): the snapshot
-  // stays immutable so it can seed many branches, and each branch's
-  // mobility advances independently.
-  std::map<const MobilityModel*, std::shared_ptr<MobilityModel>> memo;
-  assets_ = st.assets;
-  alive_ = st.alive;
-  energy_ = st.energy;
-  mobility_.clear();
-  mobility_.reserve(st.mobility.size());
-  for (const auto& m : st.mobility) mobility_.push_back(clone_memoized(m, memo));
-  targets_ = st.targets;
-  for (Target& t : targets_) t.mobility = clone_memoized(t.mobility, memo);
-  node_to_asset_ = st.node_to_asset;
-  disruptions_ = st.disruptions;
-  rng_ = st.rng;
-  started_ = st.started;
-  tick_period_ = st.tick_period;
-  next_tick_at_ = st.next_tick_at;
-  if (started_) {
-    // A fresh branch stack may not have had start() called; (re)installing
-    // the hook is idempotent on an in-place rewind.
-    install_transmit_hook();
-    if (st.tick_seq != 0) {
-      armer.rearm(next_tick_at_, st.tick_seq, [this] { run_tick(); }, tick_tag_,
-                  &tick_event_);
-    }
-  } else {
-    net_.set_transmit_hook({});
-  }
-}
-
 std::vector<Observation> World::sense_all(Modality modality) {
   std::vector<Observation> out;
   for (const Asset& a : assets_) {
@@ -344,18 +270,16 @@ EnergyModel decode_energy(sim::WireReader& r) {
 
 }  // namespace
 
-bool World::encode_state(const sim::Snapshot& snap, const std::string& key,
-                         sim::WireWriter& w) const {
-  const auto& st = snap.get<CheckpointState>(key);
-  w.u64(st.assets.size());
-  for (const Asset& a : st.assets) encode_asset(w, a);
-  for (std::uint8_t v : st.alive) w.u64(v);
-  for (const EnergyModel& e : st.energy) encode_energy(w, e);
+void World::save(sim::WireWriter& w) const {
+  w.u64(assets_.size());
+  for (const Asset& a : assets_) encode_asset(w, a);
+  for (std::uint8_t v : alive_) w.u64(v);
+  for (const EnergyModel& e : energy_) encode_energy(w, e);
 
   // Alias table over every distinct mobility model referenced by assets OR
   // targets, in first-appearance order. Sharing structure is state: two
   // slots aliasing one model (one Rng stream) must still alias after the
-  // disk round trip.
+  // round trip.
   std::vector<const MobilityModel*> table;
   std::map<const MobilityModel*, std::uint64_t> ids;
   const auto alias_of = [&](const std::shared_ptr<MobilityModel>& m)
@@ -366,58 +290,61 @@ bool World::encode_state(const sim::Snapshot& snap, const std::string& key,
     return static_cast<std::int64_t>(it->second);
   };
   std::vector<std::int64_t> asset_alias, target_alias;
-  asset_alias.reserve(st.mobility.size());
-  for (const auto& m : st.mobility) asset_alias.push_back(alias_of(m));
-  target_alias.reserve(st.targets.size());
-  for (const Target& t : st.targets) target_alias.push_back(alias_of(t.mobility));
+  asset_alias.reserve(mobility_.size());
+  for (const auto& m : mobility_) asset_alias.push_back(alias_of(m));
+  target_alias.reserve(targets_.size());
+  for (const Target& t : targets_) target_alias.push_back(alias_of(t.mobility));
   w.u64(table.size());
   for (const MobilityModel* m : table) encode_model(w, *m);
   for (std::int64_t a : asset_alias) w.i64(a);
 
-  w.u64(st.targets.size());
-  for (std::size_t i = 0; i < st.targets.size(); ++i) {
-    const Target& t = st.targets[i];
+  w.u64(targets_.size());
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    const Target& t = targets_[i];
     w.u64(t.id).vec2(t.position).i64(target_alias[i]).bytes(t.kind).boolean(
         t.active);
   }
-  w.u64(st.node_to_asset.size());
-  for (AssetId id : st.node_to_asset) w.u64(id);
-  w.u64(st.disruptions.size());
-  for (const SensingDisruption& d : st.disruptions) {
+  w.u64(node_to_asset_.size());
+  for (AssetId id : node_to_asset_) w.u64(id);
+  w.u64(disruptions_.size());
+  for (const SensingDisruption& d : disruptions_) {
     w.u64(static_cast<std::uint64_t>(d.modality))
         .rect(d.region)
         .time(d.start)
         .time(d.end)
         .f64(d.severity);
   }
-  w.rng(st.rng)
-      .boolean(st.started)
-      .dur(st.tick_period)
-      .time(st.next_tick_at)
-      .u64(st.tick_seq);
-  return true;
+  w.rng(rng_)
+      .boolean(started_)
+      .dur(tick_period_)
+      .time(next_tick_at_)
+      .u64(sim_.pending_seq(tick_event_));
 }
 
-bool World::decode_state(sim::Snapshot& snap, const std::string& key,
-                         sim::WireReader& r) const {
-  CheckpointState st;
+bool World::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
+  sim_.cancel(tick_event_);
+  tick_event_ = sim::kNoEvent;
   const std::uint64_t assets = r.u64();
   if (!r.ok() || assets > r.remaining()) return false;
-  st.assets.resize(static_cast<std::size_t>(assets));
-  for (Asset& a : st.assets) {
+  assets_.resize(static_cast<std::size_t>(assets));
+  for (Asset& a : assets_) {
     if (!decode_asset(r, a)) return false;
   }
-  st.alive.resize(st.assets.size());
-  for (std::uint8_t& v : st.alive) {
+  alive_.resize(assets_.size());
+  for (std::uint8_t& v : alive_) {
     const std::uint64_t raw = r.u64();
     if (raw > 1) return false;
     v = static_cast<std::uint8_t>(raw);
   }
-  st.energy.reserve(st.assets.size());
-  for (std::size_t i = 0; i < st.assets.size(); ++i) {
-    st.energy.push_back(decode_energy(r));
+  energy_.clear();
+  energy_.reserve(assets_.size());
+  for (std::size_t i = 0; i < assets_.size(); ++i) {
+    energy_.push_back(decode_energy(r));
   }
 
+  // Fresh models out of the image, never shared with the source stack: the
+  // snapshot stays immutable, so it can seed many branches, and each
+  // branch's mobility advances independently.
   const std::uint64_t models = r.u64();
   if (!r.ok() || models > r.remaining()) return false;
   std::vector<std::shared_ptr<MobilityModel>> table;
@@ -431,21 +358,21 @@ bool World::decode_state(sim::Snapshot& snap, const std::string& key,
                            std::shared_ptr<MobilityModel>& out) {
     if (alias < 0) {
       out = nullptr;
-      return true;
+      return alias == -1;
     }
     if (static_cast<std::uint64_t>(alias) >= table.size()) return false;
     out = table[static_cast<std::size_t>(alias)];
     return true;
   };
-  st.mobility.resize(st.assets.size());
-  for (auto& m : st.mobility) {
+  mobility_.resize(assets_.size());
+  for (auto& m : mobility_) {
     if (!resolve(r.i64(), m)) return false;
   }
 
   const std::uint64_t targets = r.u64();
   if (!r.ok() || targets > r.remaining()) return false;
-  st.targets.resize(static_cast<std::size_t>(targets));
-  for (Target& t : st.targets) {
+  targets_.resize(static_cast<std::size_t>(targets));
+  for (Target& t : targets_) {
     t.id = static_cast<TargetId>(r.u64());
     t.position = r.vec2();
     if (!resolve(r.i64(), t.mobility)) return false;
@@ -454,12 +381,12 @@ bool World::decode_state(sim::Snapshot& snap, const std::string& key,
   }
   const std::uint64_t nodes = r.u64();
   if (!r.ok() || nodes > r.remaining()) return false;
-  st.node_to_asset.resize(static_cast<std::size_t>(nodes));
-  for (AssetId& id : st.node_to_asset) id = static_cast<AssetId>(r.u64());
+  node_to_asset_.resize(static_cast<std::size_t>(nodes));
+  for (AssetId& id : node_to_asset_) id = static_cast<AssetId>(r.u64());
   const std::uint64_t disruptions = r.u64();
   if (!r.ok() || disruptions > r.remaining()) return false;
-  st.disruptions.resize(static_cast<std::size_t>(disruptions));
-  for (SensingDisruption& d : st.disruptions) {
+  disruptions_.resize(static_cast<std::size_t>(disruptions));
+  for (SensingDisruption& d : disruptions_) {
     std::uint64_t modality = 0;
     if (!decode_enum(r, kModalityCount, modality)) return false;
     d.modality = static_cast<Modality>(modality);
@@ -468,13 +395,23 @@ bool World::decode_state(sim::Snapshot& snap, const std::string& key,
     d.end = r.time();
     d.severity = r.f64();
   }
-  st.rng = r.rng();
-  st.started = r.boolean();
-  st.tick_period = r.dur();
-  st.next_tick_at = r.time();
-  st.tick_seq = r.u64();
+  rng_ = r.rng();
+  started_ = r.boolean();
+  tick_period_ = r.dur();
+  next_tick_at_ = r.time();
+  const std::uint64_t tick_seq = r.u64();
   if (!r.ok()) return false;
-  snap.put(key, std::move(st));
+  if (started_) {
+    // A fresh branch stack may not have had start() called; (re)installing
+    // the hook is idempotent on an in-place rewind.
+    install_transmit_hook();
+    if (tick_seq != 0) {
+      armer.rearm(next_tick_at_, tick_seq, [this] { run_tick(); }, tick_tag_,
+                  &tick_event_);
+    }
+  } else {
+    net_.set_transmit_hook({});
+  }
   return true;
 }
 

@@ -48,7 +48,7 @@ struct Target {
   bool active = true;
 };
 
-class World : public sim::SerializableCheckpointable {
+class World : public sim::Checkpointable {
  public:
   World(sim::Simulator& simulator, net::Network& network, sim::Rect area, sim::Rng rng);
   ~World() override;
@@ -145,43 +145,20 @@ class World : public sim::SerializableCheckpointable {
   sim::Rng& rng() { return rng_; }
 
   // --- Checkpointing ----------------------------------------------------
-  // POD model state (cold asset records, hot slabs with cloned mobility,
-  // targets, disruptions,
-  // node index, rng, tick cursor) round-trips through the Snapshot; the
+  // Model state (cold asset records, hot slabs with their mobility models,
+  // targets, disruptions, node index, rng, tick cursor) round-trips through
+  // the Snapshot. Mobility models cross it through an alias table spanning
+  // assets AND targets, so pointer sharing — which is state: two slots on
+  // one model share one Rng stream — survives the round trip. The
   // down/added hooks do NOT — they belong to the live service stack, and
   // restore() never fires them (the metrics/service state those hooks
   // produced is restored by the services' own participants).
 
   std::string_view checkpoint_key() const override { return "things.world"; }
-  void save(sim::Snapshot& snap, const std::string& key) const override;
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override;
-  /// Wire persistence (sim/wire.h). Mobility models cross the wire through
-  /// an alias table spanning assets AND targets, so pointer sharing — which
-  /// is state (clone_memoized preserves it in-memory) — survives the disk
-  /// round trip too.
-  bool encode_state(const sim::Snapshot& snap, const std::string& key,
-                    sim::WireWriter& w) const override;
-  bool decode_state(sim::Snapshot& snap, const std::string& key,
-                    sim::WireReader& r) const override;
+  void save(sim::WireWriter& w) const override;
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override;
 
  private:
-  struct CheckpointState {
-    std::vector<Asset> assets;             // cold records
-    // Hot slabs, parallel to assets.
-    std::vector<std::uint8_t> alive;
-    std::vector<EnergyModel> energy;
-    std::vector<std::shared_ptr<MobilityModel>> mobility;  // deep-cloned
-    std::vector<AssetId> node_to_asset;
-    std::vector<Target> targets;           // mobility deep-cloned
-    std::vector<SensingDisruption> disruptions;
-    sim::Rng rng;
-    bool started = false;
-    sim::Duration tick_period;
-    sim::SimTime next_tick_at;
-    std::uint64_t tick_seq = 0;  // original FIFO seq of the armed tick
-  };
-
   void install_transmit_hook();
   void arm_tick();
   void run_tick();

@@ -16,6 +16,7 @@
 #include "sim/checkpoint.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "sim/wire.h"
 #include "things/mobility.h"
 #include "things/population.h"
 #include "things/world.h"
@@ -50,34 +51,28 @@ class TrafficDriver final : public sim::Checkpointable {
 
   std::string_view checkpoint_key() const override { return "test.traffic"; }
 
-  void save(sim::Snapshot& snap, const std::string& key) const override {
-    snap.put(key, State{next_at_, round_, sim_.pending_seq(event_), started_});
+  void save(sim::WireWriter& w) const override {
+    w.time(next_at_).u64(round_).u64(sim_.pending_seq(event_)).boolean(started_);
   }
 
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override {
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override {
     sim_.cancel(event_);
     event_ = sim::kNoEvent;
-    const auto& st = snap.get<State>(key);
-    next_at_ = st.next_at;
-    round_ = st.round;
-    started_ = st.started;
+    next_at_ = r.time();
+    round_ = r.u64();
+    const std::uint64_t seq = r.u64();
+    started_ = r.boolean();
+    if (!r.ok()) return false;
     if (started_) {
       install_handlers();
-      if (st.seq != 0) {
-        armer.rearm(next_at_, st.seq, [this] { run(); }, tag_, &event_);
+      if (seq != 0) {
+        armer.rearm(next_at_, seq, [this] { run(); }, tag_, &event_);
       }
     }
+    return true;
   }
 
  private:
-  struct State {
-    sim::SimTime next_at;
-    std::uint64_t round = 0;
-    std::uint64_t seq = 0;
-    bool started = false;
-  };
-
   void install_handlers() {
     for (net::NodeId n = 0; n < net_.node_count(); ++n) {
       net_.set_handler(n, [this](const net::Message&) {

@@ -1,8 +1,8 @@
 // Tests for deterministic checkpoint/branch/restore (sim/checkpoint.h):
-// snapshot blob typing, registry key suffixing, clock rewind, FIFO-order
-// re-arming, the no-unowned-pending-events invariant, and digest-identical
-// restore across the full substrate stack (world mobility/energy, mid-
-// flight network frames, attack campaigns, fresh-stack branching).
+// registry key suffixing, clock rewind, FIFO-order re-arming, the
+// no-unowned-pending-events invariant, and digest-identical restore across
+// the full substrate stack (world mobility/energy, mid-flight network
+// frames, attack campaigns, fresh-stack branching).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "security/attacks.h"
 #include "sim/checkpoint.h"
 #include "sim/simulator.h"
+#include "sim/wire.h"
 #include "things/world.h"
 
 namespace iobt {
@@ -27,32 +28,17 @@ using sim::Rng;
 using sim::SimTime;
 using testing::CheckpointScenario;
 
-// ----------------------------------------------------------- Snapshot ----
-
-TEST(Snapshot, TypedBlobsRoundTripAndMismatchesThrow) {
-  sim::Snapshot snap;
-  snap.put(std::string("answer"), 42);
-  snap.put(std::string("name"), std::string("alpha"));
-  EXPECT_EQ(snap.get<int>("answer"), 42);
-  EXPECT_EQ(snap.get<std::string>("name"), "alpha");
-  EXPECT_EQ(snap.size(), 2u);
-  EXPECT_TRUE(snap.has("answer"));
-  EXPECT_FALSE(snap.has("absent"));
-  EXPECT_THROW(snap.get<double>("answer"), std::logic_error);  // wrong type
-  EXPECT_THROW(snap.get<int>("absent"), std::logic_error);     // missing key
-}
-
 // ------------------------------------------------- Test participants ----
 
 /// Minimal participant: saves one int, restores nothing, used for
 /// registry-level tests (key suffixing, clock rewind).
 struct Dummy final : sim::Checkpointable {
   std::string_view checkpoint_key() const override { return "dup"; }
-  void save(sim::Snapshot& snap, const std::string& key) const override {
-    snap.put(key, 1);
+  void save(sim::WireWriter& w) const override { w.u64(1); }
+  bool restore(sim::WireReader& r, sim::RestoreArmer&) override {
+    r.u64();
+    return true;
   }
-  void restore(const sim::Snapshot&, const std::string&,
-               sim::RestoreArmer&) override {}
 };
 
 /// A participant owning a list of one-shot events; each fire appends its
@@ -78,40 +64,33 @@ class Emitter final : public sim::Checkpointable {
 
   std::string_view checkpoint_key() const override { return key_; }
 
-  struct SavedRow {
-    int value = 0;
-    SimTime when;
-    bool fired = false;
-    std::uint64_t seq = 0;
-  };
-  struct State {
-    std::vector<SavedRow> rows;
-  };
-
-  void save(sim::Snapshot& snap, const std::string& key) const override {
-    State st;
+  void save(sim::WireWriter& w) const override {
+    w.u64(rows_.size());
     for (const Row& r : rows_) {
-      st.rows.push_back({r.value, r.when, r.fired, sim_.pending_seq(r.id)});
+      w.i64(r.value).time(r.when).boolean(r.fired).u64(sim_.pending_seq(r.id));
     }
-    snap.put(key, std::move(st));
   }
 
-  void restore(const sim::Snapshot& snap, const std::string& key,
-               sim::RestoreArmer& armer) override {
-    for (Row& r : rows_) {
-      sim_.cancel(r.id);
-      r.id = sim::kNoEvent;
+  bool restore(sim::WireReader& r, sim::RestoreArmer& armer) override {
+    for (Row& row : rows_) {
+      sim_.cancel(row.id);
+      row.id = sim::kNoEvent;
     }
-    const auto& st = snap.get<State>(key);
-    rows_.resize(st.rows.size());
+    const std::uint64_t n = r.u64();
+    if (!r.ok() || n > r.remaining()) return false;
+    rows_.resize(static_cast<std::size_t>(n));
     for (std::size_t i = 0; i < rows_.size(); ++i) {
-      rows_[i] = Row{st.rows[i].value, st.rows[i].when, st.rows[i].fired,
-                     sim::kNoEvent};
+      rows_[i].value = static_cast<int>(r.i64());
+      rows_[i].when = r.time();
+      rows_[i].fired = r.boolean();
+      rows_[i].id = sim::kNoEvent;
+      const std::uint64_t seq = r.u64();
       if (!rows_[i].fired) {
-        armer.rearm(rows_[i].when, st.rows[i].seq, [this, i] { fire(i); },
-                    sim::kUntagged, &rows_[i].id);
+        armer.rearm(rows_[i].when, seq, [this, i] { fire(i); }, sim::kUntagged,
+                    &rows_[i].id);
       }
     }
+    return r.ok();
   }
 
  private:
@@ -146,10 +125,17 @@ TEST(CheckpointRegistry, DuplicateKeysGetDeterministicSuffixes) {
   EXPECT_EQ(reg.register_participant(&d3), "dup#3");
   EXPECT_EQ(reg.participant_count(), 3u);
 
+  // The image carries each key, length-prefixed, in roster order.
   const sim::Snapshot snap = reg.save();
-  EXPECT_TRUE(snap.has("dup"));
-  EXPECT_TRUE(snap.has("dup#2"));
-  EXPECT_TRUE(snap.has("dup#3"));
+  const std::string& image = snap.image();
+  const std::size_t k1 = image.find(" 3 dup ");
+  const std::size_t k2 = image.find(" 5 dup#2 ");
+  const std::size_t k3 = image.find(" 5 dup#3 ");
+  EXPECT_NE(k1, std::string::npos);
+  EXPECT_NE(k2, std::string::npos);
+  EXPECT_NE(k3, std::string::npos);
+  EXPECT_LT(k1, k2);
+  EXPECT_LT(k2, k3);
 
   reg.unregister(&d2);
   EXPECT_EQ(reg.participant_count(), 2u);

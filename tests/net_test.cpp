@@ -719,6 +719,26 @@ TEST(SpatialGrid, MoveTracksCellMembership) {
   EXPECT_EQ(grid.size(), 1u);
 }
 
+TEST(SpatialGrid, FarAndNonFiniteCoordinatesSaturate) {
+  // A restored checkpoint can carry any double as a position. Cell indices
+  // saturate instead of overflowing: opposite far ends stay apart, and a
+  // query at the edge of the index space does not wrap around.
+  SpatialGrid grid(100.0);
+  grid.insert(1, {1e300, 1e300});
+  grid.insert(2, {std::nan(""), 0.0});
+  std::vector<NodeId> out;
+  grid.neighborhood({-1e300, -1e300}, out);
+  EXPECT_TRUE(out.empty());
+  grid.neighborhood({1e300, 1e300}, out);
+  EXPECT_EQ(out, (std::vector<NodeId>{1}));
+  out.clear();
+  grid.neighborhood_union({-1e300, 0.0}, {1e300, 1e300}, out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<NodeId>{1, 2}));
+  grid.remove(2, {std::nan(""), 0.0});
+  EXPECT_EQ(grid.size(), 1u);
+}
+
 TEST(SpatialGrid, NeighborhoodUnionIsBothBlocksEachIdOnce) {
   // Two ids per cell over a 10x10-cell patch of 100 m cells.
   SpatialGrid grid(100.0);

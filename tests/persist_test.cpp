@@ -1,8 +1,9 @@
 // Durable snapshot persistence (sim/wire.h, CheckpointRegistry
 // serialize/deserialize, serve/snapshot_store.h, and the CampaignService
 // disk tier): byte-stable golden images, load-then-branch digest identity
-// across worker counts, corrupt/truncated/mismatched files rejected back
-// to a cold simulation, and journal append durability failures surfaced.
+// across worker counts, corrupt/truncated/mismatched/mutated images and
+// old-version files rejected back to a cold simulation, and journal
+// append durability failures surfaced.
 
 #include <gtest/gtest.h>
 
@@ -134,13 +135,14 @@ TEST(WirePersistence, ReaderFailsSoftOnMalformedInput) {
 // ------------------------------------------------------ Registry images ----
 
 TEST(RegistrySerialization, MetricsImageWithNonCanonicalNumbersIsRejected) {
-  // One summary "k": count, mean, m2, min, max, seen, reservoir size.
+  // No counters, no gauges, one summary "k": count, mean, m2, min, max,
+  // seen, reservoir size — sim/wire.h tokens, each followed by one space.
   const std::string one = "3ff0000000000000";
   const std::string zero = "0000000000000000";
   const auto image = [&](const std::string& count, const std::string& mean,
                          const std::string& seen) {
-    return "m1 0 0 1 k " + count + " " + mean + " " + zero + " " + one + " " +
-           one + " " + seen + " 0";
+    return "0 0 1 1 k " + count + " " + mean + " " + zero + " " + one + " " +
+           one + " " + seen + " 0 ";
   };
   const std::string canonical = image("1", one, "1");
   const auto good = sim::MetricsRegistry::deserialize(canonical);
@@ -151,7 +153,9 @@ TEST(RegistrySerialization, MetricsImageWithNonCanonicalNumbersIsRejected) {
   for (const std::string& bad :
        {image("+1", one, "1"), image("01", one, "1"),
         image("18446744073709551616", one, "1"),
-        image("1", "3FF0000000000000", "1"), image("1", "-ff0000000000000", "1")}) {
+        image("1", "3FF0000000000000", "1"), image("1", "-ff0000000000000", "1"),
+        // The same summary in the version-1 text image.
+        "m1 0 0 1 k 1 " + one + " " + zero + " " + one + " " + one + " 1 0"}) {
     EXPECT_FALSE(sim::MetricsRegistry::deserialize(bad).has_value()) << bad;
   }
 }
@@ -227,6 +231,154 @@ TEST(RegistrySerialization, TruncatedImagesRejectCleanly) {
   // every byte.
   EXPECT_FALSE(
       s.sim.checkpoint().deserialize_snapshot(wire + "junk").has_value());
+}
+
+/// A snapshot image split at its framing: the header tokens and one
+/// (key, blob) pair per participant, in roster order.
+struct Framed {
+  std::uint64_t prefix = 0;
+  std::int64_t at = 0;
+  std::vector<std::pair<std::string, std::string>> parts;
+};
+
+Framed unframe(const std::string& image) {
+  sim::WireReader r(image);
+  Framed f;
+  f.prefix = r.u64();
+  f.at = r.i64();
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string key = r.bytes();
+    f.parts.emplace_back(std::move(key), r.bytes());
+  }
+  EXPECT_TRUE(r.ok() && r.at_end());
+  return f;
+}
+
+std::string frame(const Framed& f) {
+  sim::WireWriter w;
+  w.u64(f.prefix).i64(f.at).u64(f.parts.size());
+  for (const auto& [key, blob] : f.parts) w.bytes(key).bytes(blob);
+  return w.take();
+}
+
+/// One seeded mutation of `a`: a bit flip, a truncation, a splice with
+/// `b`, a duplicated token, or a decimal token (a count or length prefix)
+/// replaced by one larger than the image. Tokens are picked uniformly, so
+/// short count tokens are hit as often as long hex ones. `what`
+/// describes the mutation for the repro line.
+std::string mutate(const std::string& a, const std::string& b, sim::Rng& rng,
+                   std::string& what) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  // Space-separated tokens as [begin, end), and the decimal ones.
+  std::vector<std::pair<std::size_t, std::size_t>> tokens, decimals;
+  for (std::size_t begin = 0; begin < a.size();) {
+    const std::size_t end = std::min(a.find(' ', begin), a.size());
+    std::uint64_t v = 0;
+    tokens.emplace_back(begin, end);
+    if (sim::parse_u64_token(std::string_view(a).substr(begin, end - begin), v)) {
+      decimals.emplace_back(begin, end);
+    }
+    begin = end + 1;
+  }
+  std::string m = a;
+  switch (rng.uniform_int(0, 4)) {
+    case 0: {
+      const std::size_t at = pick(a.size());
+      const int bit = static_cast<int>(rng.uniform_int(0, 7));
+      m[at] = static_cast<char>(m[at] ^ (1 << bit));
+      what = "bit " + std::to_string(bit) + " of byte " + std::to_string(at);
+      break;
+    }
+    case 1: {
+      const std::size_t cut = pick(a.size());
+      m.resize(cut);
+      what = "truncated to " + std::to_string(cut) + " bytes";
+      break;
+    }
+    case 2: {
+      const std::size_t cut_a = pick(a.size());
+      const std::size_t cut_b = pick(b.size());
+      m = a.substr(0, cut_a) + b.substr(cut_b);
+      what = "splice a[0, " + std::to_string(cut_a) + ") + b[" +
+             std::to_string(cut_b) + ", end)";
+      break;
+    }
+    case 3: {
+      const auto [begin, end] = tokens[pick(tokens.size())];
+      m.insert(begin, a.substr(begin, end - begin) + " ");
+      what = "duplicated token at byte " + std::to_string(begin);
+      break;
+    }
+    default: {
+      const auto [begin, end] = decimals[pick(decimals.size())];
+      const std::string big = std::to_string(a.size() + 1 + pick(1u << 20));
+      m.replace(begin, end - begin, big);
+      what = "decimal token at byte " + std::to_string(begin) + " set to " + big;
+      break;
+    }
+  }
+  return m;
+}
+
+TEST(RegistrySerialization, MutatedImagesAreRejectedOrReachAFixedPoint) {
+  // Every mutant either decodes to nullopt, or restores without a crash
+  // and reaches a fixed point: the state it left behind, saved, restored
+  // into a second fresh stack and saved again, gives the same bytes. Both
+  // stacks are built by the same code, so re-armed events get the same
+  // kernel seqs on both sides. Half the mutants hit the whole image (its
+  // framing included); the other half hit one participant's blob and are
+  // re-framed, so a change of length still reaches that participant's
+  // reader instead of failing the framing.
+  constexpr std::uint64_t kSeed = 0x5eed0f1a7ULL;
+  constexpr int kMutants = 4000;
+  const Query q = tiny_query();
+  const std::string a = prefix_wire_image(q);
+  const std::string b = prefix_wire_image(tiny_query(43));
+  const Framed framed_a = unframe(a);
+  const Framed framed_b = unframe(b);
+  const sim::Rng root(kSeed);
+  int rejected = 0, accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    sim::Rng rng = root.child(static_cast<std::uint64_t>(i));
+    std::string what;
+    std::string mutant;
+    if (rng.bernoulli(0.5)) {
+      mutant = mutate(a, b, rng, what);
+    } else {
+      Framed f = framed_a;
+      const auto p = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(f.parts.size()) - 1));
+      f.parts[p].second = mutate(f.parts[p].second, framed_b.parts[p].second, rng, what);
+      what = f.parts[p].first + " blob, " + what;
+      mutant = frame(f);
+    }
+    const std::string repro =
+        "repro: persist_test --gtest_filter=RegistrySerialization."
+        "MutatedImagesAreRejectedOrReachAFixedPoint (seed " +
+        std::to_string(kSeed) + ", mutant " + std::to_string(i) + ": " + what + ")";
+    try {
+      dissem::DissemScenario first(q.spec, q.seed);
+      const auto snap = first.sim.checkpoint().deserialize_snapshot(mutant);
+      if (!snap) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      const sim::Snapshot once = first.sim.checkpoint().save(snap->prefix_hash());
+      dissem::DissemScenario second(q.spec, q.seed);
+      second.sim.checkpoint().restore(once);
+      const sim::Snapshot twice = second.sim.checkpoint().save(snap->prefix_hash());
+      EXPECT_EQ(once.image(), twice.image()) << repro;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << repro << " threw: " << e.what();
+    }
+  }
+  // The budget exercises both outcomes.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 // -------------------------------------------------------- Snapshot store ----
@@ -397,6 +549,53 @@ TEST(CampaignServiceDurability, CorruptDiskFilesFallBackToColdSimulation) {
   CampaignService again(opts);
   const serve::BatchResult healed = again.submit({q});
   EXPECT_EQ(healed.disk_hits, 1u);
+  EXPECT_EQ(healed.results[0].outcome.digest, reference);
+}
+
+TEST(CampaignServiceDurability, VersionOneFileIsRejectedAndRewritten) {
+  // A version-1 file holds the older metrics text image. Only its version
+  // token differs here (payload and checksum are intact), and that alone
+  // must reject it: the service re-simulates cold, answers exactly as
+  // run_uncached does, and overwrites the file with the current version.
+  const std::string dir = scratch_dir("version1");
+  const Query q = tiny_query(51, dissem::AttackCampaign::kGatewayHunt, 0.7);
+  const std::uint64_t reference = CampaignService::run_uncached(q).digest;
+
+  CampaignService::Options opts;
+  opts.workers = 1;
+  opts.snapshot_dir = dir;
+  {
+    CampaignService first(opts);
+    ASSERT_EQ(first.submit({q}).failures, 0u);
+  }
+  const std::string path =
+      dir + "/" + SnapshotStore::file_name(serve::prefix_hash(q));
+  const auto read_file = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  {
+    std::string all = read_file();
+    ASSERT_EQ(all.rfind("iosnap 2 ", 0), 0u);
+    all[7] = '1';
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << all;
+  }
+  CampaignService revived(opts);
+  const serve::BatchResult res = revived.submit({q});
+  EXPECT_EQ(res.failures, 0u);
+  EXPECT_EQ(res.disk_hits, 0u);
+  EXPECT_EQ(res.prefix_sims, 1u);
+  EXPECT_EQ(revived.cache_stats().disk_rejects, 1u);
+  EXPECT_EQ(revived.cache_stats().disk_stores, 1u);
+  EXPECT_EQ(res.results[0].outcome.digest, reference);
+  EXPECT_EQ(read_file().rfind("iosnap 2 ", 0), 0u);
+
+  CampaignService again(opts);
+  const serve::BatchResult healed = again.submit({q});
+  EXPECT_EQ(healed.disk_hits, 1u);
+  EXPECT_EQ(healed.prefix_sims, 0u);
   EXPECT_EQ(healed.results[0].outcome.digest, reference);
 }
 
