@@ -14,13 +14,14 @@
 //      vs naively re-simulating each variant from t = 0. Every branch must
 //      match its naive twin bit-for-bit — the speedup is only reported if
 //      the answers are identical,
-//   4. campaign resume: a CampaignJournal replays completed replications
-//      so a restarted sweep re-runs nothing.
+//   4. campaign resume: run_resumable puts each finished replication to a
+//      SnapshotStore, so a restarted sweep replays them and re-runs nothing.
 // Emits BENCH_checkpoint.json; exits nonzero on any digest divergence.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,9 +30,11 @@
 #include "net/network.h"
 #include "security/attacks.h"
 #include "sim/checkpoint.h"
+#include "sim/hash.h"
 #include "sim/rng.h"
 #include "sim/runner.h"
 #include "sim/simulator.h"
+#include "sim/snapshot_store.h"
 #include "sim/wire.h"
 #include "things/mobility.h"
 #include "things/population.h"
@@ -176,9 +179,7 @@ struct Scenario {
 
   std::uint64_t digest() const {
     std::uint64_t h = net.metrics().digest();
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
+    const auto mix = [&h](std::uint64_t v) { sim::hash_combine(h, v); };
     const auto mix_double = [&](double x) {
       std::uint64_t bits = 0;
       std::memcpy(&bits, &x, sizeof bits);
@@ -354,9 +355,10 @@ int main() {
       naive_ms, branched_ms, fanout_speedup,
       branches_identical ? "yes" : "NO — DIVERGED");
 
-  // ---- 4. Campaign resume through the journal -------------------------
-  const std::string journal_path = "BENCH_checkpoint_journal.tmp";
-  std::remove(journal_path.c_str());
+  // ---- 4. Campaign resume through the snapshot store -------------------
+  const std::string store_dir = "BENCH_checkpoint_store.tmp";
+  std::error_code ec;
+  std::filesystem::remove_all(store_dir, ec);
   const auto resume_body = [](sim::ReplicationContext& ctx) {
     Scenario s(ctx.seed, 48);
     s.sim.run_until(sim::SimTime::seconds(60));
@@ -371,12 +373,12 @@ int main() {
   std::size_t resumed = 0;
   bool resume_identical = true;
   {
-    sim::CampaignJournal journal(journal_path);
+    sim::SnapshotStore store(store_dir);
     WallTimer t;
     const auto first = fan.run_resumable<std::uint64_t>(seeds, resume_body,
-                                                        journal, encode, decode);
+                                                        store, encode, decode);
     first_ms = t.ms();
-    sim::CampaignJournal reopened(journal_path);
+    sim::SnapshotStore reopened(store_dir);
     WallTimer t2;
     const auto second = fan.run_resumable<std::uint64_t>(
         seeds, resume_body, reopened, encode, decode);
@@ -385,11 +387,11 @@ int main() {
     resume_identical = second.resumed == seeds.size() &&
                        second.merged.digest() == first.merged.digest();
   }
-  std::remove(journal_path.c_str());
+  std::filesystem::remove_all(store_dir, ec);
   all_identical = all_identical && resume_identical;
   row("");
   row("campaign resume: first run %.1f ms, resumed run %.1f ms (%zu/%zu "
-      "replications replayed from journal, digests %s)",
+      "replications replayed from the store, digests %s)",
       first_ms, resume_ms, resumed, seeds.size(),
       resume_identical ? "identical" : "DIVERGED");
 

@@ -17,8 +17,8 @@
 // A warm-restart section then exercises the durable snapshot tier: one
 // service populates a snapshot directory cold, is destroyed, and a SECOND
 // service over the same directory answers the same batch by re-warming
-// from disk — digest-identical, at a measured speedup. Emits
-// BENCH_serve.json.
+// from disk — digest-identical, at a measured speedup (fastest of several
+// such cycles). Emits BENCH_serve.json.
 //
 // Flags: --queries=N (per mix, default 24), --workers=N (default
 // bench_workers()), --snapshot-dir=PATH (durable tier directory for the
@@ -41,6 +41,7 @@
 #include "bench_util.h"
 #include "dissem/scenario.h"
 #include "serve/serve.h"
+#include "sim/snapshot_store.h"
 
 namespace {
 
@@ -224,19 +225,32 @@ bool digests_match(const serve::BatchResult& res,
 }
 
 struct RestartRow {
-  double cold_ms = 0.0;
-  double warm_ms = 0.0;
-  double speedup = 0.0;
-  std::size_t disk_hits = 0;
-  std::size_t disk_stores = 0;
+  std::vector<double> cold_runs_ms;  // one per cycle, in cycle order
+  std::vector<double> warm_runs_ms;
+  double cold_ms = 0.0;  // fastest cold pass
+  double warm_ms = 0.0;  // fastest warm pass
+  double speedup = 0.0;  // cold_ms / warm_ms
+  std::size_t disk_hits = 0;    // last warm pass
+  std::size_t disk_stores = 0;  // last cold pass
   bool identity = false;
   bool ok = false;
 };
 
-// In-process kill-and-restart: service A answers the batch cold and
-// persists every prefix; A is destroyed (its memory tier dies with it);
-// service B over the same directory answers the same batch by re-warming
-// from disk. The digest bar is run_uncached, same as everywhere else.
+// One cycle times one 4-query batch, and single-cycle ratios swung from
+// 1.08x to 3.48x on the same build, so the section runs several cycles
+// and reports the fastest cold and the fastest warm pass: the estimator
+// perfbench uses for deterministic work, since contention only ever adds
+// time.
+constexpr std::size_t kRestartCycles = 7;
+
+// In-process kill-and-restart, kRestartCycles times: service A answers the
+// batch cold and persists every prefix; A is destroyed (its memory tier
+// dies with it); service B over the same directory answers the same batch
+// by re-warming from disk. Each cycle first deletes the batch's snapshot
+// files, so every cold pass starts from an empty tier (other files in a
+// user's --snapshot-dir are left alone), and the last cycle leaves the
+// files for a --restart-only successor. The digest bar is run_uncached,
+// same as everywhere else, on every pass.
 RestartRow warm_restart_section(const std::string& dir, std::size_t workers) {
   const std::vector<serve::Query> batch = restart_batch();
   const std::vector<std::uint64_t> reference = restart_reference(batch);
@@ -247,20 +261,46 @@ RestartRow warm_restart_section(const std::string& dir, std::size_t workers) {
   so.snapshot_dir = dir;
 
   RestartRow out;
-  {
-    serve::CampaignService cold(so);
-    const serve::BatchResult res = cold.submit(batch);
-    out.cold_ms = res.wall_ms;
-    out.disk_stores = cold.cache_stats().disk_stores;
+  out.identity = true;
+  bool hits = true;
+  for (std::size_t cycle = 0; cycle < kRestartCycles; ++cycle) {
+    for (const serve::Query& q : batch) {
+      std::error_code ec;
+      std::filesystem::remove(
+          std::filesystem::path(dir) /
+              sim::SnapshotStore::file_name(serve::prefix_hash(q)),
+          ec);
+    }
+    {
+      serve::CampaignService cold(so);
+      const serve::BatchResult res = cold.submit(batch);
+      out.cold_runs_ms.push_back(res.wall_ms);
+      out.disk_stores = cold.cache_stats().disk_stores;
+      out.identity = out.identity && digests_match(res, reference);
+    }
+    serve::CampaignService warm(so);
+    const serve::BatchResult res = warm.submit(batch);
+    out.warm_runs_ms.push_back(res.wall_ms);
+    out.disk_hits = res.disk_hits;
+    out.identity = out.identity && digests_match(res, reference);
+    hits = hits && res.disk_hits > 0;
   }
-  serve::CampaignService warm(so);
-  const serve::BatchResult res = warm.submit(batch);
-  out.warm_ms = res.wall_ms;
-  out.speedup = res.wall_ms > 0 ? out.cold_ms / res.wall_ms : 0.0;
-  out.disk_hits = res.disk_hits;
-  out.identity = digests_match(res, reference);
-  out.ok = out.identity && out.disk_hits > 0;
+  out.cold_ms = *std::min_element(out.cold_runs_ms.begin(), out.cold_runs_ms.end());
+  out.warm_ms = *std::min_element(out.warm_runs_ms.begin(), out.warm_runs_ms.end());
+  out.speedup = out.warm_ms > 0 ? out.cold_ms / out.warm_ms : 0.0;
+  out.ok = out.identity && hits;
   return out;
+}
+
+/// `xs` as a JSON array of one-decimal numbers.
+std::string json_ms(const std::vector<double>& xs) {
+  std::string out = "[";
+  char buf[32];
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s%.1f", i == 0 ? "" : ", ", xs[i]);
+    out += buf;
+  }
+  return out + "]";
 }
 
 // --restart-only: the successor process of the CI kill-and-restart check.
@@ -467,6 +507,9 @@ int main(int argc, char** argv) {
   row("%-14s %-10.1f %-10.1f %-10.2f %-11zu %-12zu %-10s", "", restart.cold_ms,
       restart.warm_ms, restart.speedup, restart.disk_hits, restart.disk_stores,
       restart.identity ? "yes" : "NO — DIVERGED");
+  row("  fastest of %zu cycles; cold passes %s ms, warm passes %s ms",
+      kRestartCycles, json_ms(restart.cold_runs_ms).c_str(),
+      json_ms(restart.warm_runs_ms).c_str());
 
   // ---- JSON -----------------------------------------------------------
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
@@ -494,12 +537,14 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"hot_vs_cold_speedup\": %.3f,\n", speedup);
     std::fprintf(f,
-                 "  \"warm_restart\": {\"cold_ms\": %.1f, \"warm_ms\": %.1f, "
-                 "\"speedup\": %.3f, \"disk_hits\": %zu, \"disk_stores\": %zu, "
-                 "\"identity\": %s}\n",
-                 restart.cold_ms, restart.warm_ms, restart.speedup,
-                 restart.disk_hits, restart.disk_stores,
-                 restart.identity ? "true" : "false");
+                 "  \"warm_restart\": {\"cycles\": %zu, \"cold_ms\": %.1f, "
+                 "\"warm_ms\": %.1f, \"speedup\": %.3f, \"cold_runs_ms\": %s, "
+                 "\"warm_runs_ms\": %s, \"disk_hits\": %zu, "
+                 "\"disk_stores\": %zu, \"identity\": %s}\n",
+                 kRestartCycles, restart.cold_ms, restart.warm_ms,
+                 restart.speedup, json_ms(restart.cold_runs_ms).c_str(),
+                 json_ms(restart.warm_runs_ms).c_str(), restart.disk_hits,
+                 restart.disk_stores, restart.identity ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     row("");

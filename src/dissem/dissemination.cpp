@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/hash.h"
 #include "sim/wire.h"
 
 namespace iobt::dissem {
@@ -122,9 +123,7 @@ double Disseminator::time_to_fraction(double q) const {
 
 std::uint64_t Disseminator::digest() const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { sim::hash_combine(h, v); };
   mix(informed_at_.size());
   for (const sim::SimTime t : informed_at_) {
     mix(static_cast<std::uint64_t>(t.nanos()));
@@ -155,8 +154,12 @@ bool Disseminator::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
     sim_.cancel(row.armed);
     row.armed = sim::kNoEvent;
   }
+  // Node ids are checked against the network, which restores first in
+  // every stack: an id past it would throw from fire() or read past
+  // informed_at_ mid-run instead of rejecting the image here.
+  const std::size_t nodes = net_.node_count();
   const std::uint64_t informed = r.u64();
-  if (!r.ok() || informed > r.remaining()) return false;
+  if (!r.ok() || informed > nodes) return false;
   informed_at_.resize(static_cast<std::size_t>(informed));
   for (sim::SimTime& t : informed_at_) t = r.time();
   // Rebuild the full row table; reserve() first: re-arm closures capture
@@ -168,12 +171,13 @@ bool Disseminator::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
   rows_.reserve(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
     Row& row = rows_.emplace_back();
-    row.node = static_cast<net::NodeId>(r.u64());
+    const std::uint64_t node = r.u64();
+    row.node = static_cast<net::NodeId>(node);
     row.when = r.time();
     row.round = static_cast<int>(r.i64());
     row.fired = r.boolean();
     const std::uint64_t seq = r.u64();
-    if (!r.ok()) return false;
+    if (!r.ok() || node >= nodes) return false;
     if (row.fired) continue;
     if (seq == 0) {
       throw std::logic_error("Disseminator::restore: unfired gossip row " +
@@ -184,7 +188,13 @@ bool Disseminator::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
   informed_count_ = static_cast<std::size_t>(r.u64());
   seeded_at_ = r.time();
   attached_ = r.boolean();
-  if (!r.ok()) return false;
+  // time_to_fraction indexes the informed times by this count.
+  const auto stamped = std::count_if(
+      informed_at_.begin(), informed_at_.end(),
+      [](sim::SimTime t) { return t != sim::SimTime::max(); });
+  if (!r.ok() || informed_count_ != static_cast<std::size_t>(stamped)) {
+    return false;
+  }
   // Handlers are live-stack closures: re-install for every restored node
   // (including endpoints that exist only in the snapshot).
   if (attached_) install_handlers();
@@ -236,12 +246,16 @@ void ReconfigController::save(sim::WireWriter& w) const {
 }
 
 bool ReconfigController::restore(sim::WireReader& r, sim::RestoreArmer&) {
+  const std::size_t nodes = world_.network().node_count();  // restored first
   const std::uint64_t n = r.u64();
   if (!r.ok() || n > r.remaining()) return false;
   promotions_.resize(static_cast<std::size_t>(n));
   for (Promotion& p : promotions_) {
-    p.lost = static_cast<net::NodeId>(r.u64());
-    p.promoted = static_cast<net::NodeId>(r.u64());
+    const std::uint64_t lost = r.u64();
+    const std::uint64_t promoted = r.u64();
+    if (lost >= nodes || promoted >= nodes) return false;
+    p.lost = static_cast<net::NodeId>(lost);
+    p.promoted = static_cast<net::NodeId>(promoted);
     p.at = r.time();
   }
   return r.ok();

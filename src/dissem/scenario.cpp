@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "sim/hash.h"
 #include "things/mobility.h"
 #include "things/population.h"
 
@@ -211,9 +212,7 @@ DissemOutcome DissemScenario::outcome() const {
   o.t90_s = dissem.time_to_fraction(0.9);
   o.promotions = reconfig.promotions().size();
   std::uint64_t h = dissem.digest();
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { sim::hash_combine(h, v); };
   mix(net.metrics().digest());
   mix(static_cast<std::uint64_t>(sim.now().nanos()));
   mix(o.live);

@@ -288,7 +288,12 @@ bool AttackInjector::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
   const std::uint64_t sybils = r.u64();
   if (!r.ok() || sybils > r.remaining()) return false;
   std::vector<things::AssetId> sybil_ids(static_cast<std::size_t>(sybils));
-  for (things::AssetId& id : sybil_ids) id = static_cast<things::AssetId>(r.u64());
+  for (things::AssetId& id : sybil_ids) {
+    // Callers look the ids up in the world, which restores first.
+    const std::uint64_t asset = r.u64();
+    if (asset >= world_.asset_count()) return false;
+    id = static_cast<things::AssetId>(asset);
+  }
   const std::uint64_t events = r.u64();
   if (!r.ok() || events > r.remaining()) return false;
   std::vector<AttackEvent> log(static_cast<std::size_t>(events));

@@ -151,7 +151,7 @@ CampaignService::CampaignService(Options opts) : opts_(std::move(opts)) {
     throw std::invalid_argument("CampaignService: cache_capacity must be >= 1");
   }
   if (!opts_.snapshot_dir.empty()) {
-    store_ = std::make_unique<SnapshotStore>(opts_.snapshot_dir);
+    store_ = std::make_unique<sim::SnapshotStore>(opts_.snapshot_dir);
   }
 }
 
@@ -219,12 +219,12 @@ std::shared_ptr<const sim::Snapshot> CampaignService::disk_get(
   const auto load_start = std::chrono::steady_clock::now();
   std::string bytes;
   switch (store_->get(key, bytes)) {
-    case SnapshotStore::GetStatus::kMissing:
+    case sim::SnapshotStore::GetStatus::kMissing:
       return nullptr;
-    case SnapshotStore::GetStatus::kRejected:
+    case sim::SnapshotStore::GetStatus::kRejected:
       ++stats_.disk_rejects;
       return nullptr;
-    case SnapshotStore::GetStatus::kHit:
+    case sim::SnapshotStore::GetStatus::kHit:
       break;
   }
   // Decode by restoring into a scratch stack built from the query itself:

@@ -29,9 +29,9 @@
 #include <vector>
 
 #include "dissem/scenario.h"
-#include "serve/snapshot_store.h"
 #include "sim/checkpoint.h"
 #include "sim/runner.h"
+#include "sim/snapshot_store.h"
 
 namespace iobt::serve {
 
@@ -202,7 +202,7 @@ class CampaignService {
   std::vector<CacheEntry> cache_;  ///< unordered; recency lives in last_use
   CacheStats stats_;
   /// Durable tier; null when Options::snapshot_dir is empty.
-  std::unique_ptr<SnapshotStore> store_;
+  std::unique_ptr<sim::SnapshotStore> store_;
   /// Monotonic touch counter driving the eviction recency term.
   std::uint64_t use_clock_ = 0;
 };

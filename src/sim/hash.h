@@ -17,6 +17,11 @@
 // canonicalized to +0.0 and every NaN to one quiet NaN, so semantically
 // equal specs built through different arithmetic hash equal. Strings are
 // length-prefixed so field boundaries cannot alias ("ab","c" != "a","bc").
+//
+// hash_combine is the other, cheaper fold: the order-dependent mix every
+// content digest uses (MetricsRegistry::digest, the dissemination and
+// scenario outcome digests). Digests are pinned as goldens, so its
+// arithmetic is part of their definition and must never change.
 
 #include <cstdint>
 #include <cstring>
@@ -25,6 +30,12 @@
 #include "sim/rng.h"
 
 namespace iobt::sim {
+
+/// Folds `v` into the running digest `h` (the boost::hash_combine mix,
+/// widened to 64 bits).
+constexpr void hash_combine(std::uint64_t& h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+}
 
 class StableHash {
  public:

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sim/hash.h"
 #include "sim/rng.h"
 #include "sim/wire.h"
 
@@ -62,25 +63,21 @@ void Summary::merge(const Summary& other) {
 
 namespace {
 
-void hash_u64(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-
 void hash_double(std::uint64_t& h, double x) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &x, sizeof bits);
-  hash_u64(h, bits);
+  hash_combine(h, bits);
 }
 
 }  // namespace
 
 void Summary::hash_into(std::uint64_t& h) const {
-  hash_u64(h, count_);
+  hash_combine(h, count_);
   hash_double(h, mean_);
   hash_double(h, m2_);
   hash_double(h, min_);
   hash_double(h, max_);
-  hash_u64(h, reservoir_.size());
+  hash_combine(h, reservoir_.size());
   for (double x : reservoir_) hash_double(h, x);
 }
 
@@ -94,19 +91,19 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
 
 std::uint64_t MetricsRegistry::digest() const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_u64(h, counters_.size());
+  hash_combine(h, counters_.size());
   for (const auto& [key, value] : counters_) {
-    hash_u64(h, fnv1a(key));
+    hash_combine(h, fnv1a(key));
     hash_double(h, value);
   }
-  hash_u64(h, gauges_.size());
+  hash_combine(h, gauges_.size());
   for (const auto& [key, value] : gauges_) {
-    hash_u64(h, fnv1a(key));
+    hash_combine(h, fnv1a(key));
     hash_double(h, value);
   }
-  hash_u64(h, summaries_.size());
+  hash_combine(h, summaries_.size());
   for (const auto& [key, summary] : summaries_) {
-    hash_u64(h, fnv1a(key));
+    hash_combine(h, fnv1a(key));
     summary.hash_into(h);
   }
   return h;
@@ -130,7 +127,7 @@ Summary Summary::from_state(State s) {
 
 namespace {
 
-/// Journal-safe key: non-empty, free of whitespace, ';' and '\\'.
+/// Save-safe key: non-empty, free of whitespace, ';' and '\\'.
 bool key_ok(std::string_view key) {
   return !key.empty() && key.find_first_of(" \t\r\n;\\") == std::string_view::npos;
 }
@@ -139,11 +136,11 @@ void check_key(const std::string& key) {
   if (!key_ok(key)) {
     throw std::logic_error(
         "MetricsRegistry::save: key '" + key +
-        "' is not journal-safe (empty or contains whitespace/';'/'\\')");
+        "' is not save-safe (empty or contains whitespace/';'/'\\')");
   }
 }
 
-/// Reads one section key: journal-safe and strictly after `prev`, the
+/// Reads one section key: save-safe and strictly after `prev`, the
 /// order save() writes a std::map in — so an accepted image re-encodes to
 /// the same bytes.
 bool read_key(WireReader& r, const std::string* prev, std::string& out) {
@@ -221,21 +218,6 @@ bool MetricsRegistry::restore(WireReader& r) {
     prev = &it->first;
   }
   return true;
-}
-
-std::string MetricsRegistry::serialize() const {
-  WireWriter w;
-  save(w);
-  return w.take();
-}
-
-std::optional<MetricsRegistry> MetricsRegistry::deserialize(
-    std::string_view text) {
-  WireReader r(text);
-  MetricsRegistry out;
-  // Trailing bytes mean the image was not produced by serialize().
-  if (!out.restore(r) || !r.at_end()) return std::nullopt;
-  return out;
 }
 
 double Summary::quantile(double q) const {

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,7 +53,7 @@ class Summary {
   void hash_into(std::uint64_t& h) const;
 
   /// Full internal state, exposed for bit-exact round-trips (checkpoint
-  /// snapshots, campaign journals). A summary rebuilt via from_state()
+  /// snapshots, stored replication records). A summary rebuilt via from_state()
   /// digests identically AND continues the deterministic reservoir stream
   /// exactly where the original left off.
   struct State {
@@ -141,21 +140,16 @@ class MetricsRegistry {
   /// Writes the full registry as sim/wire.h tokens, bit-exact: doubles
   /// travel as the hex of their bit pattern (NaN payloads, -0.0 and
   /// infinities survive), so restore(save()) digests identically. Network
-  /// checkpoints embed this image; campaign journals persist it per
-  /// replication (serialize). Keys must be non-empty and free of
-  /// whitespace, ';' and '\\' (all repo keys are dotted identifiers); save
-  /// throws std::logic_error otherwise.
+  /// checkpoints embed this image, and so does every replication record
+  /// ParallelRunner::run_resumable stores. Keys must be non-empty and free
+  /// of whitespace, ';' and '\\' (all repo keys are dotted identifiers);
+  /// save throws std::logic_error otherwise.
   void save(WireWriter& w) const;
   /// Reads a save() image over this registry. False on malformed input —
   /// a bad token, a reservoir past kReservoirCap, keys out of order or not
-  /// journal-safe — leaving the registry unspecified.
+  /// save-safe — leaving the registry unspecified. Reads exactly one image:
+  /// a caller holding a standalone image also checks WireReader::at_end.
   bool restore(WireReader& r);
-  /// save() as a standalone string, and its exact inverse (nullopt on any
-  /// malformed or trailing input: a journal line truncated by a crash, an
-  /// image from another format version, ...).
-  std::string serialize() const;
-  static std::optional<MetricsRegistry> deserialize(std::string_view text);
-
  private:
   std::map<std::string, double> counters_;
   std::map<std::string, double> gauges_;

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -32,6 +31,7 @@
 
 #include "sim/metrics.h"
 #include "sim/rng.h"
+#include "sim/snapshot_store.h"
 
 namespace iobt::sim {
 
@@ -68,14 +68,14 @@ struct RunOutcome {
   std::size_t failures = 0;
   std::size_t workers = 0;  // pool size actually used (0 = inline serial)
   double wall_ms = 0.0;     // whole-batch wall time
-  /// Replications satisfied from a campaign journal instead of being
-  /// re-run (run_resumable only; plain run() leaves it 0).
+  /// Replications replayed from the store instead of being re-run
+  /// (run_resumable only; plain run() leaves it 0).
   std::size_t resumed = 0;
-  /// Successful replications whose journal append FAILED (disk full,
+  /// Successful replications the store did not accept (disk full,
   /// permissions, ...). Their results are still in `replications` — the
   /// campaign's answers are correct — but they are not durable: a resume
-  /// will re-run them. Nonzero means the journal file is impaired.
-  std::size_t journal_write_failures = 0;
+  /// will re-run them. Nonzero means the store directory is impaired.
+  std::size_t store_write_failures = 0;
 
   /// Projects one double per successful replication, in seed order.
   std::vector<double> values(const std::function<double(const T&)>& f) const {
@@ -95,58 +95,20 @@ struct RunOutcome {
   }
 };
 
-/// One completed replication as persisted in a CampaignJournal.
-struct JournalEntry {
-  std::uint64_t seed = 0;
-  std::size_t index = 0;
-  double wall_ms = 0.0;
-  /// User payload, encoded by the caller's `encode` closure.
-  std::string payload;
-  /// MetricsRegistry::serialize() image — bit-exact across the round trip.
-  std::string metrics;
-};
+/// Store key of replication `index` of seed `seed` under run_resumable:
+/// StableHash("runner.replication") over both fields, so a reordered or
+/// extended seed list never aliases.
+std::uint64_t replication_key(std::uint64_t seed, std::size_t index);
 
-/// Append-only journal of completed replications, backing campaign resume:
-/// results stream to disk as they finish, and a campaign restarted after an
-/// interruption (crash at replication 900/1000, preempted job, ...) replays
-/// the journaled results instead of re-simulating them. One escaped text
-/// line per entry; loading skips malformed lines (a line truncated by a
-/// crash mid-write costs exactly that one replication). A truncated tail
-/// also lacks its terminating newline, so the first append after reopening
-/// writes a separator first — otherwise the new entry would be glued onto
-/// the partial line (whose escaped '\\t' separators make the merged line
-/// look almost-parseable) and both would be lost on the next load. append()
-/// is thread-safe and flushes before returning, so the journal is as
-/// current as the last completed replication at any kill point.
-class CampaignJournal {
- public:
-  /// Opens (and loads) `path`; the file is created on first append.
-  explicit CampaignJournal(std::string path);
-
-  const std::string& path() const { return path_; }
-  const std::vector<JournalEntry>& entries() const { return entries_; }
-
-  /// The journaled entry for (seed, index), or nullptr. Matching uses both
-  /// fields so a reordered or extended seed list never aliases.
-  const JournalEntry* find(std::uint64_t seed, std::size_t index) const;
-
-  /// Durably appends `e` (write + flush) before recording it in memory.
-  /// Throws std::runtime_error if the file cannot be opened or the write
-  /// fails — an entry the disk did not accept is NOT added to entries(),
-  /// so memory and disk never disagree about what is journaled, and a
-  /// resume re-runs the replication instead of trusting a phantom entry.
-  /// After a failed write the on-disk fragment is treated like a
-  /// crash-truncated tail (separator first on the next append).
-  void append(const JournalEntry& e);
-
- private:
-  std::string path_;
-  std::mutex mu_;
-  std::vector<JournalEntry> entries_;
-  /// True when the file on disk ends mid-line (crash-truncated tail): the
-  /// next append must emit a '\n' first so it starts a fresh line.
-  bool tail_needs_newline_ = false;
-};
+/// One finished replication as run_resumable stores it: the sim/wire.h
+/// tokens f64(wall_ms), bytes(payload), then the MetricsRegistry::save
+/// image — bit-exact, so a replayed replication digests like the original.
+std::string encode_replication(double wall_ms, std::string_view payload,
+                               const MetricsRegistry& metrics);
+/// Inverse of encode_replication: false unless `record` decodes to its last
+/// byte. On success `payload` points into `record`.
+bool decode_replication(std::string_view record, double& wall_ms,
+                        std::string_view& payload, MetricsRegistry& metrics);
 
 class ParallelRunner {
  public:
@@ -168,33 +130,32 @@ class ParallelRunner {
     return execute<T>(seeds, body, nullptr, {}, {});
   }
 
-  /// run() with campaign resume: replications already present in `journal`
-  /// (matched by seed AND index) are replayed from their journaled payload
-  /// + metrics instead of being re-run; the rest execute normally and are
-  /// appended to the journal as they complete. `encode`/`decode` round-trip
-  /// the payload T through the journal's text format (the encoding may not
-  /// contain newlines after escaping — the journal escapes '\\', tab and
-  /// newline itself). Because MetricsRegistry serialization is bit-exact
-  /// and aggregation stays in seed order, an interrupted-then-resumed
-  /// campaign produces a merged registry digest-identical to an
-  /// uninterrupted one.
+  /// run() with campaign resume: a replication whose record `store` holds
+  /// (under replication_key(seed, index)) is replayed from its stored
+  /// payload + metrics instead of being re-run; the rest execute normally
+  /// and each success is put to the store as it completes. `encode`/`decode`
+  /// round-trip the payload T (any bytes: the record length-prefixes it).
+  /// Because the metrics image is bit-exact and aggregation stays in seed
+  /// order, an interrupted-then-resumed campaign produces a merged registry
+  /// digest-identical to an uninterrupted one. Keys carry only (seed,
+  /// index), so each campaign needs its own store directory.
   template <typename T>
   RunOutcome<T> run_resumable(
       const std::vector<std::uint64_t>& seeds,
       const std::function<T(ReplicationContext&)>& body,
-      CampaignJournal& journal,
+      SnapshotStore& store,
       const std::function<std::string(const T&)>& encode,
       const std::function<T(std::string_view)>& decode) const {
-    return execute<T>(seeds, body, &journal, encode, decode);
+    return execute<T>(seeds, body, &store, encode, decode);
   }
 
  private:
-  /// The one fan-out loop behind run() and run_resumable(). `journal` is
+  /// The one fan-out loop behind run() and run_resumable(). `store` is
   /// null for a plain run; `encode`/`decode` are then never called.
   template <typename T>
   RunOutcome<T> execute(const std::vector<std::uint64_t>& seeds,
                         const std::function<T(ReplicationContext&)>& body,
-                        CampaignJournal* journal,
+                        SnapshotStore* store,
                         const std::function<std::string(const T&)>& encode,
                         const std::function<T(std::string_view)>& decode) const {
     RunOutcome<T> out;
@@ -202,33 +163,38 @@ class ParallelRunner {
     out.replications.resize(n);
     const auto batch_start = std::chrono::steady_clock::now();
 
-    // Replay completed replications from the journal. The journal is read
-    // back from disk, so an entry whose metrics image fails to parse or
-    // whose payload the caller cannot decode (version skew, foreign
-    // content) is re-run, never trusted and never fatal.
+    // Replay completed replications from the store. Records are read back
+    // from disk, so one the store rejects, one that does not decode to its
+    // last byte, and one whose payload the caller cannot decode (version
+    // skew, foreign content) are re-run, never trusted and never fatal.
     std::vector<char> done(n, 0);
-    for (std::size_t i = 0; journal && i < n; ++i) {
-      const JournalEntry* e = journal->find(seeds[i], i);
-      if (!e) continue;
-      auto metrics = MetricsRegistry::deserialize(e->metrics);
-      if (!metrics) continue;
+    for (std::size_t i = 0; store && i < n; ++i) {
+      std::string record;
+      double wall_ms = 0.0;
+      std::string_view payload;
+      MetricsRegistry metrics;
+      if (store->get(replication_key(seeds[i], i), record) !=
+              SnapshotStore::GetStatus::kHit ||
+          !decode_replication(record, wall_ms, payload, metrics)) {
+        continue;
+      }
       ReplicationResult<T>& r = out.replications[i];
       try {
-        r.payload = decode(e->payload);
+        r.payload = decode(payload);
       } catch (...) {
         continue;
       }
       r.seed = seeds[i];
       r.index = i;
       r.ok = true;
-      r.wall_ms = e->wall_ms;
-      r.metrics = std::move(*metrics);
+      r.wall_ms = wall_ms;
+      r.metrics = std::move(metrics);
       done[i] = 1;
       ++out.resumed;
     }
 
     std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> journal_failures{0};
+    std::atomic<std::size_t> write_failures{0};
     auto drain = [&] {
       for (;;) {
         const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -236,18 +202,20 @@ class ParallelRunner {
         if (done[i]) continue;
         run_one(seeds[i], i, body, out.replications[i]);
         const ReplicationResult<T>& r = out.replications[i];
-        // Failures are not journaled: a resume retries them.
-        if (!journal || !r.ok) continue;
-        // append() throws when the disk refuses the entry. The result
-        // itself is still good — count the durability loss instead of
-        // letting the exception tear down a worker thread (which would
-        // terminate the process) or fail the replication.
+        // Failures are not stored: a resume retries them.
+        if (!store || !r.ok) continue;
+        // A record the store refuses, or that cannot be encoded (a throwing
+        // `encode`, a metrics key save() rejects), leaves the result good
+        // but not durable: count it rather than fail the replication or let
+        // an exception tear down a worker thread (terminating the process).
+        bool stored = false;
         try {
-          journal->append(JournalEntry{r.seed, r.index, r.wall_ms,
-                                       encode(r.payload), r.metrics.serialize()});
+          stored = store->put(
+              replication_key(r.seed, r.index),
+              encode_replication(r.wall_ms, encode(r.payload), r.metrics));
         } catch (const std::exception&) {
-          journal_failures.fetch_add(1, std::memory_order_relaxed);
         }
+        if (!stored) write_failures.fetch_add(1, std::memory_order_relaxed);
       }
     };
 
@@ -264,7 +232,7 @@ class ParallelRunner {
     }
 
     // Aggregation strictly in seed order — the determinism guarantee.
-    out.journal_write_failures = journal_failures.load(std::memory_order_relaxed);
+    out.store_write_failures = write_failures.load(std::memory_order_relaxed);
     for (const auto& r : out.replications) {
       if (!r.ok) ++out.failures;
       out.merged.merge_from(r.metrics);

@@ -8,8 +8,8 @@
 // not preserve NaN payloads or distinguish every -0.0 path), integers as
 // decimal tokens, and byte strings length-prefixed so embedded spaces and
 // newlines never confuse the tokenizer. This is the library's one text
-// codec: checkpoint images and MetricsRegistry images (campaign journals
-// included) are written and read with it.
+// codec: checkpoint images, MetricsRegistry images and the replication
+// records of campaign resume are written and read with it.
 //
 // WireReader is fail-soft: any malformed token latches ok() to false and
 // every subsequent read returns a zero value, so decoders can run a whole
@@ -18,7 +18,7 @@
 //
 // parse_u64_token / parse_hex64_token / parse_f64_token are the one strict
 // number parser for every text image in the library (wire images, metrics
-// images, campaign journals, snapshot-file headers). They accept exactly
+// images, replication records, snapshot-file headers). They accept exactly
 // what the writers emit, so an accepted token re-encodes to the same bytes.
 
 #include <array>

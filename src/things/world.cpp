@@ -202,22 +202,26 @@ void encode_asset(sim::WireWriter& w, const Asset& a) {
   w.f64(a.report_reliability);
 }
 
-/// Reads a u64 and range-checks it against an enum's cardinality.
+/// Reads a u64 and range-checks it against a cardinality: an enum's, or
+/// the restored network's node count for a node id.
 bool decode_enum(sim::WireReader& r, std::uint64_t limit, std::uint64_t& out) {
   out = r.u64();
   return r.ok() && out < limit;
 }
 
-bool decode_asset(sim::WireReader& r, Asset& a) {
-  a.id = static_cast<AssetId>(r.u64());
-  std::uint64_t device = 0, affiliation = 0;
-  if (!decode_enum(r, kDeviceClassCount, device) ||
-      !decode_enum(r, 3, affiliation)) {
+/// The asset in slot `index`: its id must be the slot, and its node an
+/// endpoint of a network of `nodes` nodes.
+bool decode_asset(sim::WireReader& r, Asset& a, std::size_t index,
+                  std::size_t nodes) {
+  std::uint64_t device = 0, affiliation = 0, node = 0;
+  if (r.u64() != index || !decode_enum(r, kDeviceClassCount, device) ||
+      !decode_enum(r, 3, affiliation) || !decode_enum(r, nodes, node)) {
     return false;
   }
+  a.id = static_cast<AssetId>(index);
   a.device_class = static_cast<DeviceClass>(device);
   a.affiliation = static_cast<Affiliation>(affiliation);
-  a.node = static_cast<net::NodeId>(r.u64());
+  a.node = static_cast<net::NodeId>(node);
   const std::uint64_t sensors = r.u64();
   if (!r.ok() || sensors > r.remaining()) return false;
   a.sensors.resize(static_cast<std::size_t>(sensors));
@@ -324,11 +328,16 @@ void World::save(sim::WireWriter& w) const {
 bool World::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
   sim_.cancel(tick_event_);
   tick_event_ = sim::kNoEvent;
+  // Ids are checked against the network, which restores first in every
+  // stack, and against the asset slabs: the tick and the transmit hook
+  // index by them unchecked, so an id past either would crash the run
+  // after the image was accepted.
+  const std::size_t nodes = net_.node_count();
   const std::uint64_t assets = r.u64();
   if (!r.ok() || assets > r.remaining()) return false;
   assets_.resize(static_cast<std::size_t>(assets));
-  for (Asset& a : assets_) {
-    if (!decode_asset(r, a)) return false;
+  for (std::size_t i = 0; i < assets_.size(); ++i) {
+    if (!decode_asset(r, assets_[i], i, nodes)) return false;
   }
   alive_.resize(assets_.size());
   for (std::uint8_t& v : alive_) {
@@ -379,10 +388,14 @@ bool World::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
     t.kind = r.bytes();
     t.active = r.boolean();
   }
-  const std::uint64_t nodes = r.u64();
-  if (!r.ok() || nodes > r.remaining()) return false;
-  node_to_asset_.resize(static_cast<std::size_t>(nodes));
-  for (AssetId& id : node_to_asset_) id = static_cast<AssetId>(r.u64());
+  const std::uint64_t mapped = r.u64();
+  if (!r.ok() || mapped > nodes) return false;
+  node_to_asset_.resize(static_cast<std::size_t>(mapped));
+  for (AssetId& id : node_to_asset_) {
+    const std::uint64_t asset = r.u64();
+    if (asset >= assets_.size()) return false;
+    id = static_cast<AssetId>(asset);
+  }
   const std::uint64_t disruptions = r.u64();
   if (!r.ok() || disruptions > r.remaining()) return false;
   disruptions_.resize(static_cast<std::size_t>(disruptions));

@@ -14,6 +14,7 @@
 #include "net/network.h"
 #include "security/attacks.h"
 #include "sim/checkpoint.h"
+#include "sim/hash.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/wire.h"
@@ -175,9 +176,7 @@ struct CheckpointScenario {
   /// liveness + exact positions, attack log, and the clock.
   std::uint64_t digest() const {
     std::uint64_t h = net.metrics().digest();
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
+    const auto mix = [&h](std::uint64_t v) { sim::hash_combine(h, v); };
     const auto mix_double = [&](double x) {
       std::uint64_t bits = 0;
       std::memcpy(&bits, &x, sizeof bits);

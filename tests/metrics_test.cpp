@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/metrics.h"
+#include "sim/wire.h"
 
 namespace iobt::sim {
 namespace {
@@ -234,6 +236,22 @@ TEST(MetricsRegistryTest, DigestCoversKeyNames) {
 
 // -------------------------------------------------------- Serialization ----
 
+/// save() as one standalone image.
+std::string image_of(const MetricsRegistry& m) {
+  WireWriter w;
+  m.save(w);
+  return w.take();
+}
+
+/// restore() of one standalone image: nullopt unless it reads to its last
+/// byte.
+std::optional<MetricsRegistry> read_image(std::string_view image) {
+  WireReader r(image);
+  MetricsRegistry m;
+  if (!m.restore(r) || !r.at_end()) return std::nullopt;
+  return m;
+}
+
 TEST(MetricsRegistryTest, SerializeRoundTripIsBitExact) {
   MetricsRegistry m;
   m.count("frames.delivered", 12345);
@@ -249,12 +267,12 @@ TEST(MetricsRegistryTest, SerializeRoundTripIsBitExact) {
   for (std::size_t i = 0; i < Summary::kReservoirCap + 500; ++i) {
     m.observe("big", static_cast<double>(i) * 1.0000001);
   }
-  const std::string image = m.serialize();
-  auto back = MetricsRegistry::deserialize(image);
+  const std::string image = image_of(m);
+  auto back = read_image(image);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->digest(), m.digest());
   // Re-serializing before any further mutation is byte-stable.
-  EXPECT_EQ(back->serialize(), image);
+  EXPECT_EQ(image_of(*back), image);
   // The round trip also continues identically: observing the same sample
   // on both sides keeps the reservoir streams in lockstep.
   m.observe("big", 9.75);
@@ -264,35 +282,35 @@ TEST(MetricsRegistryTest, SerializeRoundTripIsBitExact) {
 
 TEST(MetricsRegistryTest, SerializeEmptyRegistryRoundTrips) {
   MetricsRegistry m;
-  auto back = MetricsRegistry::deserialize(m.serialize());
+  auto back = read_image(image_of(m));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->digest(), m.digest());
 }
 
 TEST(MetricsRegistryTest, DeserializeRejectsMalformedInput) {
-  EXPECT_FALSE(MetricsRegistry::deserialize("").has_value());
-  EXPECT_FALSE(MetricsRegistry::deserialize("bogus").has_value());
-  EXPECT_FALSE(MetricsRegistry::deserialize("m2\n").has_value());  // version
+  EXPECT_FALSE(read_image("").has_value());
+  EXPECT_FALSE(read_image("bogus").has_value());
+  EXPECT_FALSE(read_image("m2\n").has_value());  // version
   MetricsRegistry m;
   m.count("c", 2);
   m.observe("s", 1.0);
-  const std::string image = m.serialize();
+  const std::string image = image_of(m);
   // Truncation anywhere must be caught, not silently accepted.
   for (const std::size_t cut : {image.size() / 4, image.size() / 2, image.size() - 1}) {
-    EXPECT_FALSE(MetricsRegistry::deserialize(image.substr(0, cut)).has_value())
+    EXPECT_FALSE(read_image(image.substr(0, cut)).has_value())
         << "cut at " << cut;
   }
   // Trailing garbage as well.
-  EXPECT_FALSE(MetricsRegistry::deserialize(image + "extra").has_value());
+  EXPECT_FALSE(read_image(image + "extra").has_value());
 }
 
 TEST(MetricsRegistryTest, SerializeRejectsUnescapableKeys) {
   MetricsRegistry with_ws;
   with_ws.count("bad key");
-  EXPECT_THROW(with_ws.serialize(), std::logic_error);
+  EXPECT_THROW(image_of(with_ws), std::logic_error);
   MetricsRegistry with_semi;
   with_semi.gauge("bad;key", 1.0);
-  EXPECT_THROW(with_semi.serialize(), std::logic_error);
+  EXPECT_THROW(image_of(with_semi), std::logic_error);
 }
 
 }  // namespace

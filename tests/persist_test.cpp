@@ -1,28 +1,34 @@
-// Durable snapshot persistence (sim/wire.h, CheckpointRegistry
-// serialize/deserialize, serve/snapshot_store.h, and the CampaignService
-// disk tier): byte-stable golden images, load-then-branch digest identity
-// across worker counts, corrupt/truncated/mismatched/mutated images and
-// old-version files rejected back to a cold simulation, and journal
-// append durability failures surfaced.
+// Durable persistence (sim/wire.h, CheckpointRegistry
+// serialize/deserialize, sim/snapshot_store.h, the CampaignService disk
+// tier and the replication records of ParallelRunner::run_resumable):
+// byte-stable golden images, load-then-branch digest identity across
+// worker counts, corrupt/truncated/mismatched/mutated images, ids past
+// the restored stack and old-version files rejected back to a cold
+// simulation, mutated replication records re-run or replayed exactly,
+// and failed store writes surfaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dissem/scenario.h"
 #include "serve/serve.h"
-#include "serve/snapshot_store.h"
 #include "sim/metrics.h"
 #include "sim/runner.h"
+#include "sim/snapshot_store.h"
 #include "sim/wire.h"
 
 namespace iobt {
@@ -30,7 +36,7 @@ namespace {
 
 using serve::CampaignService;
 using serve::Query;
-using serve::SnapshotStore;
+using sim::SnapshotStore;
 
 dissem::DissemSpec tiny_spec() {
   dissem::DissemSpec spec;
@@ -144,19 +150,27 @@ TEST(RegistrySerialization, MetricsImageWithNonCanonicalNumbersIsRejected) {
     return "0 0 1 1 k " + count + " " + mean + " " + zero + " " + one + " " +
            one + " " + seen + " 0 ";
   };
+  // One standalone image: restore must accept it AND end on its last byte.
+  const auto reads = [](const std::string& text, sim::MetricsRegistry& m) {
+    sim::WireReader r(text);
+    return m.restore(r) && r.at_end();
+  };
   const std::string canonical = image("1", one, "1");
-  const auto good = sim::MetricsRegistry::deserialize(canonical);
-  ASSERT_TRUE(good.has_value());
-  EXPECT_EQ(good->serialize(), canonical);
+  sim::MetricsRegistry good;
+  ASSERT_TRUE(reads(canonical, good));
+  sim::WireWriter again;
+  good.save(again);
+  EXPECT_EQ(again.out(), canonical);
+  sim::MetricsRegistry sink;
   // A signed count once decoded to 2^64-1 and re-encoded to other bytes.
-  EXPECT_FALSE(sim::MetricsRegistry::deserialize(image("-1", one, "+3")).has_value());
+  EXPECT_FALSE(reads(image("-1", one, "+3"), sink));
   for (const std::string& bad :
        {image("+1", one, "1"), image("01", one, "1"),
         image("18446744073709551616", one, "1"),
         image("1", "3FF0000000000000", "1"), image("1", "-ff0000000000000", "1"),
         // The same summary in the version-1 text image.
         "m1 0 0 1 k 1 " + one + " " + zero + " " + one + " " + one + " 1 0"}) {
-    EXPECT_FALSE(sim::MetricsRegistry::deserialize(bad).has_value()) << bad;
+    EXPECT_FALSE(reads(bad, sink)) << bad;
   }
 }
 
@@ -324,8 +338,8 @@ std::string mutate(const std::string& a, const std::string& b, sim::Rng& rng,
 }
 
 TEST(RegistrySerialization, MutatedImagesAreRejectedOrReachAFixedPoint) {
-  // Every mutant either decodes to nullopt, or restores without a crash
-  // and reaches a fixed point: the state it left behind, saved, restored
+  // Every mutant either decodes to nullopt, or restores without a crash,
+  // runs on to the horizon, and reaches a fixed point: the state it left behind, saved, restored
   // into a second fresh stack and saved again, gives the same bytes. Both
   // stacks are built by the same code, so re-armed events get the same
   // kernel seqs on both sides. Half the mutants hit the whole image (its
@@ -367,6 +381,14 @@ TEST(RegistrySerialization, MutatedImagesAreRejectedOrReachAFixedPoint) {
         continue;
       }
       ++accepted;
+      {
+        // An accepted image must also run on to the horizon: an id past
+        // the restored stack once decoded here and threw mid-run.
+        dissem::DissemScenario run(q.spec, q.seed);
+        run.sim.checkpoint().restore(*snap);
+        run.sim.run_until(sim::SimTime::seconds(q.spec.horizon_s));
+        EXPECT_GE(run.outcome().reach, 0.0) << repro;
+      }
       const sim::Snapshot once = first.sim.checkpoint().save(snap->prefix_hash());
       dissem::DissemScenario second(q.spec, q.seed);
       second.sim.checkpoint().restore(once);
@@ -379,6 +401,116 @@ TEST(RegistrySerialization, MutatedImagesAreRejectedOrReachAFixedPoint) {
   // The budget exercises both outcomes.
   EXPECT_GT(rejected, 0);
   EXPECT_GT(accepted, 0);
+}
+
+// --------------------------------------------------------- Restore bounds ----
+
+/// Space-separated tokens of a participant blob. Only meaningful up to the
+/// blob's first bytes() field counting from the front, or after its last
+/// one counting from the back.
+std::vector<std::string> tokens_of(const std::string& blob) {
+  std::vector<std::string> out;
+  for (std::size_t begin = 0; begin < blob.size();) {
+    const std::size_t end = std::min(blob.find(' ', begin), blob.size());
+    out.push_back(blob.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return out;
+}
+
+std::string join_tokens(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& t : tokens) out += t + " ";
+  return out;
+}
+
+/// Decodes `image` after `edit` rewrote participant `key`'s blob tokens.
+/// The network's node count (its blob's first token) is passed along: ids
+/// are rewritten against it.
+std::optional<sim::Snapshot> decode_edited(
+    const std::string& key,
+    const std::function<void(std::vector<std::string>&, std::uint64_t)>& edit) {
+  const Query q = tiny_query();
+  Framed f = unframe(prefix_wire_image(q));
+  std::uint64_t nodes = 0;
+  std::vector<std::string>* target = nullptr;
+  std::vector<std::vector<std::string>> blobs;
+  blobs.reserve(f.parts.size());
+  for (const auto& [k, blob] : f.parts) {
+    blobs.push_back(tokens_of(blob));
+    if (k == "net.network") {
+      EXPECT_TRUE(sim::parse_u64_token(blobs.back()[0], nodes));
+    }
+    if (k == key) target = &blobs.back();
+  }
+  EXPECT_NE(target, nullptr) << key;
+  EXPECT_GT(nodes, 0u);
+  if (target == nullptr) return std::nullopt;
+  edit(*target, nodes);
+  for (std::size_t i = 0; i < f.parts.size(); ++i) {
+    f.parts[i].second = join_tokens(blobs[i]);
+  }
+  dissem::DissemScenario s(q.spec, q.seed);
+  return s.sim.checkpoint().deserialize_snapshot(frame(f));
+}
+
+TEST(RestoreBounds, UneditedImageDecodes) {
+  EXPECT_TRUE(decode_edited("net.network",
+                            [](std::vector<std::string>&, std::uint64_t) {})
+                  .has_value());
+}
+
+TEST(RestoreBounds, GossipRowNodePastTheNetworkIsRejected) {
+  // informed count n, n informed times, row count, then the first row's node.
+  EXPECT_FALSE(decode_edited("dissem.epidemic", [](auto& t, std::uint64_t nodes) {
+    const std::size_t informed = std::stoul(t[0]);
+    ASSERT_NE(t[informed + 1], "0");  // the prefix has gossip rows
+    t[informed + 2] = std::to_string(nodes);
+  }).has_value());
+}
+
+TEST(RestoreBounds, InformedCountOffTheInformedTimesIsRejected) {
+  // Tail: informed count, seeded-at time, attached flag.
+  EXPECT_FALSE(decode_edited("dissem.epidemic", [](auto& t, std::uint64_t) {
+    t[t.size() - 3] = std::to_string(std::stoul(t[t.size() - 3]) + 1);
+  }).has_value());
+}
+
+TEST(RestoreBounds, AssetNodePastTheNetworkIsRejected) {
+  // Asset count, then the first asset's id, device class, affiliation, node.
+  EXPECT_FALSE(decode_edited("things.world", [](auto& t, std::uint64_t nodes) {
+    t[4] = std::to_string(nodes);
+  }).has_value());
+}
+
+TEST(RestoreBounds, AssetIdOffItsSlotIsRejected) {
+  EXPECT_FALSE(decode_edited("things.world", [](auto& t, std::uint64_t) {
+    t[1] = std::to_string(1);
+  }).has_value());
+}
+
+TEST(RestoreBounds, NodeToAssetEntryPastTheAssetsIsRejected) {
+  // Tail: node-to-asset entries, disruption count, rng (6 tokens), started,
+  // tick period, next tick, tick seq.
+  EXPECT_FALSE(decode_edited("things.world", [](auto& t, std::uint64_t) {
+    ASSERT_EQ(t[t.size() - 11], "0");  // no disruptions
+    t[t.size() - 12] = t[0];           // the asset count
+  }).has_value());
+}
+
+TEST(RestoreBounds, SybilIdPastTheWorldIsRejected) {
+  // No attacks in the prefix: schedule, Sybil and log counts are all 0.
+  EXPECT_FALSE(decode_edited("security.attacks", [](auto& t, std::uint64_t nodes) {
+    ASSERT_EQ(join_tokens(t), "0 0 0 ");
+    t[1] = "1 " + std::to_string(nodes);
+  }).has_value());
+}
+
+TEST(RestoreBounds, PromotionPastTheNetworkIsRejected) {
+  EXPECT_FALSE(decode_edited("dissem.reconfig", [](auto& t, std::uint64_t nodes) {
+    ASSERT_EQ(join_tokens(t), "0 ");
+    t[0] = "1 " + std::to_string(nodes) + " 0 0";
+  }).has_value());
 }
 
 // -------------------------------------------------------- Snapshot store ----
@@ -599,35 +731,133 @@ TEST(CampaignServiceDurability, VersionOneFileIsRejectedAndRewritten) {
   EXPECT_EQ(healed.results[0].outcome.digest, reference);
 }
 
-// ------------------------------------------------------ Journal durability ----
+// ------------------------------------------------- Replication records ----
 
-TEST(CampaignJournal, AppendToUnopenablePathThrows) {
-  // The parent directory does not exist, so the append-open must fail —
-  // and the entry must NOT appear in memory (no phantom durability).
-  sim::CampaignJournal journal("persist_test_scratch/no_such_dir/j.log");
-  EXPECT_THROW(journal.append(sim::JournalEntry{1, 0, 2.5, "p", "m"}),
-               std::runtime_error);
-  EXPECT_TRUE(journal.entries().empty());
+std::string encode_bits(const double& x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return std::to_string(bits);
 }
 
-TEST(CampaignJournal, RunResumableSurfacesJournalWriteFailures) {
-  sim::CampaignJournal journal("persist_test_scratch/no_such_dir/j.log");
+/// Strict inverse of encode_bits: the one decimal spelling it writes.
+double decode_bits(std::string_view s) {
+  std::uint64_t bits = 0;
+  if (!sim::parse_u64_token(s, bits)) throw std::invalid_argument("bad payload");
+  double x = 0.0;
+  std::memcpy(&x, &bits, sizeof x);
+  return x;
+}
+
+TEST(ReplicationRecords, MutatedRecordsAreRerunOrReplayedExactly) {
+  // Each mutant goes through the store under its replication's key with a
+  // valid header, so the record decoder judges it, not the checksum.
+  // run_resumable never throws; a replayed mutant re-encodes to its own
+  // bytes and is merged in its seed slot; any other is re-run, and the
+  // merged digest is the uninterrupted run's.
+  constexpr std::uint64_t kSeed = 0x5eed0f1a7ULL;
+  constexpr int kMutants = 600;
+  const auto seeds = sim::ParallelRunner::seed_range(900, 3);
+  const auto work = [](sim::ReplicationContext& ctx) {
+    sim::Rng rng = ctx.make_rng();
+    const double x = rng.uniform();
+    ctx.metrics.count("runs");
+    ctx.metrics.gauge("last", x);
+    for (int i = 0; i < 8; ++i) ctx.metrics.observe("lat", rng.uniform());
+    return x;
+  };
+  const sim::ParallelRunner runner(2);
+  const auto reference = runner.run<double>(seeds, work);
+  std::vector<std::string> records;
+  for (const auto& r : reference.replications) {
+    records.push_back(sim::encode_replication(r.wall_ms, encode_bits(r.payload), r.metrics));
+  }
+  SnapshotStore store(scratch_dir("records"));
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    ASSERT_TRUE(store.put(sim::replication_key(seeds[i], i), records[i]));
+  }
+  const sim::Rng root(kSeed);
+  int replayed = 0, rerun = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    sim::Rng rng = root.child(static_cast<std::uint64_t>(m));
+    const auto i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(seeds.size()) - 1));
+    std::string what;
+    const std::string mutant =
+        mutate(records[i], records[(i + 1) % seeds.size()], rng, what);
+    const std::string repro =
+        "repro: persist_test --gtest_filter=ReplicationRecords."
+        "MutatedRecordsAreRerunOrReplayedExactly (seed " +
+        std::to_string(kSeed) + ", mutant " + std::to_string(m) + ": record " +
+        std::to_string(i) + ", " + what + ")";
+    const std::uint64_t key = sim::replication_key(seeds[i], i);
+    ASSERT_TRUE(store.put(key, mutant)) << repro;
+    try {
+      const auto out =
+          runner.run_resumable<double>(seeds, work, store, encode_bits, decode_bits);
+      EXPECT_EQ(out.failures, 0u) << repro;
+      const auto& r = out.replications[i];
+      if (out.resumed == seeds.size()) {
+        ++replayed;
+        EXPECT_EQ(sim::encode_replication(r.wall_ms, encode_bits(r.payload), r.metrics),
+                  mutant)
+            << repro;
+        sim::MetricsRegistry expected;
+        for (std::size_t k = 0; k < seeds.size(); ++k) {
+          expected.merge_from(k == i ? r.metrics : reference.replications[k].metrics);
+        }
+        EXPECT_EQ(out.merged.digest(), expected.digest()) << repro;
+      } else {
+        ++rerun;
+        EXPECT_EQ(out.resumed, seeds.size() - 1) << repro;
+        EXPECT_EQ(out.merged.digest(), reference.merged.digest()) << repro;
+        EXPECT_EQ(encode_bits(r.payload), encode_bits(reference.replications[i].payload))
+            << repro;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << repro << " threw: " << e.what();
+    }
+    ASSERT_TRUE(store.put(key, records[i]));  // the next mutant starts clean
+  }
+  // The budget exercises both outcomes.
+  EXPECT_GT(replayed, 0);
+  EXPECT_GT(rerun, 0);
+}
+
+/// Opens a store, then replaces its directory with a regular file: every
+/// later put fails, whatever the process may write (root included).
+SnapshotStore store_over_replaced_dir(const std::string& name) {
+  const std::string dir = scratch_dir(name);
+  SnapshotStore store(dir);
+  std::filesystem::remove_all(dir);
+  std::ofstream(dir) << "not a directory";
+  return store;
+}
+
+TEST(SnapshotStore, PutIntoReplacedDirectoryFails) {
+  SnapshotStore store = store_over_replaced_dir("replaced_put");
+  EXPECT_FALSE(store.put(1, "payload"));
+  std::string out;
+  EXPECT_EQ(store.get(1, out), SnapshotStore::GetStatus::kMissing);
+  EXPECT_EQ(store.file_count(), 0u);
+}
+
+TEST(ReplicationRecords, RunResumableCountsFailedPuts) {
+  SnapshotStore store = store_over_replaced_dir("replaced_runner");
   const sim::ParallelRunner runner(2);
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
   const auto out = runner.run_resumable<std::uint64_t>(
       seeds, [](sim::ReplicationContext& ctx) { return ctx.seed * 10; },
-      journal, [](const std::uint64_t& v) { return std::to_string(v); },
+      store, [](const std::uint64_t& v) { return std::to_string(v); },
       [](std::string_view s) -> std::uint64_t {
         return std::strtoull(std::string(s).c_str(), nullptr, 10);
       });
   // Every replication still succeeded — the answers are correct — but none
   // are durable, and the outcome says so instead of pretending.
   EXPECT_EQ(out.failures, 0u);
-  EXPECT_EQ(out.journal_write_failures, seeds.size());
+  EXPECT_EQ(out.store_write_failures, seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(out.replications[i].payload, seeds[i] * 10);
   }
-  EXPECT_TRUE(journal.entries().empty());
 }
 
 }  // namespace

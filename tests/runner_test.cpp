@@ -1,13 +1,14 @@
 // ParallelRunner: seed-ordered aggregation, worker-count invariance,
-// failure capture, campaign resume, and the metrics snapshot/merge path the
+// failure capture, campaign resume through the snapshot store, and the metrics snapshot/merge path the
 // runner's aggregation rides on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,8 @@
 #include "sim/runner.h"
 #include "sim/scenario_matrix.h"
 #include "sim/simulator.h"
+#include "sim/snapshot_store.h"
+#include "sim/wire.h"
 
 namespace iobt::sim {
 namespace {
@@ -157,12 +160,16 @@ TEST(ParallelRunnerTest, RepeatedRunsAreBitIdentical) {
   }
 }
 
-// ------------------------------------------------- Campaign journal ----
+// ------------------------------------------------------ Campaign resume ----
 
 namespace {
 
-std::string temp_journal_path(const char* name) {
-  return ::testing::TempDir() + "/iobt_journal_" + name + ".log";
+/// Fresh per-test store directory under the gtest temp dir.
+std::string temp_store_dir(const char* name) {
+  const std::string dir = ::testing::TempDir() + "/iobt_runner_store_" + name;
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return dir;
 }
 
 std::string encode_double(const double& x) {
@@ -176,105 +183,117 @@ double decode_double(std::string_view s) {
   return x;
 }
 
+std::string encode_string(const std::string& s) { return s; }
+std::string decode_string(std::string_view s) { return std::string(s); }
+
 }  // namespace
 
-TEST(CampaignJournalTest, RoundTripEscapesAndLastWriteWins) {
-  const std::string path = temp_journal_path("roundtrip");
-  std::remove(path.c_str());
-  {
-    CampaignJournal j(path);
-    MetricsRegistry m;
-    m.count("c", 3);
-    m.observe("lat", 0.25);
-    // Payloads with every escaped character, plus a rewrite of (7, 0).
-    j.append(JournalEntry{7, 0, 1.5, "tab\there\nand\rback\\slash", m.serialize()});
-    j.append(JournalEntry{8, 1, 2.5, "plain", m.serialize()});
-    j.append(JournalEntry{7, 0, 9.0, "rewritten", m.serialize()});
-  }
-  CampaignJournal reloaded(path);
-  ASSERT_EQ(reloaded.entries().size(), 3u);
-  const JournalEntry* e = reloaded.find(7, 0);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->payload, "rewritten");  // last write wins
-  EXPECT_DOUBLE_EQ(e->wall_ms, 9.0);
-  const JournalEntry* first = reloaded.find(8, 1);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->payload, "plain");
-  ASSERT_EQ(reloaded.entries()[0].payload, "tab\there\nand\rback\\slash");
-  // The metrics image survives bit-exactly.
-  auto m2 = MetricsRegistry::deserialize(e->metrics);
-  ASSERT_TRUE(m2.has_value());
-  MetricsRegistry m;
-  m.count("c", 3);
-  m.observe("lat", 0.25);
-  EXPECT_EQ(m2->digest(), m.digest());
-  EXPECT_EQ(reloaded.find(7, 1), nullptr);  // (seed, index) must BOTH match
+TEST(ReplicationStoreTest, BinaryPayloadRoundTripsAndLastWriteWins) {
+  SnapshotStore store(temp_store_dir("roundtrip"));
+  const std::vector<std::uint64_t> seeds = {7, 8};
+  const std::string binary("tab\there\nand\rback\\slash\0nul", 28);
+  std::atomic<std::size_t> runs{0};
+  const auto body = [&](ReplicationContext& ctx) {
+    runs.fetch_add(1, std::memory_order_relaxed);
+    ctx.metrics.count("c", 3);
+    ctx.metrics.observe("lat", 0.25);
+    return ctx.index == 0 ? binary : std::string("plain");
+  };
+  const ParallelRunner runner(2);
+  const auto first =
+      runner.run_resumable<std::string>(seeds, body, store, encode_string, decode_string);
+  EXPECT_EQ(first.store_write_failures, 0u);
+  EXPECT_EQ(store.file_count(), 2u);
+
+  // Every separator and escape character survives the round trip, and the
+  // metrics image replays bit-exactly.
+  const auto replayed =
+      runner.run_resumable<std::string>(seeds, body, store, encode_string, decode_string);
+  EXPECT_EQ(runs.load(), 2u);
+  EXPECT_EQ(replayed.resumed, 2u);
+  EXPECT_EQ(replayed.replications[0].payload, binary);
+  EXPECT_EQ(replayed.replications[1].payload, "plain");
+  EXPECT_EQ(bits_of(replayed.replications[0].wall_ms),
+            bits_of(first.replications[0].wall_ms));
+  EXPECT_EQ(replayed.merged.digest(), first.merged.digest());
+
+  // A second put under the same key supersedes the first: last write wins.
+  ASSERT_TRUE(store.put(replication_key(7, 0),
+                        encode_replication(9.0, "rewritten",
+                                           first.replications[0].metrics)));
+  const auto rewritten =
+      runner.run_resumable<std::string>(seeds, body, store, encode_string, decode_string);
+  EXPECT_EQ(runs.load(), 2u);
+  EXPECT_EQ(rewritten.replications[0].payload, "rewritten");
+  EXPECT_DOUBLE_EQ(rewritten.replications[0].wall_ms, 9.0);
+
+  // (seed, index) must BOTH match: the same seeds in another order find
+  // nothing, and both replications run again.
+  const auto swapped = runner.run_resumable<std::string>(
+      {8, 7}, body, store, encode_string, decode_string);
+  EXPECT_EQ(swapped.resumed, 0u);
+  EXPECT_EQ(runs.load(), 4u);
+  EXPECT_EQ(swapped.replications[0].payload, binary);
 }
 
-TEST(CampaignJournalTest, MalformedLinesAreSkippedOnLoad) {
-  const std::string path = temp_journal_path("malformed");
-  std::remove(path.c_str());
-  {
-    CampaignJournal j(path);
-    MetricsRegistry m;
-    m.count("ok");
-    j.append(JournalEntry{1, 0, 1.0, "a", m.serialize()});
-    j.append(JournalEntry{2, 1, 1.0, "b", m.serialize()});
-  }
-  {
-    // Non-canonical seed/index tokens (sign, leading zero, overflow) are
-    // foreign content too, then a crash-truncated write.
-    std::ofstream f(path, std::ios::app);
-    for (const char* ids : {"-3\t2", "+3\t2", "3\t02", "18446744073709551616\t2"}) {
-      f << "rep\t" << ids << "\t1.0\tbad\t" << MetricsRegistry().serialize() << "\n";
-    }
-    f << "rep\t3\t2\t1.0\ttruncated-before-metr";  // no newline, short fields
-  }
-  CampaignJournal reloaded(path);
-  EXPECT_EQ(reloaded.entries().size(), 2u);
-  EXPECT_NE(reloaded.find(1, 0), nullptr);
-  EXPECT_NE(reloaded.find(2, 1), nullptr);
-  EXPECT_EQ(reloaded.find(3, 2), nullptr);
-}
-
-TEST(CampaignJournalTest, AppendAfterCrashTruncatedTailStartsFreshLine) {
-  // Regression: a crash mid-write leaves a final line with no terminating
-  // newline. The partial line's payload may itself contain ESCAPED
-  // separators ("\\t" as backslash-t), so if the next append is glued onto
-  // it the merged line is almost-parseable garbage — and the NEW valid
-  // entry vanishes with it on the next load. The journal must detect the
-  // unterminated tail on open and emit a separator before the first append.
-  const std::string path = temp_journal_path("truncated_tail");
-  std::remove(path.c_str());
+TEST(ReplicationStoreTest, CorruptRecordsAreRerunNotThrown) {
+  // Every record below is stored under its replication's key; none may be
+  // replayed, and none may throw out of run_resumable.
+  const std::string dir = temp_store_dir("corrupt");
+  SnapshotStore store(dir);
+  const auto seeds = ParallelRunner::seed_range(500, 7);
   MetricsRegistry m;
-  m.count("ok");
-  {
-    CampaignJournal j(path);
-    j.append(JournalEntry{1, 0, 1.0, "intact", m.serialize()});
+  m.count("ran");
+  m.observe("lat", 0.5);
+  const std::string good = encode_replication(1.0, encode_double(2.5), m);
+  WireWriter bad_metrics;  // a summary reservoir past kReservoirCap
+  bad_metrics.f64(1.0).bytes(encode_double(2.5)).u64(0).u64(0).u64(1).bytes("k")
+      .u64(1).f64(1.0).f64(0.0).f64(1.0).f64(1.0).u64(1)
+      .u64(Summary::kReservoirCap + 1);
+  const std::string records[] = {
+      good.substr(0, good.size() / 2),          // truncated record
+      good + "1 ",                              // trailing token
+      "3FF0000000000000 " + good.substr(17),    // uppercase wall_ms hex
+      good.substr(0, 17) + "01" + good.substr(18),  // leading-zero length
+      bad_metrics.take(),
+  };
+  for (std::size_t i = 0; i < std::size(records); ++i) {
+    ASSERT_TRUE(store.put(replication_key(seeds[i], i), records[i]));
   }
-  {
-    // Crash-truncated tail whose payload field carries escaped separators
-    // and which was cut before the metrics field.
-    std::ofstream f(path, std::ios::app | std::ios::binary);
-    f << "rep\t9\t3\t2.0\tpay\\tload\\nwith\\tescapes";  // no trailing '\n'
+  // A file the store itself rejects (checksum), and one cut short.
+  const auto corrupt_file = [&](std::size_t i, const auto& edit) {
+    ASSERT_TRUE(store.put(replication_key(seeds[i], i), good));
+    const std::string path = dir + "/" + SnapshotStore::file_name(replication_key(seeds[i], i));
+    std::ifstream in(path, std::ios::binary);
+    std::string all((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    in.close();
+    edit(all);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << all;
+  };
+  corrupt_file(5, [](std::string& f) { f[f.size() - 3] ^= 1; });
+  corrupt_file(6, [](std::string& f) { f.resize(f.size() - 10); });
+
+  std::atomic<std::size_t> reruns{0};
+  const auto out = ParallelRunner(2).run_resumable<double>(
+      seeds,
+      [&reruns](ReplicationContext& ctx) {
+        reruns.fetch_add(1, std::memory_order_relaxed);
+        ctx.metrics.count("ran");
+        return static_cast<double>(ctx.seed);
+      },
+      store, encode_double, decode_double);
+  EXPECT_EQ(out.resumed, 0u);
+  EXPECT_EQ(reruns.load(), seeds.size());
+  EXPECT_EQ(out.failures, 0u);
+  EXPECT_EQ(out.store_write_failures, 0u);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_DOUBLE_EQ(out.replications[i].payload, static_cast<double>(seeds[i]))
+        << "record " << i;
   }
-  {
-    CampaignJournal reopened(path);
-    EXPECT_EQ(reopened.entries().size(), 1u);  // truncated line skipped
-    reopened.append(JournalEntry{2, 1, 4.0, "after-crash", m.serialize()});
-  }
-  CampaignJournal reloaded(path);
-  ASSERT_EQ(reloaded.entries().size(), 2u);
-  EXPECT_NE(reloaded.find(1, 0), nullptr);
-  const JournalEntry* survivor = reloaded.find(2, 1);  // the entry at risk
-  ASSERT_NE(survivor, nullptr);
-  EXPECT_EQ(survivor->payload, "after-crash");
-  EXPECT_EQ(reloaded.find(9, 3), nullptr);  // the truncated entry stays lost
 }
 
 TEST(ParallelRunnerTest, ResumableSkipsJournaledWorkAndMatchesUninterrupted) {
-  const std::string path = temp_journal_path("resume");
-  std::remove(path.c_str());
+  const std::string dir = temp_store_dir("resume");
   const auto seeds = ParallelRunner::seed_range(300, 10);
 
   const auto work = [](ReplicationContext& ctx) {
@@ -296,26 +315,26 @@ TEST(ParallelRunnerTest, ResumableSkipsJournaledWorkAndMatchesUninterrupted) {
   ASSERT_EQ(reference.failures, 0u);
 
   // First campaign: replications 6..9 die (simulated crash window); the
-  // journal captures only the 6 successes.
+  // store captures only the 6 successes, written by two workers at once.
   {
-    CampaignJournal journal(path);
+    SnapshotStore store(dir);
     const auto partial = ParallelRunner(2).run_resumable<double>(
         seeds,
         [&work](ReplicationContext& ctx) {
           if (ctx.index >= 6) throw std::runtime_error("simulated crash");
           return work(ctx);
         },
-        journal, encode_double, decode_double);
+        store, encode_double, decode_double);
     EXPECT_EQ(partial.failures, 4u);
     EXPECT_EQ(partial.resumed, 0u);
-    EXPECT_EQ(journal.entries().size(), 6u);
+    EXPECT_EQ(store.file_count(), 6u);
   }
 
-  // Second campaign, fresh journal object over the same file: the six
-  // journaled replications are replayed without invoking the body, the
-  // four missing ones run, and the outcome is bit-identical to the
+  // Second campaign, a fresh store object over the same directory: the six
+  // stored replications are replayed without invoking the body, the four
+  // missing ones run, and the outcome is bit-identical to the
   // uninterrupted reference.
-  CampaignJournal journal(path);
+  SnapshotStore store(dir);
   std::atomic<std::size_t> invocations{0};
   const auto resumed = ParallelRunner(2).run_resumable<double>(
       seeds,
@@ -323,11 +342,11 @@ TEST(ParallelRunnerTest, ResumableSkipsJournaledWorkAndMatchesUninterrupted) {
         invocations.fetch_add(1, std::memory_order_relaxed);
         return work(ctx);
       },
-      journal, encode_double, decode_double);
+      store, encode_double, decode_double);
   EXPECT_EQ(resumed.failures, 0u);
   EXPECT_EQ(resumed.resumed, 6u);
   EXPECT_EQ(invocations.load(), 4u);
-  EXPECT_EQ(journal.entries().size(), 10u);
+  EXPECT_EQ(store.file_count(), 10u);
   EXPECT_EQ(resumed.merged.digest(), reference.merged.digest());
   ASSERT_EQ(resumed.replications.size(), reference.replications.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -336,8 +355,8 @@ TEST(ParallelRunnerTest, ResumableSkipsJournaledWorkAndMatchesUninterrupted) {
         << "rep " << i;
   }
 
-  // Third pass: everything journaled, nothing runs.
-  CampaignJournal journal2(path);
+  // Third pass: everything stored, nothing runs.
+  SnapshotStore store2(dir);
   std::atomic<std::size_t> third_invocations{0};
   const auto full = ParallelRunner(2).run_resumable<double>(
       seeds,
@@ -345,28 +364,29 @@ TEST(ParallelRunnerTest, ResumableSkipsJournaledWorkAndMatchesUninterrupted) {
         third_invocations.fetch_add(1, std::memory_order_relaxed);
         return work(ctx);
       },
-      journal2, encode_double, decode_double);
+      store2, encode_double, decode_double);
   EXPECT_EQ(full.resumed, 10u);
   EXPECT_EQ(third_invocations.load(), 0u);
   EXPECT_EQ(full.merged.digest(), reference.merged.digest());
-  std::remove(path.c_str());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_EQ(bits_of(full.replications[i].payload),
+              bits_of(reference.replications[i].payload))
+        << "rep " << i;
+  }
 }
 
 TEST(ParallelRunnerTest, UndecodablePayloadIsReRunNotFatal) {
-  // The journal is read back from disk, so an entry whose payload the
-  // caller's decoder rejects must be re-run, exactly like an entry whose
+  // The store is read back from disk, so a record whose payload the
+  // caller's decoder rejects must be re-run, exactly like a record whose
   // metrics image fails to parse — never thrown out of run_resumable.
-  const std::string path = temp_journal_path("undecodable");
-  std::remove(path.c_str());
+  SnapshotStore store(temp_store_dir("undecodable"));
   const auto seeds = ParallelRunner::seed_range(400, 2);
   MetricsRegistry m;
   m.count("ran");
-  {
-    CampaignJournal j(path);
-    j.append(JournalEntry{seeds[0], 0, 1.0, encode_double(2.5), m.serialize()});
-    j.append(JournalEntry{seeds[1], 1, 1.0, "not-a-number", m.serialize()});
-  }
-  CampaignJournal journal(path);
+  ASSERT_TRUE(store.put(replication_key(seeds[0], 0),
+                        encode_replication(1.0, encode_double(2.5), m)));
+  ASSERT_TRUE(store.put(replication_key(seeds[1], 1),
+                        encode_replication(1.0, "not-a-number", m)));
   std::atomic<std::size_t> reruns{0};
   const auto out = ParallelRunner(2).run_resumable<double>(
       seeds,
@@ -376,7 +396,7 @@ TEST(ParallelRunnerTest, UndecodablePayloadIsReRunNotFatal) {
         ctx.metrics.count("ran");
         return static_cast<double>(ctx.seed);
       },
-      journal, encode_double, decode_double);
+      store, encode_double, decode_double);
   EXPECT_EQ(reruns.load(), 1u);
   EXPECT_EQ(out.resumed, 1u);
   EXPECT_EQ(out.failures, 0u);
@@ -384,11 +404,11 @@ TEST(ParallelRunnerTest, UndecodablePayloadIsReRunNotFatal) {
   const auto& r = out.replications[1];
   EXPECT_TRUE(r.ok);
   EXPECT_DOUBLE_EQ(r.payload, static_cast<double>(seeds[1]));
-  // The re-run supersedes the bad entry (last write wins).
-  const JournalEntry* e = journal.find(seeds[1], 1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->payload, encode_double(r.payload));
-  std::remove(path.c_str());
+  // The re-run supersedes the bad record (last write wins).
+  std::string record;
+  ASSERT_EQ(store.get(replication_key(seeds[1], 1), record),
+            SnapshotStore::GetStatus::kHit);
+  EXPECT_EQ(record, encode_replication(r.wall_ms, encode_double(r.payload), r.metrics));
 }
 
 // --------------------------------------------------------- ScenarioMatrix ----
