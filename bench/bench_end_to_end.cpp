@@ -13,7 +13,10 @@
 //   no_trust    — trust gate disabled (min_member_trust = 0)
 //   oracle      — ground-truth recruitment (upper bound)
 // Reported: mean mission quality before/during/after the attacks, repairs,
-// and how many known-suspect assets were recruited.
+// and how many known-suspect assets were recruited. BENCH_end_to_end.json
+// adds each configuration's route lookups by how they were answered
+// (net::Network::route_stats): destination-tree answers, margin fallbacks,
+// tree builds of each kind and nodes settled.
 
 #include "bench_util.h"
 #include "core/runtime.h"
@@ -32,6 +35,7 @@ struct Outcome {
   double q_before = 0, q_during = 0, q_after = 0;
   std::size_t repairs = 0, switches = 0, members = 0;
   bool feasible = false;
+  net::Network::RouteStats routes;
 };
 
 Outcome run(const Config& cfg, const std::string& trace_path) {
@@ -104,6 +108,7 @@ Outcome run(const Config& cfg, const std::string& trace_path) {
     out.members = s.member_count;
     out.feasible = s.feasible;
   }
+  out.routes = rt.network().route_stats();
   if (nb) out.q_before /= nb;
   if (nd) out.q_during /= nd;
   if (na) out.q_after /= na;
@@ -128,10 +133,11 @@ int main(int argc, char** argv) {
 
   row("%-18s %-10s %-10s %-10s %-10s %-10s %-10s", "config", "q_before", "q_during",
       "q_after", "repairs", "switches", "members");
+  std::vector<Outcome> outcomes;
   for (const auto& c : configs) {
     // Only the "full" configuration is traced — one timeline per file.
     const bool traced = std::string_view(c.name) == "full";
-    const Outcome o = run(c, traced ? args.trace_path : std::string());
+    const Outcome& o = outcomes.emplace_back(run(c, traced ? args.trace_path : std::string()));
     row("%-18s %-10.2f %-10.2f %-10.2f %-10zu %-10zu %-10zu", c.name, o.q_before,
         o.q_during, o.q_after, o.repairs, o.switches, o.members);
   }
@@ -139,5 +145,46 @@ int main(int argc, char** argv) {
       "\n(camera blackout 500-800s, strike at 560s; q_* = mean mission quality in the\n"
       " window. The reflex ablation should show depressed q_after; the oracle\n"
       " rows bound what perfect knowledge buys.)\n");
+
+  std::printf("\n");
+  row("%-18s %-10s %-10s %-10s %-10s %-10s %-10s", "config", "lookups", "dest_ans",
+      "fallbacks", "dest_trees", "src_trees", "settled");
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const auto& r = outcomes[i].routes;
+    row("%-18s %-10llu %-10llu %-10llu %-10llu %-10llu %-10llu", configs[i].name,
+        static_cast<unsigned long long>(r.lookups),
+        static_cast<unsigned long long>(r.dest_answers),
+        static_cast<unsigned long long>(r.margin_fallbacks),
+        static_cast<unsigned long long>(r.dest_tree_builds),
+        static_cast<unsigned long long>(r.source_tree_builds),
+        static_cast<unsigned long long>(r.nodes_settled));
+  }
+
+  std::FILE* f = std::fopen("BENCH_end_to_end.json", "w");
+  if (f != nullptr) {
+    std::fprintf(f, "{\n  \"bench\": \"bench_end_to_end\",\n  \"configs\": [\n");
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const Outcome& o = outcomes[i];
+      const auto& r = o.routes;
+      std::fprintf(f,
+                   "    {\"config\": \"%s\", \"q_before\": %.4f, \"q_during\": %.4f, "
+                   "\"q_after\": %.4f, \"repairs\": %zu, \"route_stats\": {\"lookups\": "
+                   "%llu, \"dest_answers\": %llu, \"margin_fallbacks\": %llu, "
+                   "\"dest_tree_builds\": %llu, \"source_tree_builds\": %llu, "
+                   "\"nodes_settled\": %llu}}%s\n",
+                   configs[i].name, o.q_before, o.q_during, o.q_after, o.repairs,
+                   static_cast<unsigned long long>(r.lookups),
+                   static_cast<unsigned long long>(r.dest_answers),
+                   static_cast<unsigned long long>(r.margin_fallbacks),
+                   static_cast<unsigned long long>(r.dest_tree_builds),
+                   static_cast<unsigned long long>(r.source_tree_builds),
+                   static_cast<unsigned long long>(r.nodes_settled),
+                   i + 1 == outcomes.size() ? "" : ",");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    row("");
+    row("wrote BENCH_end_to_end.json");
+  }
   return 0;
 }

@@ -253,8 +253,10 @@ bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
 
 void Network::sync_link_weights() const {
   if (stale_.empty()) return;
-  // Unfinished route trees must keep the weights they started under.
+  // Unfinished source trees must keep the weights they started under;
+  // destination trees of the old version are retired by the bump.
   freeze_growing_trees();
+  ++weight_version_;
   for (const NodeId v : stale_) {
     stale_flag_[v] = 0;
     const sim::Vec2 p = positions_[v];
@@ -445,7 +447,7 @@ std::size_t Network::broadcast(NodeId src, Message msg) {
 void Network::invalidate_routes() {
   ++topology_epoch_;
   for (const NodeId s : epoch_trees_) {
-    RouteCacheEntry& e = *route_cache_[s];
+    RouteTree& e = *route_cache_[s];
     e.frozen.reset();
     std::vector<std::pair<double, NodeId>>().swap(e.frontier);
   }
@@ -456,7 +458,7 @@ void Network::invalidate_routes() {
 void Network::freeze_growing_trees() const {
   std::shared_ptr<FrozenWeights> copy;
   for (; unfrozen_from_ < epoch_trees_.size(); ++unfrozen_from_) {
-    RouteCacheEntry& e = *route_cache_[epoch_trees_[unfrozen_from_]];
+    RouteTree& e = *route_cache_[epoch_trees_[unfrozen_from_]];
     if (e.frontier.empty()) continue;  // complete: reads no weight again
     if (!copy) {
       copy = std::make_shared<FrozenWeights>();
@@ -472,86 +474,6 @@ void Network::freeze_growing_trees() const {
     }
     e.frozen = copy;
   }
-}
-
-const ShortestPaths& Network::settle_route(NodeId src, NodeId dst) {
-  sync_link_weights();
-  if (!route_cache_[src]) route_cache_[src] = std::make_unique<RouteCacheEntry>();
-  RouteCacheEntry& e = *route_cache_[src];
-  ShortestPaths& sp = e.paths;
-  if (e.epoch != topology_epoch_) {
-    const std::size_t n = node_count();
-    e.epoch = topology_epoch_;
-    sp.source = src;
-    sp.dist.assign(n, std::numeric_limits<double>::infinity());
-    sp.parent.assign(n, std::nullopt);
-    e.settled.assign(n, 0);
-    sp.dist[src] = 0.0;
-    e.frontier.assign(1, {0.0, src});
-    epoch_trees_.push_back(src);
-  }
-  // The same pops and relaxations as Topology::shortest_paths, stopped
-  // once dst is settled: a node is settled by its unique (dist, id) entry,
-  // and every later entry for it is stale.
-  constexpr std::greater<> kMinHeap;
-  while (!e.settled[dst] && !e.frontier.empty()) {
-    std::pop_heap(e.frontier.begin(), e.frontier.end(), kMinHeap);
-    const auto [d, v] = e.frontier.back();
-    e.frontier.pop_back();
-    if (e.settled[v]) continue;
-    e.settled[v] = 1;
-    const std::vector<Topology::Neighbor>& row = links_.neighbors(v);
-    const double* frozen = e.frozen ? e.frozen->weight.data() + e.frozen->row[v] : nullptr;
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      const NodeId u = row[k].id;
-      const double cand = d + (frozen ? frozen[k] : row[k].weight);
-      if (cand < sp.dist[u]) {
-        sp.dist[u] = cand;
-        sp.parent[u] = v;
-        e.frontier.emplace_back(cand, u);
-        std::push_heap(e.frontier.begin(), e.frontier.end(), kMinHeap);
-      }
-    }
-  }
-  if (e.frontier.empty()) e.frozen.reset();  // complete: reads no weight again
-  return sp;
-}
-
-bool Network::route_exists(NodeId src, NodeId dst) {
-  if (src >= node_count() || dst >= node_count()) return false;
-  if (!up_[src] || !up_[dst]) return false;
-  return settle_route(src, dst).reachable(dst);
-}
-
-bool Network::route_and_send(NodeId src, NodeId dst, Message msg) {
-  msg.src = src;
-  msg.dst = dst;
-  msg.sent_at = sim_.now();
-  // Unknown endpoints: no route by definition — mirror route_exists
-  // instead of letting the slab .at() throw out of the send path.
-  if (src >= node_count() || dst >= node_count()) {
-    drop(DropReason::kNoRoute);
-    return false;
-  }
-  if (src == dst) {
-    // Local delivery, zero hops — but a dead radio delivers nothing, not
-    // even to itself (route_exists performs the same liveness check).
-    if (!up_[src]) {
-      drop(DropReason::kNodeDown);
-      return false;
-    }
-    if (handlers_[src]) handlers_[src](msg);
-    return true;
-  }
-  std::vector<NodeId> route;
-  settle_route(src, dst).path_to(dst, route);
-  if (route.size() < 2) {
-    drop(DropReason::kNoRoute);
-    return false;
-  }
-  // route = [src, n1, n2, ..., dst]; first hop src->n1, then n2..dst.
-  const NodeId first = route[1];
-  return transmit(src, first, std::move(msg), std::move(route), 2);
 }
 
 Topology Network::full_connectivity() const {
@@ -602,17 +524,20 @@ Network::MemoryFootprint Network::memory_footprint() const {
             stale_flag_.capacity() * sizeof(std::uint8_t) +
             linked_.capacity() * sizeof(std::uint8_t);
   m.route_cache = route_cache_.capacity() * sizeof(route_cache_[0]) +
+                  dest_trees_.capacity() * sizeof(RouteTree) +
                   epoch_trees_.capacity() * sizeof(NodeId);
+  auto tree_bytes = [](const RouteTree& e) {
+    return e.paths.dist.capacity() * sizeof(double) +
+           e.paths.parent.capacity() * sizeof(std::optional<NodeId>) +
+           e.settled.capacity() * sizeof(std::uint8_t) +
+           e.frontier.capacity() * sizeof(e.frontier[0]);
+  };
   for (const auto& tree : route_cache_) {
-    if (!tree) continue;
-    const RouteCacheEntry& e = *tree;
-    m.route_cache += sizeof(RouteCacheEntry) + e.paths.dist.capacity() * sizeof(double) +
-                     e.paths.parent.capacity() * sizeof(std::optional<NodeId>) +
-                     e.settled.capacity() * sizeof(std::uint8_t) +
-                     e.frontier.capacity() * sizeof(e.frontier[0]);
+    if (tree) m.route_cache += sizeof(RouteTree) + tree_bytes(*tree);
   }
-  // Frozen copies are shared among the trees one move froze; count each
-  // once. Only trees of this epoch can hold one.
+  for (const RouteTree& t : dest_trees_) m.route_cache += tree_bytes(t);
+  // Frozen copies are shared among the trees one sync froze; count each
+  // once. Only source trees of this epoch can hold one.
   std::vector<const FrozenWeights*> seen;
   for (const NodeId s : epoch_trees_) {
     const FrozenWeights* f = route_cache_[s]->frozen.get();
@@ -798,6 +723,8 @@ bool Network::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
 
   route_cache_.clear();
   route_cache_.resize(node_count());
+  dest_trees_.clear();
+  dest_live_ = 0;
   epoch_trees_.clear();
   unfrozen_from_ = 0;
   // The grids and the edge store are derived state: rebuild them from the

@@ -102,23 +102,39 @@ class Network : public sim::Checkpointable {
   std::size_t broadcast(NodeId src, Message msg);
 
   /// Multi-hop unicast along a shortest path, where a path's length is
-  /// the sum of its link distances (Dijkstra, not hop count). Paths come
-  /// from src's route tree for the current topology epoch: the Dijkstra
-  /// run over the link weights as they stood at src's first lookup in the
-  /// epoch. The tree is grown only until dst is settled and resumed by
-  /// later lookups; weight drift within the epoch does not reach it (see
-  /// topology_epoch()), so every answer equals that full run's.
+  /// the sum of its link distances (Dijkstra, not hop count). Every answer
+  /// is the path of src's Dijkstra for the current topology epoch: the run
+  /// over the link weights as they stood at src's first lookup in the
+  /// epoch, with (dist, id) pop order, so ties resolve as
+  /// Topology::shortest_paths resolves them. Weight drift within the epoch
+  /// does not reach it (see topology_epoch()). While the weights are still
+  /// those of src's first lookup, the path is read from one reverse
+  /// Dijkstra rooted at dst, shared by every source that routes to dst;
+  /// it is used only when every other neighbour of every hop is worse by
+  /// a margin above rounding, which makes the shortest path unique and so
+  /// src's own. Otherwise src grows its own tree, on a frozen copy of
+  /// those weights if they have been rewritten since; so does a source
+  /// that already started one destination tree and finds none for dst.
+  /// route_stats() counts which of the two answered.
   /// The route is fixed at send time; each hop is a real frame subject to
   /// loss; on a lost hop the message dies (upper layers retry if they
   /// care). Returns false if no route — including unknown node ids
-  /// (dropped kNoRoute, mirroring route_exists) and a down src == dst
-  /// (dropped kNodeDown: a dead radio delivers nothing, not even to
-  /// itself).
+  /// (dropped kNoRoute) and a down src == dst (dropped kNodeDown: a dead
+  /// radio delivers nothing, not even to itself).
   bool route_and_send(NodeId src, NodeId dst, Message msg);
 
-  /// True if a multi-hop route currently exists. Settles dst in src's
-  /// route tree first, so the answer and a following route_and_send agree.
-  bool route_exists(NodeId src, NodeId dst);
+  /// Route lookups since construction, by how they were answered. Process
+  /// counters: not checkpointed, not in metrics() (the registry digest
+  /// does not see them), and a restore does not reset them.
+  struct RouteStats {
+    std::uint64_t lookups = 0;             ///< route_and_send calls that consulted a tree
+    std::uint64_t dest_answers = 0;        ///< answered from a destination tree
+    std::uint64_t margin_fallbacks = 0;    ///< destination path not provably src's
+    std::uint64_t dest_tree_builds = 0;    ///< destination trees started
+    std::uint64_t source_tree_builds = 0;  ///< source trees started
+    std::uint64_t nodes_settled = 0;       ///< Dijkstra pops that settled a node, both kinds
+  };
+  const RouteStats& route_stats() const { return route_stats_; }
 
   // --- Introspection ----------------------------------------------------
 
@@ -153,11 +169,14 @@ class Network : public sim::Checkpointable {
   /// still exist) even though link distances drift slightly. A move only
   /// marks the mover's links stale; the first reader (a route lookup,
   /// connectivity() or topology_view()) syncs every stale link to the
-  /// current distance. Our route trees answer with frozen weights: each is
-  /// the Dijkstra run over the weights at its source's first lookup in the
-  /// epoch, and the sync that first rewrites weights after that lookup
-  /// gives every unfinished tree a flat copy of the weights it started
-  /// under (dropped when the tree completes or the epoch bumps).
+  /// current distance and bumps a private weight version. Our route
+  /// answers use frozen weights: each source's are those of the Dijkstra
+  /// run over the weights at its first lookup in the epoch. Destination
+  /// trees read the live weights and are keyed by (epoch, weight version),
+  /// so a sync retires them; the sync that first rewrites weights after a
+  /// source's first lookup gives that source, and every other unfinished
+  /// source tree, a flat copy of the weights it started under (dropped
+  /// when the tree completes or the epoch bumps).
   std::uint64_t topology_epoch() const { return topology_epoch_; }
 
   /// Live-node candidates within `radius` of `p`, ascending NodeId order.
@@ -196,7 +215,7 @@ class Network : public sim::Checkpointable {
     std::size_t node_slabs = 0;   ///< SoA per-node field vectors
     std::size_t grid = 0;         ///< spatial index cells, every grid
     std::size_t links = 0;        ///< edge store, stale-weight list, link flags
-    std::size_t route_cache = 0;  ///< route trees, frontiers, frozen weights
+    std::size_t route_cache = 0;  ///< source and destination trees, frozen weights
     std::size_t pending = 0;      ///< in-flight frame slab
     std::size_t total() const {
       return node_slabs + grid + links + route_cache + pending;
@@ -407,44 +426,82 @@ class Network : public sim::Checkpointable {
   mutable std::vector<NodeId> stale_;
   mutable std::vector<std::uint8_t> stale_flag_;
 
-  // Route trees keyed by source, invalidated by epoch bumps.
+  // Route trees, invalidated by epoch bumps: one per routing source, and
+  // one per destination in use under the current weight version.
   std::uint64_t topology_epoch_ = 0;
+  /// Bumped by every sync that rewrites weights; keys destination trees.
+  mutable std::uint64_t weight_version_ = 0;
   /// Link weights of links_ at one instant, flat in adjacency order:
   /// node v's weights are weight[row[v] .. row[v + 1]).
   struct FrozenWeights {
     std::vector<std::size_t> row;
     std::vector<double> weight;
   };
-  /// One source's Dijkstra, run on demand. A lookup pops the frontier
-  /// only until its destination is settled; the next lookup resumes it.
-  /// Pops follow the (dist, id) order and relaxations the adjacency order,
-  /// so every settled node's dist and parent equal those of a full run.
-  /// Within an epoch the edge set is fixed but weights drift: a tree that
-  /// is still growing when a sync rewrites weights reads `frozen` from
-  /// then on, so it stays the run over the weights it started under.
-  struct RouteCacheEntry {
+  /// One Dijkstra rooted at paths.source, run on demand. A lookup pops the
+  /// frontier only until the node it needs is settled; the next lookup
+  /// resumes it. Pops follow the (dist, id) order and relaxations the
+  /// adjacency order, so every settled node's dist and parent equal those
+  /// of a full run. Links are symmetric, so a tree rooted at a destination
+  /// d holds every node's distance to d, and parent is the next hop.
+  ///
+  /// A source tree is registered at its source's first lookup in the
+  /// epoch, lazily: frontier {src}, arrays not yet sized (settled empty),
+  /// `version` the weight version it registered at. Within an epoch the
+  /// edge set is fixed but weights drift: a source tree still growing (a
+  /// registered one included) when a sync rewrites weights reads `frozen`
+  /// from then on, so it stays the run over the weights it started under.
+  /// A destination tree reads links_ directly and is valid for (epoch,
+  /// version) only.
+  struct RouteTree {
     std::uint64_t epoch = ~0ULL;
+    std::uint64_t version = 0;
+    /// A source tree's: whether its source started a destination tree
+    /// since it registered.
+    bool started_dest = false;
     ShortestPaths paths;
     std::vector<std::uint8_t> settled;
-    /// Min-heap on (tentative dist, id); stale entries are skipped. Its
-    /// buffer is released when the epoch bumps.
+    /// Min-heap on (tentative dist, id); stale entries are skipped. A
+    /// source tree's buffer is released when the epoch bumps.
     std::vector<std::pair<double, NodeId>> frontier;
-    /// Shared by every tree frozen by the same move; null while the tree
+    /// Shared by every tree frozen by the same sync; null while the tree
     /// reads links_ directly.
     std::shared_ptr<const FrozenWeights> frozen;
   };
   /// Allocated at a source's first lookup: most nodes never route.
-  std::vector<std::unique_ptr<RouteCacheEntry>> route_cache_;
-  /// Sources whose tree started in this epoch (cleared on epoch bumps).
-  /// Those before `unfrozen_from_` were frozen or complete at the last
-  /// freeze; only the rest can still read live weights.
+  std::vector<std::unique_ptr<RouteTree>> route_cache_;
+  /// Destination trees: the first dest_live_ are those of the current
+  /// (epoch, weight version), one per destination looked up under it, in
+  /// first-lookup order. The rest are retired, kept for their buffers.
+  std::vector<RouteTree> dest_trees_;
+  std::size_t dest_live_ = 0;
+  /// Sources registered in this epoch (cleared on epoch bumps). Those
+  /// before `unfrozen_from_` were frozen or complete at the last freeze;
+  /// only the rest can still read live weights.
   std::vector<NodeId> epoch_trees_;
   mutable std::size_t unfrozen_from_ = 0;
-  /// src's tree for this epoch, grown until dst is settled or every
-  /// reachable node is.
-  const ShortestPaths& settle_route(NodeId src, NodeId dst);
-  /// Gives every unfinished, unfrozen tree of this epoch one shared copy
-  /// of the current weights; called by sync_link_weights before it
+  RouteStats route_stats_;
+  /// Writes src's route to dst into `route` ([src, ..., dst]; empty if
+  /// there is none), from dst's tree when the margin allows and from
+  /// src's own tree otherwise.
+  void find_route(NodeId src, NodeId dst, std::vector<NodeId>& route);
+  /// dst's destination tree for the current (epoch, weight version), or
+  /// null; start_dest_tree starts one. Either is valid until the next
+  /// start.
+  RouteTree* live_dest_tree(NodeId dst);
+  RouteTree& start_dest_tree(NodeId dst);
+  /// Sizes t's arrays for a fresh run rooted at `root`.
+  void start_tree(RouteTree& t, NodeId root);
+  /// Pops t's frontier until `until` is settled or every reachable node is.
+  void grow_tree(RouteTree& t, NodeId until);
+  /// True if, at every node v on src's path in destination tree t, every
+  /// neighbour u but the next hop has w(v, u) + D(u) > D(v) + delta, with
+  /// D the distance to t's root (the frontier minimum bounds an unsettled
+  /// u from below) and delta above the rounding error of any path sum.
+  /// The shortest src->root path is then unique, so src's own Dijkstra
+  /// takes exactly these hops.
+  bool margin_holds(const RouteTree& t, NodeId src) const;
+  /// Gives every unfinished, unfrozen source tree of this epoch one shared
+  /// copy of the current weights; called by sync_link_weights before it
   /// rewrites them.
   void freeze_growing_trees() const;
 };

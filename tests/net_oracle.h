@@ -52,28 +52,24 @@ inline net::Topology brute_connectivity(const net::Network& net) {
   return net::Topology(n, edges);
 }
 
-/// Reference for Network's route trees. Network grows each source's
-/// Dijkstra on demand, stops at the destination, resumes it on later
-/// lookups and freezes the weights it started under; this oracle instead
-/// runs one full shortest_paths, on brute_connectivity(), at the first
-/// lookup per source after an epoch bump. The two must answer alike. The
-/// graph comes from positions, not from Network's edge store: reading the
-/// store would sync its weights and so hide a lookup that skips the sync.
-/// route_exists and path mirror which calls touch Network's cache (its
-/// liveness and bounds checks come first), so both see a source's first
-/// lookup at the same moment. A checkpoint restore rebuilds Network's
-/// cache from scratch: call clear() after one.
+/// Reference for Network's route answers. Network answers a lookup from a
+/// destination-rooted tree shared by every source when that path is
+/// provably the source's own, and otherwise grows the source's Dijkstra on
+/// demand, stops at the destination, resumes it on later lookups and
+/// freezes the weights it started under; this oracle instead runs one full
+/// shortest_paths, on brute_connectivity(), at the first lookup per source
+/// after an epoch bump. The two must answer alike. The graph comes from
+/// positions, not from Network's edge store: reading the store would sync
+/// its weights and so hide a lookup that skips the sync. path mirrors which
+/// calls touch Network's cache (its bounds checks and local delivery come
+/// first), so both see a source's first lookup at the same moment. A
+/// checkpoint restore rebuilds Network's cache from scratch: call clear()
+/// after one.
 class EagerRouteCache {
  public:
   explicit EagerRouteCache(const net::Network& net) : net_(net) {}
 
   void clear() { trees_.clear(); }
-
-  bool route_exists(net::NodeId src, net::NodeId dst) {
-    const std::size_t n = net_.node_count();
-    if (src >= n || dst >= n || !net_.node_up(src) || !net_.node_up(dst)) return false;
-    return tree(src).reachable(dst);
-  }
 
   /// The hop sequence route_and_send(src, dst) must take, src and dst
   /// included; empty when it must drop. src == dst is delivered locally

@@ -278,7 +278,6 @@ TEST_F(NetFixture, MultiHopRouting) {
     EXPECT_EQ(m.hops, 3);
     EXPECT_EQ(m.src, n0);
   });
-  EXPECT_TRUE(net.route_exists(n0, n3));
   EXPECT_TRUE(net.route_and_send(n0, n3, Message{.kind = "data", .size_bytes = 50}));
   sim.run();
   EXPECT_EQ(got, 1);
@@ -287,24 +286,24 @@ TEST_F(NetFixture, MultiHopRouting) {
 TEST_F(NetFixture, RouteFailsAcrossPartition) {
   const NodeId a = add({0, 0}, 100.0);
   const NodeId b = add({1000, 0}, 100.0);
-  EXPECT_FALSE(net.route_exists(a, b));
   EXPECT_FALSE(net.route_and_send(a, b, Message{.kind = "p", .size_bytes = 10}));
+  EXPECT_EQ(net.metrics().counter("net.drop.no_route"), 1.0);
 }
 
 TEST_F(NetFixture, RouteRecomputedAfterNodeFailure) {
   const NodeId n0 = add({0, 0}), relay = add({200, 0}), n2 = add({400, 0});
-  EXPECT_TRUE(net.route_exists(n0, n2));
+  EXPECT_TRUE(net.route_and_send(n0, n2, Message{.kind = "p", .size_bytes = 10}));
   net.set_node_up(relay, false);
-  EXPECT_FALSE(net.route_exists(n0, n2));
+  EXPECT_FALSE(net.route_and_send(n0, n2, Message{.kind = "p", .size_bytes = 10}));
   net.set_node_up(relay, true);
-  EXPECT_TRUE(net.route_exists(n0, n2));
+  EXPECT_TRUE(net.route_and_send(n0, n2, Message{.kind = "p", .size_bytes = 10}));
 }
 
 TEST_F(NetFixture, RouteRecomputedAfterMovement) {
   const NodeId a = add({0, 0}), b = add({1000, 0});
-  EXPECT_FALSE(net.route_exists(a, b));
+  EXPECT_FALSE(net.route_and_send(a, b, Message{.kind = "p", .size_bytes = 10}));
   net.set_position(b, {250, 0});
-  EXPECT_TRUE(net.route_exists(a, b));
+  EXPECT_TRUE(net.route_and_send(a, b, Message{.kind = "p", .size_bytes = 10}));
 }
 
 TEST_F(NetFixture, SelfSendDeliversLocally) {
@@ -337,11 +336,9 @@ TEST_F(NetFixture, RouteAndSendToDownSelfDropsInsteadOfDelivering) {
 
 TEST_F(NetFixture, RouteAndSendUnknownIdsDropInsteadOfThrowing) {
   // Regression: out-of-range src/dst used to throw std::out_of_range from
-  // the slab .at() while route_exists returned false for the same ids.
+  // the slab .at().
   const NodeId a = add({0, 0});
   const NodeId ghost = 57;
-  EXPECT_FALSE(net.route_exists(a, ghost));
-  EXPECT_FALSE(net.route_exists(ghost, a));
   EXPECT_NO_THROW({
     EXPECT_FALSE(net.route_and_send(a, ghost, Message{.kind = "m", .size_bytes = 1}));
     EXPECT_FALSE(net.route_and_send(ghost, a, Message{.kind = "m", .size_bytes = 1}));
@@ -582,9 +579,9 @@ TEST(NetworkUrban, RoutingBendsAroundBuilding) {
   const NodeId b = net.add_node({200, 0}, {.range_m = 160, .base_loss = 0.0});
   const NodeId relay = net.add_node({100, 120}, {.range_m = 160, .base_loss = 0.0});
   EXPECT_FALSE(net.connectivity().has_edge(a, b));  // wall blocks direct link
-  ASSERT_TRUE(net.route_exists(a, b));              // but the relay sees over
   int got_hops = -1;
   net.set_handler(b, [&](const Message& m) { got_hops = m.hops; });
+  // But the relay sees over.
   ASSERT_TRUE(net.route_and_send(a, b, Message{.kind = "p", .size_bytes = 8}));
   sim.run();
   EXPECT_EQ(got_hops, 2);
@@ -1061,11 +1058,6 @@ TEST_P(RouteCacheOracle, AnswersMatchEagerFullDijkstraUnderChurn) {
       const NodeId src = drive.uniform() < 0.5 ? static_cast<NodeId>(drive.uniform_int(0, 3))
                                                : pick();
       const NodeId dst = pick(1);
-      if (drive.uniform() < 0.5) {
-        ASSERT_EQ(net.route_exists(src, dst), oracle.route_exists(src, dst))
-            << "step " << step << " " << src << "->" << dst;
-        continue;
-      }
       const std::vector<NodeId> want = oracle.path(src, dst);
       senders.clear();
       delivered_to = kNobody;
@@ -1092,6 +1084,133 @@ TEST_P(RouteCacheOracle, AnswersMatchEagerFullDijkstraUnderChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteCacheOracle, ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL));
+
+TEST(DestinationTrees, EqualPathsFallBackToTheSourceTree) {
+  // A ladder of two disjoint, exactly equal paths, 0-1-4-5 and 0-2-3-5,
+  // each hop 100 m on an axis (every distance and sum is exact). A wall
+  // over x = 100 blocks the rung 2-4. Forward Dijkstra from 0 settles 2
+  // before 4 and so reaches 5 via 3; the tree rooted at 5 settles 1 before
+  // 2 and so leads from 0 via 1. Only the margin test keeps the shared
+  // tree from answering 0 -> 5 with the wrong one of the two.
+  Simulator sim;
+  ChannelModel ch(2.0, 0.0);
+  ch.add_building({{90, 40}, {110, 60}});
+  Network net(sim, ch, Rng(3));
+  const RadioProfile radio{.range_m = 120, .base_loss = 0.0};
+  for (const Vec2 p : {Vec2{0, 0}, Vec2{0, 100}, Vec2{100, 0}, Vec2{200, 0}, Vec2{100, 100},
+                       Vec2{200, 100}}) {
+    net.add_node(p, radio);
+  }
+  std::set<std::pair<NodeId, NodeId>> edges;
+  for (const Edge& e : net.connectivity().edges()) edges.insert({e.a, e.b});
+  ASSERT_EQ(edges, (std::set<std::pair<NodeId, NodeId>>{{0, 1}, {0, 2}, {1, 4}, {2, 3},
+                                                       {3, 5}, {4, 5}}));
+  std::vector<NodeId> senders;
+  net.set_transmit_hook([&senders](NodeId n, std::size_t) { senders.push_back(n); });
+  iobt::testing::EagerRouteCache oracle(net);
+  auto hops = [&](NodeId src, NodeId dst) {
+    senders.clear();
+    EXPECT_TRUE(net.route_and_send(src, dst, Message{.kind = "r", .size_bytes = 8}));
+    sim.run();
+    senders.push_back(dst);
+    return senders;
+  };
+
+  EXPECT_EQ(hops(0, 5), (std::vector<NodeId>{0, 2, 3, 5}));
+  const Network::RouteStats& st = net.route_stats();
+  EXPECT_EQ(st.lookups, 1u);
+  EXPECT_EQ(st.dest_tree_builds, 1u);
+  EXPECT_EQ(st.margin_fallbacks, 1u);
+  EXPECT_EQ(st.dest_answers, 0u);
+  EXPECT_EQ(st.source_tree_builds, 1u);
+
+  for (NodeId src = 0; src < 6; ++src) {
+    for (NodeId dst = 0; dst < 6; ++dst) {
+      if (src == dst) continue;
+      EXPECT_EQ(hops(src, dst), oracle.path(src, dst)) << src << "->" << dst;
+    }
+  }
+  // The ladder is a 6-cycle: each node ties with its antipode. A source
+  // that reaches its antipode through a destination tree falls back there
+  // (once: later lookups resume its own tree); one that fanned out to a
+  // destination with no tree first has its own tree already. Every other
+  // pair has one shortest path and reads the destination's tree, until
+  // its source has a tree of its own.
+  EXPECT_EQ(st.lookups, 31u);
+  EXPECT_EQ(st.margin_fallbacks, 4u);
+  EXPECT_EQ(st.source_tree_builds, 6u);
+  EXPECT_GT(st.dest_answers, 0u);
+}
+
+TEST(DestinationTrees, SourcesShareTheCollectorsTree) {
+  // A comb-shaped collection tree: a spine of 9 nodes 100 m apart, and a
+  // tooth of three nodes up from every other spine node. Teeth are 200 m
+  // apart and 141 m from the spine nodes beside their root, out of range,
+  // so every path is unique and every source reads collector 0's tree,
+  // grown once and resumed.
+  Simulator sim;
+  Network net(sim, ChannelModel(2.0, 0.0), Rng(4));
+  const RadioProfile radio{.range_m = 120, .base_loss = 0.0};
+  for (int i = 0; i < 9; ++i) net.add_node({100.0 * i, 0.0}, radio);
+  for (int j = 0; j < 5; ++j) {
+    for (int k = 1; k <= 3; ++k) net.add_node({200.0 * j, 100.0 * k}, radio);
+  }
+  std::vector<NodeId> senders;
+  net.set_transmit_hook([&senders](NodeId n, std::size_t) { senders.push_back(n); });
+  iobt::testing::EagerRouteCache oracle(net);
+  constexpr NodeId kCollector = 0;
+  auto check_all = [&] {
+    for (NodeId src = 1; src < net.node_count(); ++src) {
+      senders.clear();
+      ASSERT_TRUE(net.route_and_send(src, kCollector, Message{.kind = "r", .size_bytes = 8}));
+      sim.run();
+      senders.push_back(kCollector);
+      ASSERT_EQ(senders, oracle.path(src, kCollector)) << src;
+    }
+  };
+  check_all();
+  const Network::RouteStats& st = net.route_stats();
+  EXPECT_EQ(st.lookups, 23u);
+  EXPECT_EQ(st.dest_answers, 23u);
+  EXPECT_EQ(st.dest_tree_builds, 1u);
+  EXPECT_EQ(st.source_tree_builds, 0u);
+  EXPECT_EQ(st.margin_fallbacks, 0u);
+  EXPECT_EQ(st.nodes_settled, 24u);  // each node once, for 23 answers
+
+  // A weight-only drift: the last tooth's tip moves 5 m out, keeping its
+  // one link. Every source registered before it must answer on the
+  // weights of its first lookup, so each grows its own tree on the frozen
+  // copy the sync gave it.
+  const std::uint64_t epoch = net.topology_epoch();
+  net.set_position(23, {800.0, 305.0});
+  ASSERT_EQ(net.topology_epoch(), epoch);
+  check_all();
+  EXPECT_EQ(st.dest_tree_builds, 1u);
+  EXPECT_EQ(st.source_tree_builds, 23u);
+
+  // A new epoch registers every source again, at the current weights.
+  net.set_node_up(23, false);
+  net.set_node_up(23, true);
+  check_all();
+  EXPECT_EQ(st.lookups, 69u);
+  EXPECT_EQ(st.dest_answers, 46u);
+  EXPECT_EQ(st.dest_tree_builds, 2u);
+  EXPECT_EQ(st.source_tree_builds, 23u);
+
+  // A source that fans out starts one destination tree, then its own:
+  // source 5 read the collector's tree (source 1 started it), starts
+  // 2's, and resumes its own for 3 and 4.
+  for (NodeId dst = 2; dst <= 4; ++dst) {
+    senders.clear();
+    ASSERT_TRUE(net.route_and_send(5, dst, Message{.kind = "r", .size_bytes = 8}));
+    sim.run();
+    senders.push_back(dst);
+    ASSERT_EQ(senders, oracle.path(5, dst)) << dst;
+  }
+  EXPECT_EQ(st.dest_tree_builds, 3u);
+  EXPECT_EQ(st.source_tree_builds, 24u);
+  EXPECT_EQ(st.dest_answers, 47u);
+}
 
 TEST_F(NetFixture, EpochOnlyBumpsWhenAnInRangeRelationshipChanges) {
   const NodeId a = add({0, 0});  // range 300
@@ -1199,17 +1318,17 @@ TEST(NetworkLayers, CrossLayerTrafficRequiresTwoGateways) {
   // In radio range but in different layers: no link, no traffic.
   EXPECT_FALSE(net.send(g, a, Message{.kind = "x", .size_bytes = 8}));
   EXPECT_EQ(net.broadcast(g, Message{.kind = "x", .size_bytes = 8}), 0u);
-  EXPECT_FALSE(net.route_exists(g, a));
   // The addressed send is a counted drop; broadcast skips non-linked
   // candidates silently, exactly like out-of-range ones.
   EXPECT_EQ(net.frames_dropped(), 1u);
+  EXPECT_FALSE(net.route_and_send(g, a, Message{.kind = "x", .size_bytes = 8}));
   // One gateway is not enough — a bridge needs both ends.
   net.set_gateway(g, true);
   EXPECT_FALSE(net.send(g, a, Message{.kind = "x", .size_bytes = 8}));
   // Both gateways: the inter-layer edge exists and traffic flows.
   net.set_gateway(a, true);
   EXPECT_TRUE(net.is_gateway(g));
-  EXPECT_TRUE(net.route_exists(g, a));
+  EXPECT_TRUE(net.route_and_send(g, a, Message{.kind = "x", .size_bytes = 8}));
   EXPECT_TRUE(net.send(g, a, Message{.kind = "x", .size_bytes = 8}));
 }
 
@@ -1222,10 +1341,9 @@ TEST(NetworkLayers, GatewaysBridgeMultiHopRoutes) {
   const NodeId g1 = net.add_node({100, 0}, {.range_m = 150, .base_loss = 0.0}, kLayerGround);
   const NodeId a0 = net.add_node({200, 0}, {.range_m = 150, .base_loss = 0.0}, kLayerAerial);
   const NodeId a1 = net.add_node({300, 0}, {.range_m = 150, .base_loss = 0.0}, kLayerAerial);
-  EXPECT_FALSE(net.route_exists(g0, a1));
+  EXPECT_FALSE(net.route_and_send(g0, a1, Message{.kind = "alert", .size_bytes = 16}));
   net.set_gateway(g1, true);
   net.set_gateway(a0, true);
-  ASSERT_TRUE(net.route_exists(g0, a1));
   bool got = false;
   net.set_handler(a1, [&](const Message&) { got = true; });
   EXPECT_TRUE(net.route_and_send(g0, a1, Message{.kind = "alert", .size_bytes = 16}));

@@ -207,7 +207,7 @@ TEST_P(SeedSweep, MultiHopHopCountMatchesShortestPath) {
     const auto dst =
         ids[static_cast<std::size_t>(layout.uniform_int(1, 24))];
     if (bfs_hops[dst] < 0) {
-      EXPECT_FALSE(net.route_exists(ids[0], dst));
+      EXPECT_FALSE(net.route_and_send(ids[0], dst, {.kind = "p", .size_bytes = 8}));
       continue;
     }
     const int expected =
