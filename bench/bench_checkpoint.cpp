@@ -19,7 +19,6 @@
 // Emits BENCH_checkpoint.json; exits nonzero on any digest divergence.
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -400,44 +399,29 @@ int main() {
       all_identical ? "yes" : "NO — DETERMINISM VIOLATION");
 
   // ---- JSON -----------------------------------------------------------
-  std::FILE* f = std::fopen("BENCH_checkpoint.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"bench_checkpoint\",\n");
-    std::fprintf(f, "  \"digest_identity\": %s,\n",
-                 all_identical ? "true" : "false");
-    std::fprintf(f, "  \"ladder\": [\n");
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-      const auto& r = ladder[i];
-      std::fprintf(f,
-                   "    {\"population\": %zu, \"save_ms\": %.3f, "
-                   "\"restore_ms\": %.3f, \"rewind_run_ms\": %.3f, "
-                   "\"identical\": %s}%s\n",
-                   r.population, r.save_ms, r.restore_ms, r.rewind_run_ms,
-                   r.identical ? "true" : "false",
-                   i + 1 == ladder.size() ? "" : ",");
+  write_artifact("BENCH_checkpoint.json", [&](trace::JsonWriter& w) {
+    w.key("digest_identity").boolean(all_identical);
+    w.key("ladder").begin_array();
+    for (const auto& r : ladder) {
+      w.begin_object().key("population").integer(r.population);
+      w.key("save_ms").number(r.save_ms, 3).key("restore_ms").number(r.restore_ms, 3);
+      w.key("rewind_run_ms").number(r.rewind_run_ms, 3);
+      w.key("identical").boolean(r.identical).end_object();
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"matrix\": {\"seeds\": %zu, \"workers\": [1, 2, 8], "
-                 "\"all_identical\": %s, \"merged_digest\": \"%016llx\"},\n",
-                 seeds.size(), matrix_identical ? "true" : "false",
-                 static_cast<unsigned long long>(matrix_reference));
-    std::fprintf(f,
-                 "  \"fanout\": {\"branches\": %zu, \"population\": %zu, "
-                 "\"naive_ms\": %.1f, \"branched_ms\": %.1f, \"speedup\": "
-                 "%.3f, \"identical\": %s},\n",
-                 kBranches, kBranchPopulation, naive_ms, branched_ms,
-                 fanout_speedup, branches_identical ? "true" : "false");
-    std::fprintf(f,
-                 "  \"resume\": {\"replications\": %zu, \"first_run_ms\": "
-                 "%.1f, \"resume_ms\": %.1f, \"resumed\": %zu, \"identical\": "
-                 "%s}\n",
-                 seeds.size(), first_ms, resume_ms, resumed,
-                 resume_identical ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    row("");
-    row("wrote BENCH_checkpoint.json");
-  }
+    w.end_array();
+    w.key("matrix").begin_object().key("seeds").integer(seeds.size());
+    w.key("workers").begin_array().integer(1).integer(2).integer(8).end_array();
+    w.key("all_identical").boolean(matrix_identical);
+    w.key("merged_digest").hex(matrix_reference, 16).end_object();
+    w.key("fanout").begin_object().key("branches").integer(kBranches);
+    w.key("population").integer(kBranchPopulation);
+    w.key("naive_ms").number(naive_ms, 1).key("branched_ms").number(branched_ms, 1);
+    w.key("speedup").number(fanout_speedup, 3);
+    w.key("identical").boolean(branches_identical).end_object();
+    w.key("resume").begin_object().key("replications").integer(seeds.size());
+    w.key("first_run_ms").number(first_ms, 1).key("resume_ms").number(resume_ms, 1);
+    w.key("resumed").integer(resumed).key("identical").boolean(resume_identical);
+    w.end_object();
+  });
   return all_identical ? 0 : 1;
 }

@@ -265,38 +265,28 @@ int main(int argc, char** argv) {
       all_identical ? "yes" : "NO — DETERMINISM VIOLATION");
 
   // ---- JSON -----------------------------------------------------------
-  std::FILE* f = std::fopen("BENCH_dissemination.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"bench_dissemination\",\n");
-    std::fprintf(f, "  \"digest_identity\": %s,\n",
-                 all_identical ? "true" : "false");
-    std::fprintf(f, "  \"workers\": [1, 2, 8],\n");
-    std::fprintf(f, "  \"matrix_cells\": %zu,\n", matrix.cell_count());
-    std::fprintf(f, "  \"jobs\": %zu,\n", job_seeds.size());
-    std::fprintf(f, "  \"reps_per_cell\": %zu,\n", kRepsPerCell);
-    std::fprintf(f, "  \"sweep_ms\": %.1f,\n", sweep_ms);
-    std::fprintf(f, "  \"curves\": [\n");
-    for (std::size_t i = 0; i < curves.size(); ++i) {
-      const Curve& c = curves[i];
-      std::fprintf(f, "    {\"config\": \"%s\", \"attack\": \"%s\", \"points\": [\n",
-                   c.config.c_str(), c.attack.c_str());
-      for (std::size_t j = 0; j < c.points.size(); ++j) {
-        const CurvePoint& p = c.points[j];
-        std::fprintf(f,
-                     "      {\"cell\": %zu, \"intensity\": %.1f, \"reach\": "
-                     "%.4f, \"reach_live\": %.4f, \"t50_s\": %.2f, \"t90_s\": "
-                     "%.2f, \"promotions\": %zu, \"digest\": \"0x%016llx\"}%s\n",
-                     p.cell_index, p.intensity, p.reach, p.reach_live, p.t50_s,
-                     p.t90_s, p.promotions,
-                     static_cast<unsigned long long>(p.digest),
-                     j + 1 == c.points.size() ? "" : ",");
+  write_artifact("BENCH_dissemination.json", [&](trace::JsonWriter& w) {
+    w.key("digest_identity").boolean(all_identical);
+    w.key("workers").begin_array().integer(1).integer(2).integer(8).end_array();
+    w.key("matrix_cells").integer(matrix.cell_count());
+    w.key("jobs").integer(job_seeds.size());
+    w.key("reps_per_cell").integer(kRepsPerCell);
+    w.key("sweep_ms").number(sweep_ms, 1);
+    w.key("curves").begin_array();
+    for (const Curve& c : curves) {
+      w.begin_object().key("config").string(c.config).key("attack").string(c.attack);
+      w.key("points").begin_array();
+      for (const CurvePoint& p : c.points) {
+        w.begin_object().key("cell").integer(p.cell_index);
+        w.key("intensity").number(p.intensity, 1).key("reach").number(p.reach, 4);
+        w.key("reach_live").number(p.reach_live, 4);
+        w.key("t50_s").number(p.t50_s, 2).key("t90_s").number(p.t90_s, 2);
+        w.key("promotions").integer(p.promotions);
+        w.key("digest").hex(p.digest, 16, "0x").end_object();
       }
-      std::fprintf(f, "    ]}%s\n", i + 1 == curves.size() ? "" : ",");
+      w.end_array().end_object();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    row("");
-    row("wrote BENCH_dissemination.json");
-  }
+    w.end_array();
+  });
   return all_identical ? 0 : 1;
 }

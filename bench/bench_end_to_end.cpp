@@ -160,31 +160,22 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.nodes_settled));
   }
 
-  std::FILE* f = std::fopen("BENCH_end_to_end.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"bench_end_to_end\",\n  \"configs\": [\n");
+  write_artifact("BENCH_end_to_end.json", [&](trace::JsonWriter& w) {
+    w.key("configs").begin_array();
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const Outcome& o = outcomes[i];
       const auto& r = o.routes;
-      std::fprintf(f,
-                   "    {\"config\": \"%s\", \"q_before\": %.4f, \"q_during\": %.4f, "
-                   "\"q_after\": %.4f, \"repairs\": %zu, \"route_stats\": {\"lookups\": "
-                   "%llu, \"dest_answers\": %llu, \"margin_fallbacks\": %llu, "
-                   "\"dest_tree_builds\": %llu, \"source_tree_builds\": %llu, "
-                   "\"nodes_settled\": %llu}}%s\n",
-                   configs[i].name, o.q_before, o.q_during, o.q_after, o.repairs,
-                   static_cast<unsigned long long>(r.lookups),
-                   static_cast<unsigned long long>(r.dest_answers),
-                   static_cast<unsigned long long>(r.margin_fallbacks),
-                   static_cast<unsigned long long>(r.dest_tree_builds),
-                   static_cast<unsigned long long>(r.source_tree_builds),
-                   static_cast<unsigned long long>(r.nodes_settled),
-                   i + 1 == outcomes.size() ? "" : ",");
+      w.begin_object().key("config").string(configs[i].name);
+      w.key("q_before").number(o.q_before, 4).key("q_during").number(o.q_during, 4);
+      w.key("q_after").number(o.q_after, 4).key("repairs").integer(o.repairs);
+      w.key("route_stats").begin_object().key("lookups").integer(r.lookups);
+      w.key("dest_answers").integer(r.dest_answers);
+      w.key("margin_fallbacks").integer(r.margin_fallbacks);
+      w.key("dest_tree_builds").integer(r.dest_tree_builds);
+      w.key("source_tree_builds").integer(r.source_tree_builds);
+      w.key("nodes_settled").integer(r.nodes_settled).end_object().end_object();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    row("");
-    row("wrote BENCH_end_to_end.json");
-  }
+    w.end_array();
+  });
   return 0;
 }

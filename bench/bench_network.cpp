@@ -29,7 +29,6 @@
 // mismatch exits nonzero. Emits BENCH_network.json.
 
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -267,34 +266,28 @@ int main(int argc, char** argv) {
   bench::row("  %s ms   digests %s", bench::pm(route, 2).c_str(),
              mobility_identical ? "identical (1 == pool workers)" : "MISMATCH");
 
-  std::FILE* f = std::fopen("BENCH_network.json", "w");
-  if (f) {
-    std::fprintf(f, "{\n  \"bench\": \"bench_network\",\n");
-    std::fprintf(f, "  \"range_m\": %.1f, \"target_degree\": %.1f, \"broadcasts\": %d, "
-                    "\"churn_rounds\": %d, \"brute_ceiling\": %zu,\n",
-                 kRangeM, kTargetDegree, kBroadcasts, kChurnRounds, kBruteCeiling);
-    std::fprintf(f, "  \"ladder\": [\n");
-    for (std::size_t i = 0; i < rungs.size(); ++i) {
-      const Rung& r = rungs[i];
-      std::fprintf(f,
-                   "    {\"n\": %zu, \"brute_checked\": %s, \"broadcast_ms\": %.3f, "
-                   "\"maintenance_ms\": %.3f, \"mem_bytes_per_node\": %zu, "
-                   "\"edges\": %zu, \"identical\": %s, \"incremental_identical\": %s}%s\n",
-                   r.n, r.brute_checked ? "true" : "false", r.bcast_ms, r.maint_ms,
-                   r.mem_bytes_per_node, r.edges, r.identical ? "true" : "false",
-                   r.incr_identical ? "true" : "false", i + 1 < rungs.size() ? "," : "");
+  bench::write_artifact("BENCH_network.json", [&](trace::JsonWriter& w) {
+    w.key("range_m").number(kRangeM, 1).key("target_degree").number(kTargetDegree, 1);
+    w.key("broadcasts").integer(kBroadcasts).key("churn_rounds").integer(kChurnRounds);
+    w.key("brute_ceiling").integer(kBruteCeiling);
+    w.key("ladder").begin_array();
+    for (const Rung& r : rungs) {
+      w.begin_object().key("n").integer(r.n);
+      w.key("brute_checked").boolean(r.brute_checked);
+      w.key("broadcast_ms").number(r.bcast_ms, 3);
+      w.key("maintenance_ms").number(r.maint_ms, 3);
+      w.key("mem_bytes_per_node").integer(r.mem_bytes_per_node);
+      w.key("edges").integer(r.edges);
+      w.key("identical").boolean(r.identical);
+      w.key("incremental_identical").boolean(r.incr_identical).end_object();
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"mobility\": {\"n\": %zu, \"ticks\": %d, \"seeds\": %zu, "
-                 "\"route_ms_mean\": %.3f, \"identical\": %s},\n",
-                 kMobilityNodes, kMobilityTicks, kMobilitySeeds, route.mean(),
-                 mobility_identical ? "true" : "false");
-    std::fprintf(f, "  \"identical\": %s\n}\n", identical ? "true" : "false");
-    std::fclose(f);
-    bench::row("");
-    bench::row("wrote BENCH_network.json");
-  }
+    w.end_array();
+    w.key("mobility").begin_object().key("n").integer(kMobilityNodes);
+    w.key("ticks").integer(kMobilityTicks).key("seeds").integer(kMobilitySeeds);
+    w.key("route_ms_mean").number(route.mean(), 3);
+    w.key("identical").boolean(mobility_identical).end_object();
+    w.key("identical").boolean(identical);
+  });
 
   if (!identical) {
     bench::row("DETERMINISM VIOLATION: edge store disagrees with the oracle, or "

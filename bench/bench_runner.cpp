@@ -142,29 +142,19 @@ int main() {
   row("aggregated output bit-identical across worker counts: %s",
       identical ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  std::FILE* f = std::fopen("BENCH_runner.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"bench_runner\",\n");
-    std::fprintf(f,
-                 "  \"replications\": %zu, \"pool_candidates\": %zu, "
-                 "\"hardware_concurrency\": %u,\n",
-                 kReplications, kPoolSize, hw);
-    std::fprintf(f, "  \"deterministic_across_workers\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(f, "  \"configs\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      std::fprintf(f,
-                   "    {\"workers\": %zu, \"wall_ms\": %.3f, \"speedup\": "
-                   "%.3f, \"merged_digest\": \"%016llx\"}%s\n",
-                   r.workers, r.wall_ms, serial_ms / r.wall_ms,
-                   static_cast<unsigned long long>(r.digest),
-                   i + 1 == rows.size() ? "" : ",");
+  write_artifact("BENCH_runner.json", [&](trace::JsonWriter& w) {
+    w.key("replications").integer(kReplications);
+    w.key("pool_candidates").integer(kPoolSize);
+    w.key("hardware_concurrency").integer(hw);
+    w.key("deterministic_across_workers").boolean(identical);
+    w.key("configs").begin_array();
+    for (const auto& r : rows) {
+      w.begin_object().key("workers").integer(r.workers);
+      w.key("wall_ms").number(r.wall_ms, 3);
+      w.key("speedup").number(serial_ms / r.wall_ms, 3);
+      w.key("merged_digest").hex(r.digest, 16).end_object();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    row("");
-    row("wrote BENCH_runner.json");
-  }
+    w.end_array();
+  });
   return identical ? 0 : 1;
 }

@@ -292,17 +292,6 @@ RestartRow warm_restart_section(const std::string& dir, std::size_t workers) {
   return out;
 }
 
-/// `xs` as a JSON array of one-decimal numbers.
-std::string json_ms(const std::vector<double>& xs) {
-  std::string out = "[";
-  char buf[32];
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%s%.1f", i == 0 ? "" : ", ", xs[i]);
-    out += buf;
-  }
-  return out + "]";
-}
-
 // --restart-only: the successor process of the CI kill-and-restart check.
 // A predecessor (a full bench run with the same --snapshot-dir) populated
 // the durable tier and is gone; this process must answer the restart batch
@@ -333,19 +322,11 @@ int run_restart_only(const std::string& dir, std::size_t workers) {
         identity ? "no disk hits (durable tier missed)" : "digest diverged");
   }
 
-  std::FILE* f = std::fopen("BENCH_serve_restart.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"bench_serve_restart\",\n");
-    std::fprintf(f, "  \"queries\": %zu,\n", batch.size());
-    std::fprintf(f, "  \"disk_hits\": %zu,\n", res.disk_hits);
-    std::fprintf(f, "  \"prefix_sims\": %zu,\n", res.prefix_sims);
-    std::fprintf(f, "  \"digest_identity\": %s,\n", identity ? "true" : "false");
-    std::fprintf(f, "  \"wall_ms\": %.1f\n", res.wall_ms);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    row("");
-    row("wrote BENCH_serve_restart.json");
-  }
+  write_artifact("BENCH_serve_restart.json", [&](trace::JsonWriter& w) {
+    w.key("queries").integer(batch.size()).key("disk_hits").integer(res.disk_hits);
+    w.key("prefix_sims").integer(res.prefix_sims);
+    w.key("digest_identity").boolean(identity).key("wall_ms").number(res.wall_ms, 1);
+  });
   return ok ? 0 : 1;
 }
 
@@ -507,48 +488,45 @@ int main(int argc, char** argv) {
   row("%-14s %-10.1f %-10.1f %-10.2f %-11zu %-12zu %-10s", "", restart.cold_ms,
       restart.warm_ms, restart.speedup, restart.disk_hits, restart.disk_stores,
       restart.identity ? "yes" : "NO — DIVERGED");
-  row("  fastest of %zu cycles; cold passes %s ms, warm passes %s ms",
-      kRestartCycles, json_ms(restart.cold_runs_ms).c_str(),
-      json_ms(restart.warm_runs_ms).c_str());
+  std::printf("  fastest of %zu cycles; cold passes", kRestartCycles);
+  for (const double ms : restart.cold_runs_ms) std::printf(" %.1f", ms);
+  std::printf(" ms, warm passes");
+  for (const double ms : restart.warm_runs_ms) std::printf(" %.1f", ms);
+  std::printf(" ms\n");
 
   // ---- JSON -----------------------------------------------------------
-  std::FILE* f = std::fopen("BENCH_serve.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"bench_serve\",\n");
-    std::fprintf(f, "  \"digest_identity\": %s,\n",
-                 identity ? "true" : "false");
-    std::fprintf(f,
-                 "  \"identity_panel\": {\"queries\": %zu, \"workers\": "
-                 "[1, 2, 8]},\n",
-                 panel.size());
-    std::fprintf(f, "  \"workers\": %zu,\n", workers);
-    std::fprintf(f, "  \"mixes\": [\n");
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-      const MixRow& m = mixes[i];
-      std::fprintf(f,
-                   "    {\"mix\": \"%s\", \"queries\": %zu, \"prefixes\": "
-                   "%zu, \"wall_ms\": %.1f, \"qps\": %.3f, \"p50_ms\": %.2f, "
-                   "\"p99_ms\": %.2f, \"hit_rate\": %.3f, \"prefix_sims\": "
-                   "%zu, \"failures\": %zu}%s\n",
-                   m.mix.c_str(), m.queries, m.prefixes, m.wall_ms, m.qps,
-                   m.p50_ms, m.p99_ms, m.hit_rate, m.prefix_sims, m.failures,
-                   i + 1 == mixes.size() ? "" : ",");
+  write_artifact("BENCH_serve.json", [&](trace::JsonWriter& w) {
+    const auto ms_array = [&w](const std::vector<double>& xs) {
+      w.begin_array();
+      for (const double ms : xs) w.number(ms, 1);
+      w.end_array();
+    };
+    w.key("digest_identity").boolean(identity);
+    w.key("identity_panel").begin_object().key("queries").integer(panel.size());
+    w.key("workers").begin_array().integer(1).integer(2).integer(8).end_array();
+    w.end_object();
+    w.key("workers").integer(workers);
+    w.key("mixes").begin_array();
+    for (const MixRow& m : mixes) {
+      w.begin_object().key("mix").string(m.mix).key("queries").integer(m.queries);
+      w.key("prefixes").integer(m.prefixes).key("wall_ms").number(m.wall_ms, 1);
+      w.key("qps").number(m.qps, 3).key("p50_ms").number(m.p50_ms, 2);
+      w.key("p99_ms").number(m.p99_ms, 2).key("hit_rate").number(m.hit_rate, 3);
+      w.key("prefix_sims").integer(m.prefix_sims).key("failures").integer(m.failures);
+      w.end_object();
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"hot_vs_cold_speedup\": %.3f,\n", speedup);
-    std::fprintf(f,
-                 "  \"warm_restart\": {\"cycles\": %zu, \"cold_ms\": %.1f, "
-                 "\"warm_ms\": %.1f, \"speedup\": %.3f, \"cold_runs_ms\": %s, "
-                 "\"warm_runs_ms\": %s, \"disk_hits\": %zu, "
-                 "\"disk_stores\": %zu, \"identity\": %s}\n",
-                 kRestartCycles, restart.cold_ms, restart.warm_ms,
-                 restart.speedup, json_ms(restart.cold_runs_ms).c_str(),
-                 json_ms(restart.warm_runs_ms).c_str(), restart.disk_hits,
-                 restart.disk_stores, restart.identity ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    row("");
-    row("wrote BENCH_serve.json");
-  }
+    w.end_array();
+    w.key("hot_vs_cold_speedup").number(speedup, 3);
+    w.key("warm_restart").begin_object().key("cycles").integer(kRestartCycles);
+    w.key("cold_ms").number(restart.cold_ms, 1).key("warm_ms").number(restart.warm_ms, 1);
+    w.key("speedup").number(restart.speedup, 3);
+    w.key("cold_runs_ms");
+    ms_array(restart.cold_runs_ms);
+    w.key("warm_runs_ms");
+    ms_array(restart.warm_runs_ms);
+    w.key("disk_hits").integer(restart.disk_hits);
+    w.key("disk_stores").integer(restart.disk_stores);
+    w.key("identity").boolean(restart.identity).end_object();
+  });
   return (identity && failures_clean && restart.ok) ? 0 : 1;
 }

@@ -16,6 +16,7 @@
 
 #include "sim/runner.h"
 #include "sim/simulator.h"
+#include "trace/json.h"
 #include "trace/trace.h"
 
 namespace iobt::bench {
@@ -47,6 +48,23 @@ inline void row(const char* fmt, ...) {
   std::vfprintf(stdout, fmt, args);
   va_end(args);
   std::printf("\n");
+}
+
+/// Writes the artifact `path` ("BENCH_<name>.json") as one JSON object:
+/// "bench": "bench_<name>" first, then the fields `fields(writer)` adds.
+/// Prints "wrote <path>" if the file could be opened.
+template <class Fields>
+void write_artifact(std::string_view path, Fields&& fields) {
+  std::ofstream os{std::string(path)};
+  if (!os) return;
+  std::string_view name = path.substr(6);   // after "BENCH_"
+  name.remove_suffix(5);                    // ".json"
+  trace::JsonWriter w(os);
+  w.begin_object().key("bench").string("bench_" + std::string(name));
+  fields(w);
+  w.end_object();
+  row("");
+  row("wrote %.*s", static_cast<int>(path.size()), path.data());
 }
 
 /// Command-line options shared by the harnesses. `--trace=<file>` (or

@@ -9,6 +9,13 @@ namespace iobt::core {
 
 namespace {
 constexpr const char* kMissionReport = "mission.report";
+/// Edge-of-range loss shaping exponent (see net::ChannelModel).
+constexpr double kChannelEdgeExponent = 2.0;
+constexpr sim::Duration kWorldTick = sim::Duration::seconds(1.0);
+/// How many blue collector assets run discovery.
+constexpr std::size_t kMaxCollectors = 3;
+/// Mission quality window (sweeps) for the quality metric.
+constexpr std::size_t kQualityWindow = 4;
 
 /// Payload of member->sink detection reports: the noisy estimated
 /// positions drive track fusion; the ground-truth ids ride along for
@@ -26,7 +33,7 @@ struct DetectionReport {
 Runtime::Runtime(RuntimeConfig config) : cfg_(config) {
   sim::Rng root(cfg_.seed);
   net_ = std::make_unique<net::Network>(
-      sim_, net::ChannelModel(cfg_.channel_edge_exponent, cfg_.channel_max_edge_loss),
+      sim_, net::ChannelModel(kChannelEdgeExponent, cfg_.channel_max_edge_loss),
       root.child("net"));
   world_ = std::make_unique<things::World>(sim_, *net_, cfg_.area, root.child("world"));
   disp_ = std::make_unique<net::Dispatcher>(*net_);
@@ -43,10 +50,10 @@ std::vector<things::AssetId> Runtime::populate(const things::PopulationConfig& c
 void Runtime::start(discovery::DiscoveryConfig discovery_cfg) {
   if (started_) return;
   started_ = true;
-  world_->start(cfg_.world_tick);
+  world_->start(kWorldTick);
 
   // Collectors: blue assets with an RF-spectrum sensor or big fixed
-  // infrastructure, capped at max_collectors.
+  // infrastructure, capped at kMaxCollectors.
   std::vector<things::AssetId> collectors;
   for (const auto& a : world_->assets()) {
     if (a.affiliation != things::Affiliation::kBlue) continue;
@@ -55,7 +62,7 @@ void Runtime::start(discovery::DiscoveryConfig discovery_cfg) {
                           a.device_class == things::DeviceClass::kVehicle;
     if (!eligible) continue;
     collectors.push_back(a.id);
-    if (cfg_.max_collectors > 0 && collectors.size() >= cfg_.max_collectors) break;
+    if (collectors.size() == kMaxCollectors) break;
   }
   if (collectors.empty() && world_->asset_count() > 0) {
     collectors.push_back(world_->assets().front().id);
@@ -261,7 +268,7 @@ void Runtime::mission_sweep(MissionId id) {
                          "adapt");
   Mission& m = *missions_[id];
   m.window.emplace_back();
-  if (m.window.size() > m.options.quality_window) m.window.erase(m.window.begin());
+  if (m.window.size() > kQualityWindow) m.window.erase(m.window.begin());
   ++m.sweep_index;
 
   const things::Modality modality = m.switcher->current();

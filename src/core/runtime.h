@@ -44,12 +44,8 @@ namespace iobt::core {
 struct RuntimeConfig {
   sim::Rect area{{0, 0}, {2000, 2000}};
   std::uint64_t seed = 1;
-  /// Edge-of-range loss shaping (see net::ChannelModel).
-  double channel_edge_exponent = 2.0;
+  /// Largest edge-of-range loss (see net::ChannelModel).
   double channel_max_edge_loss = 0.25;
-  sim::Duration world_tick = sim::Duration::seconds(1.0);
-  /// How many blue collector assets run discovery (0 = all eligible).
-  std::size_t max_collectors = 3;
 };
 
 using MissionId = std::size_t;
@@ -117,8 +113,6 @@ class Runtime {
     /// "possibly competing for resources"). Non-exclusive missions share.
     bool exclusive = true;
     sim::Duration sense_period = sim::Duration::seconds(5.0);
-    /// Mission quality window (sweeps) for the quality metric.
-    std::size_t quality_window = 4;
   };
 
   /// Synthesizes a composite for `goal` and starts executing it. Returns

@@ -1,10 +1,9 @@
 #include "trace/trace.h"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <ostream>
 #include <sstream>
+
+#include "trace/json.h"
 
 namespace iobt::trace {
 
@@ -16,29 +15,6 @@ std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Escapes a string for a JSON string literal (quotes, backslash, control
-/// characters). Trace names are usually dotted identifiers, so the common
-/// case copies straight through.
-void write_escaped(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 const char* phase_string(Phase p) {
@@ -155,52 +131,42 @@ std::vector<Record> Tracer::snapshot() const {
 }
 
 void Tracer::write_json(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0"
-        ",\"args\":{\"name\":\"iobt\"}}";
-  char buf[160];
+  JsonWriter w(os);
+  w.begin_object().key("displayTimeUnit").string("ms").key("traceEvents").begin_array();
+  w.begin_object().key("ph").string("M").key("name").string("process_name");
+  w.key("pid").integer(0).key("args").begin_object().key("name").string("iobt");
+  w.end_object().end_object();
   for (const Record& r : snapshot()) {
-    os << ",\n";
-    os << "{\"name\":\"";
-    write_escaped(os, name(r.name));
-    os << "\",\"cat\":\"";
     const std::string& cat = category(r.name);
-    write_escaped(os, cat.empty() ? "iobt" : cat);
-    os << "\",\"ph\":\"" << phase_string(r.phase) << "\"";
-    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f,\"pid\":0,\"tid\":0",
-                  static_cast<double>(r.wall_ns) * 1e-3);
-    os << buf;
+    const double sim_s = static_cast<double>(r.sim_ns) * 1e-9;
+    w.begin_object().key("name").string(name(r.name));
+    w.key("cat").string(cat.empty() ? "iobt" : cat);
+    w.key("ph").string(phase_string(r.phase));
+    w.key("ts").number(static_cast<double>(r.wall_ns) * 1e-3, 3);
+    w.key("pid").integer(0).key("tid").integer(0);
     switch (r.phase) {
       case Phase::kComplete:
-        std::snprintf(buf, sizeof buf,
-                      ",\"dur\":%.3f,\"args\":{\"sim_ts_s\":%.9f,"
-                      "\"sim_dur_s\":%.9f,\"depth\":%u}",
-                      static_cast<double>(r.wall_dur_ns) * 1e-3,
-                      static_cast<double>(r.sim_ns) * 1e-9,
-                      static_cast<double>(r.sim_dur_ns) * 1e-9, r.depth);
-        os << buf;
+        w.key("dur").number(static_cast<double>(r.wall_dur_ns) * 1e-3, 3);
+        w.key("args").begin_object().key("sim_ts_s").number(sim_s, 9);
+        w.key("sim_dur_s").number(static_cast<double>(r.sim_dur_ns) * 1e-9, 9);
+        w.key("depth").integer(r.depth).end_object();
         break;
       case Phase::kInstant:
-        std::snprintf(buf, sizeof buf,
-                      ",\"s\":\"t\",\"args\":{\"sim_ts_s\":%.9f}",
-                      static_cast<double>(r.sim_ns) * 1e-9);
-        os << buf;
+        w.key("s").string("t");
+        w.key("args").begin_object().key("sim_ts_s").number(sim_s, 9).end_object();
         break;
       case Phase::kCounter:
-        std::snprintf(buf, sizeof buf, ",\"args\":{\"value\":%.17g}", r.value);
-        os << buf;
+        w.key("args").begin_object().key("value").number(r.value).end_object();
         break;
       case Phase::kAsyncBegin:
       case Phase::kAsyncEnd:
-        std::snprintf(buf, sizeof buf,
-                      ",\"id\":\"0x%" PRIx64 "\",\"args\":{\"sim_ts_s\":%.9f}",
-                      r.async_id, static_cast<double>(r.sim_ns) * 1e-9);
-        os << buf;
+        w.key("id").hex(r.async_id, 1, "0x");
+        w.key("args").begin_object().key("sim_ts_s").number(sim_s, 9).end_object();
         break;
     }
-    os << "}";
+    w.end_object();
   }
-  os << "\n]}\n";
+  w.end_array().end_object();
 }
 
 std::string Tracer::to_json() const {

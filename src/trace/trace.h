@@ -132,7 +132,8 @@ class Tracer {
 
   /// Chrome trace-event JSON ({"traceEvents":[...]}), loadable by Perfetto
   /// and chrome://tracing. ts/dur are wall-clock microseconds since
-  /// enable(); each event's args carry the virtual sim-time.
+  /// enable(); each event's args carry the virtual sim-time. A non-finite
+  /// counter value is written as null (trace::JsonWriter).
   void write_json(std::ostream& os) const;
   std::string to_json() const;
 

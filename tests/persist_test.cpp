@@ -2,9 +2,9 @@
 // serialize/deserialize, sim/snapshot_store.h, the CampaignService disk
 // tier and the replication records of ParallelRunner::run_resumable):
 // byte-stable golden images, load-then-branch digest identity across
-// worker counts, corrupt/truncated/mismatched/mutated images, ids past
-// the restored stack and old-version files rejected back to a cold
-// simulation, mutated replication records re-run or replayed exactly,
+// worker counts, corrupt/truncated/mismatched/mutated images and store
+// files, ids past the restored stack and old-version files rejected back
+// to a cold simulation, mutated replication records re-run or replayed exactly,
 // and failed store writes surfaced.
 
 #include <gtest/gtest.h>
@@ -596,6 +596,63 @@ TEST(SnapshotStore, CorruptHeaderTruncationAndVersionSkewAreRejected) {
   // The intact original still reads back: rejection is per-file.
   EXPECT_EQ(store.get(7, sink), SnapshotStore::GetStatus::kHit);
   EXPECT_EQ(sink, payload);
+}
+
+TEST(SnapshotStore, MutatedFilesAreRejectedOrReadBackExactly) {
+  // Seeded mutants of a valid file written in its place: bit flips,
+  // truncations, splices with another key's file, duplicated header
+  // tokens and oversized size or version fields. get() never throws, and
+  // it either rejects the file or returns exactly the payload put. The
+  // payload is binary and holds no space, so mutate()'s tokens are the
+  // header's.
+  constexpr std::uint64_t kSeed = 0x5eed0f1a7ULL;
+  constexpr int kMutants = 2000;
+  const std::string dir = scratch_dir("mutated");
+  SnapshotStore store(dir);
+  std::string payload;
+  for (int c = 0; c < 256; ++c) {
+    if (c != ' ') payload.push_back(static_cast<char>(c));
+  }
+  ASSERT_TRUE(store.put(7, payload));
+  ASSERT_TRUE(store.put(8, std::string(payload.rbegin(), payload.rend())));
+  const auto read_file = [&dir](std::uint64_t key) {
+    std::ifstream in(dir + "/" + SnapshotStore::file_name(key), std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string a = read_file(7);
+  const std::string b = read_file(8);
+  const std::string path = dir + "/" + SnapshotStore::file_name(7);
+  const sim::Rng root(kSeed);
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    sim::Rng rng = root.child(static_cast<std::uint64_t>(i));
+    std::string what;
+    const std::string mutant = mutate(a, b, rng, what);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << mutant;
+    const std::string repro =
+        "repro: persist_test --gtest_filter=SnapshotStore."
+        "MutatedFilesAreRejectedOrReadBackExactly (seed " +
+        std::to_string(kSeed) + ", mutant " + std::to_string(i) + ": " + what + ")";
+    try {
+      std::string out;
+      const SnapshotStore::GetStatus status = store.get(7, out);
+      if (status == SnapshotStore::GetStatus::kRejected) {
+        ++rejected;
+      } else {
+        EXPECT_EQ(status, SnapshotStore::GetStatus::kHit) << repro;
+        EXPECT_EQ(out, payload) << repro;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << repro << " threw: " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  // The mutants replaced the right file: the original reads back again.
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << a;
+  std::string out;
+  EXPECT_EQ(store.get(7, out), SnapshotStore::GetStatus::kHit);
+  EXPECT_EQ(out, payload);
 }
 
 // ------------------------------------------------- Service durable tier ----

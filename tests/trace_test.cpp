@@ -1,16 +1,19 @@
 // iobt::trace — span nesting, ring wraparound, counter tracks, the
 // zero-allocation disabled path, tracer attachment/swap, ambient scoping,
-// and a JSON round trip through a minimal parser (the exported file must
-// be loadable by Perfetto, so the test actually parses what we emit).
+// and JSON round trips through a minimal parser, of the tracer's export
+// and of the JSON writer itself (the exported file must be loadable by
+// Perfetto, so the test actually parses what we emit).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <new>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,6 +21,7 @@
 
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "trace/json.h"
 #include "trace/trace.h"
 
 // ------------------------------------------------- allocation counting ----
@@ -508,6 +512,61 @@ TEST(TraceJsonTest, EmptyTracerStillEmitsValidJson) {
   const Json& events = root.at("traceEvents");
   ASSERT_EQ(events.kind, Json::kArray);
   EXPECT_EQ(events.arr.size(), 1u);  // just the metadata event
+}
+
+TEST(TraceJsonTest, NonFiniteCounterStillParses) {
+  // JSON has no NaN or infinity: a non-finite sample is exported as null.
+  trace::Tracer t;
+  const trace::NameId ctr = t.intern("ctr", "test");
+  t.enable(8);
+  t.counter(ctr, std::numeric_limits<double>::quiet_NaN());
+  t.counter(ctr, std::numeric_limits<double>::infinity());
+  t.disable();
+
+  const Json root = JsonParser(t.to_json()).parse();
+  const Json& events = root.at("traceEvents");
+  ASSERT_EQ(events.arr.size(), 3u);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(events.arr[i].at("ph").str, "C");
+    EXPECT_EQ(events.arr[i].at("args").at("value").kind, Json::kNull);
+  }
+}
+
+TEST(TraceJsonTest, WriterRoundTripsNestingEscapesAndNumbers) {
+  const std::string tricky = std::string("q\"b\\c\x01") + "\n";
+  std::ostringstream os;
+  trace::JsonWriter w(os);
+  w.begin_object();
+  w.key("rows").begin_array();
+  w.begin_object().key("xs").begin_array().integer(-3).number(2.26, 1).end_array();
+  w.key("empty").begin_object().end_object().end_object();
+  w.begin_array().begin_array().end_array().end_array();
+  w.end_array();
+  w.key(tricky).string(tricky);
+  w.key("nan").number(std::numeric_limits<double>::quiet_NaN(), 3);
+  w.key("inf").number(-std::numeric_limits<double>::infinity());
+  w.key("third").number(1.0 / 3.0);
+  w.key("hex").hex(0xabcULL, 16, "0x").key("flag").boolean(false);
+  w.end_object();
+
+  const Json root = JsonParser(os.str()).parse();
+  const Json& rows = root.at("rows");
+  ASSERT_EQ(rows.arr.size(), 2u);
+  const Json& xs = rows.arr[0].at("xs");
+  ASSERT_EQ(xs.arr.size(), 2u);
+  EXPECT_EQ(xs.arr[0].number, -3.0);
+  EXPECT_EQ(xs.arr[1].number, 2.3);  // at the one decimal asked for
+  EXPECT_EQ(rows.arr[0].at("empty").kind, Json::kObject);
+  EXPECT_TRUE(rows.arr[0].at("empty").obj.empty());
+  ASSERT_EQ(rows.arr[1].arr.size(), 1u);
+  EXPECT_TRUE(rows.arr[1].arr[0].arr.empty());
+  EXPECT_EQ(root.at(tricky).str, tricky);  // keys are escaped too
+  EXPECT_EQ(root.at("nan").kind, Json::kNull);
+  EXPECT_EQ(root.at("inf").kind, Json::kNull);
+  EXPECT_EQ(root.at("third").number, 1.0 / 3.0);  // shortest text round-trips
+  EXPECT_EQ(root.at("hex").str, "0x0000000000000abc");
+  EXPECT_EQ(root.at("flag").kind, Json::kBool);
+  EXPECT_FALSE(root.at("flag").boolean);
 }
 
 }  // namespace
