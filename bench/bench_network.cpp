@@ -17,7 +17,8 @@
 //     O(1) because every move patched the edge store.
 //
 // Each rung also reports bytes/node from Network::memory_footprint() — the
-// structure-of-arrays slab accounting that must stay flat as n grows.
+// structure-of-arrays slab accounting that must stay flat as n grows — and
+// the spatial grids' share of it (grid_B).
 //
 // What the numbers cannot show — that the grid and the patched store
 // change nothing BUT wall time — is checked against the O(N^2)
@@ -140,6 +141,7 @@ struct Rung {
   double maint_ms = 0;
   std::size_t edges = 0;
   std::size_t mem_bytes_per_node = 0;
+  std::size_t grid_bytes_per_node = 0;
   bool identical = true;       ///< store == oracle before churn
   bool incr_identical = true;  ///< store == oracle after churn
 };
@@ -162,8 +164,9 @@ Rung run_rung(std::size_t n) {
         same_edges(s.net.topology_view(), iobt::testing::brute_connectivity(s.net));
   }
 
-  const std::size_t total = s.net.memory_footprint().total();
-  r.mem_bytes_per_node = total / (n == 0 ? 1 : n);
+  const net::Network::MemoryFootprint mem = s.net.memory_footprint();
+  r.mem_bytes_per_node = mem.total() / (n == 0 ? 1 : n);
+  r.grid_bytes_per_node = mem.grid / (n == 0 ? 1 : n);
   return r;
 }
 
@@ -229,16 +232,17 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> ladder = {1000, 2000, 4000, 8000, 16000,
                                            32000, 64000, 128000};
   std::vector<Rung> rungs;
-  bench::row("%-8s %-12s %-12s %-8s %-8s %-8s %-8s", "n", "bcast_ms", "maint_ms",
-             "edges", "B/node", "pre=", "post=");
+  bench::row("%-8s %-12s %-12s %-8s %-8s %-8s %-8s %-8s", "n", "bcast_ms", "maint_ms",
+             "edges", "B/node", "grid_B", "pre=", "post=");
   bool identical = true;
   for (const std::size_t n : ladder) {
     rungs.push_back(run_rung(n));
     const Rung& r = rungs.back();
     identical = identical && r.identical && r.incr_identical;
     const auto flag = [&r](bool ok) { return r.brute_checked ? (ok ? "yes" : "NO") : "skip"; };
-    bench::row("%-8zu %-12.2f %-12.2f %-8zu %-8zu %-8s %-8s", r.n, r.bcast_ms, r.maint_ms,
-               r.edges, r.mem_bytes_per_node, flag(r.identical), flag(r.incr_identical));
+    bench::row("%-8zu %-12.2f %-12.2f %-8zu %-8zu %-8zu %-8s %-8s", r.n, r.bcast_ms,
+               r.maint_ms, r.edges, r.mem_bytes_per_node, r.grid_bytes_per_node,
+               flag(r.identical), flag(r.incr_identical));
   }
 
   // Mobile routed traffic: per-seed digests must not depend on the worker
@@ -277,6 +281,7 @@ int main(int argc, char** argv) {
       w.key("broadcast_ms").number(r.bcast_ms, 3);
       w.key("maintenance_ms").number(r.maint_ms, 3);
       w.key("mem_bytes_per_node").integer(r.mem_bytes_per_node);
+      w.key("grid_bytes_per_node").integer(r.grid_bytes_per_node);
       w.key("edges").integer(r.edges);
       w.key("identical").boolean(r.identical);
       w.key("incremental_identical").boolean(r.incr_identical).end_object();

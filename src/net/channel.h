@@ -87,13 +87,20 @@ class ChannelModel {
   /// flag, with no branch on it: in Network's per-move loop about half of
   /// the candidates are out of range, so a branch on the distance is
   /// mispredicted often (EXPERIMENTS.md N5).
+  /// The primitive takes the two ranges: Network's per-move loop reads a
+  /// candidate's position and range from its grid entry.
   [[gnu::always_inline]]
-  bool in_range(sim::Vec2 a, const RadioProfile& ra, sim::Vec2 b,
-                const RadioProfile& rb) const {
-    const double lim = std::min(ra.range_m, rb.range_m);
+  bool in_range(sim::Vec2 a, double range_a, sim::Vec2 b, double range_b) const {
+    const double lim = std::min(range_a, range_b);
     const bool within = !(sim::distance2(a, b) > lim * lim);
     if (buildings_.empty()) return within;
     return within && !line_of_sight_blocked(a, b);
+  }
+  /// The same test on two radio profiles.
+  [[gnu::always_inline]]
+  bool in_range(sim::Vec2 a, const RadioProfile& ra, sim::Vec2 b,
+                const RadioProfile& rb) const {
+    return in_range(a, ra.range_m, b, rb.range_m);
   }
 
   /// Loss probability for one frame from a->b at virtual time t.

@@ -153,104 +153,6 @@ void Network::set_gateway(NodeId id, bool on) {
   if (changed) invalidate_routes();
 }
 
-void Network::grid_insert(NodeId id, bool gateway_grid) {
-  const LayerId layer = layers_[id];
-  SpatialGrid& g = gateway_grid ? gateway_grid_ : layer_grids_[layer];
-  const double range = profiles_[id].range_m;
-  if (range > g.cell_size()) {
-    // A longer radio breaks the cells-cover-range invariant: refill the
-    // grid at its range (id among the members).
-    refill_grid(gateway_grid, layer, range);
-  } else {
-    g.insert(id, positions_[id]);
-  }
-}
-
-void Network::refill_grid(bool gateway_grid, LayerId layer, double cell_m) {
-  SpatialGrid& g = gateway_grid ? gateway_grid_ : layer_grids_[layer];
-  g.reset(cell_m);
-  for (NodeId n = 0; n < node_count(); ++n) {
-    if (up_[n] && (gateway_grid ? gateway_[n] != 0 : layers_[n] == layer)) {
-      g.insert(n, positions_[n]);
-    }
-  }
-}
-
-void Network::rebuild_grids() {
-  std::vector<double> layer_range;
-  double gateway_range = 0.0;
-  for (NodeId n = 0; n < node_count(); ++n) {
-    const LayerId l = layers_[n];
-    if (l >= layer_range.size()) layer_range.resize(std::size_t{l} + 1, 0.0);
-    if (!up_[n]) continue;
-    layer_range[l] = std::max(layer_range[l], profiles_[n].range_m);
-    if (gateway_[n]) gateway_range = std::max(gateway_range, profiles_[n].range_m);
-  }
-  layer_grids_.resize(layer_range.size());
-  for (std::size_t l = 0; l < layer_range.size(); ++l) {
-    refill_grid(false, static_cast<LayerId>(l), layer_range[l]);
-  }
-  refill_grid(true, 0, gateway_range);
-}
-
-void Network::gather_link_candidates(NodeId id, sim::Vec2 from, sim::Vec2 to,
-                                     std::vector<NodeId>& out) const {
-  const LayerId layer = layers_[id];
-  layer_grids_[layer].neighborhood_union(from, to, out);
-  if (!gateway_[id]) return;
-  const std::size_t mark = out.size();
-  gateway_grid_.neighborhood_union(from, to, out);
-  out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(mark), out.end(),
-                           [&](NodeId n) { return layers_[n] == layer; }),
-            out.end());
-}
-
-bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
-  // Any node whose in-range relationship with `id` can flip lies in id's
-  // blocks around `from` or `to` (covering invariant, per grid). The grids
-  // are not touched until the walk below is done.
-  scratch_.clear();
-  gather_link_candidates(id, from, to, scratch_);
-  const std::vector<Topology::Neighbor>& row = links_.neighbors(id);
-  for (const Topology::Neighbor& nb : row) linked_[nb.id] = 1;
-  // One pass, no branch on a candidate's outcome: every candidate's entry
-  // is written and kept only if its link flips. in_range's line-of-sight
-  // test runs only on candidates within range. `id` itself is a candidate
-  // with no link to itself.
-  patch_scratch_.resize(scratch_.size());
-  LinkPatch* flips = patch_scratch_.data();
-  std::size_t n_flips = 0, retained = 0;
-  const RadioProfile& pr = profiles_[id];
-  for (const NodeId other : scratch_) {
-    const bool now =
-        channel_.in_range(to, pr, positions_[other], profiles_[other]) & (other != id);
-    const bool was = linked_[other] != 0;
-    flips[n_flips] = {other, now};
-    n_flips += was != now;
-    retained += was & now;
-  }
-  patch_scratch_.resize(n_flips);
-  for (const Topology::Neighbor& nb : row) linked_[nb.id] = 0;
-  // Covering invariant: every neighbor was a candidate.
-  assert(retained + static_cast<std::size_t>(std::count_if(
-                        patch_scratch_.begin(), patch_scratch_.end(),
-                        [](const LinkPatch& p) { return !p.now; })) == row.size());
-  // Retained links keep the weights of the old position until a reader
-  // syncs them (sync_link_weights).
-  if (retained != 0 && !stale_flag_[id]) {
-    stale_flag_[id] = 1;
-    stale_.push_back(id);
-  }
-  for (const LinkPatch& p : patch_scratch_) {
-    if (p.now) {
-      links_.add_edge_sorted(id, p.other, sim::distance(to, positions_[p.other]));
-    } else {
-      links_.remove_edge(id, p.other);
-    }
-  }
-  return !patch_scratch_.empty();
-}
-
 void Network::sync_link_weights() const {
   if (stale_.empty()) return;
   // Unfinished source trees must keep the weights they started under;
@@ -265,26 +167,6 @@ void Network::sync_link_weights() const {
     }
   }
   stale_.clear();
-}
-
-void Network::attach_links(NodeId id) {
-  const sim::Vec2 p = positions_[id];
-  const RadioProfile& pr = profiles_[id];
-  scratch_.clear();
-  gather_link_candidates(id, p, p, scratch_);
-  for (const NodeId other : scratch_) {
-    if (other == id) continue;
-    if (channel_.in_range(p, pr, positions_[other], profiles_[other])) {
-      links_.add_edge_sorted(id, other, sim::distance(p, positions_[other]));
-    }
-  }
-}
-
-void Network::detach_links(NodeId id) {
-  // Copy the ids out first: remove_edge mutates the list being walked.
-  scratch_.clear();
-  for (const Topology::Neighbor& n : links_.neighbors(id)) scratch_.push_back(n.id);
-  for (const NodeId other : scratch_) links_.remove_edge(id, other);
 }
 
 std::vector<NodeId> Network::nodes_near(sim::Vec2 p, double radius) const {
@@ -474,30 +356,6 @@ void Network::freeze_growing_trees() const {
     }
     e.frozen = copy;
   }
-}
-
-Topology Network::full_connectivity() const {
-  // Edges are collected into a flat scratch list (reused across restores,
-  // so the build allocates nothing once warm) and the Topology is built in
-  // one bulk pass with exact-size adjacency reserves. The list order (a
-  // ascending, then b > a ascending) leaves every adjacency list id-sorted,
-  // the invariant the patched store keeps, so each node's candidates are
-  // sorted before they are tested.
-  edge_scratch_.clear();
-  for (NodeId a = 0; a < node_count(); ++a) {
-    if (!up_[a]) continue;
-    const sim::Vec2 p = positions_[a];
-    scratch_.clear();
-    gather_link_candidates(a, p, p, scratch_);
-    std::sort(scratch_.begin(), scratch_.end());
-    for (const NodeId b : scratch_) {
-      if (b <= a) continue;
-      if (channel_.in_range(p, profiles_[a], positions_[b], profiles_[b])) {
-        edge_scratch_.push_back({a, b, sim::distance(p, positions_[b])});
-      }
-    }
-  }
-  return Topology(node_count(), edge_scratch_);
 }
 
 std::vector<bool> Network::free_slots() const {

@@ -292,15 +292,12 @@ class Network : public sim::Checkpointable {
     return layers_[a] == layers_[b] || (gateway_[a] && gateway_[b]);
   }
 
-  /// Indexes live node `id` in its layer grid, or in the gateway grid when
-  /// `gateway_grid` is set (id must already be up and flagged). A radio
-  /// longer than the grid's cells refills the grid at that range instead,
-  /// restoring the covering invariant.
+  /// Indexes live node `id`, with its position and range, in its layer
+  /// grid, or in the gateway grid when `gateway_grid` is set (id must
+  /// already be up and flagged). A radio longer than the grid's cells
+  /// widens them (SpatialGrid::insert), restoring the covering invariant.
   void grid_insert(NodeId id, bool gateway_grid);
-  /// Resets one grid (layer `layer`'s, or the gateway grid when
-  /// `gateway_grid` is set) to `cell_m` cells and indexes its live members.
-  void refill_grid(bool gateway_grid, LayerId layer, double cell_m);
-  /// Refills every grid from the slabs, each sized to the longest radio
+  /// Refills every grid from the slabs, each widened to the longest radio
   /// among its live members: restore's counterpart of grid_insert.
   void rebuild_grids();
   /// Appends, each once and unsorted, every live node that may link with
@@ -316,9 +313,12 @@ class Network : public sim::Checkpointable {
   /// where patching from a delta is impossible.
   Topology full_connectivity() const;
   /// Patches links_ for a move of live node `id` (must run BEFORE the slab
-  /// position and grids are updated). The candidates are gathered raw from
-  /// the union of id's `from` and `to` blocks (gather_link_candidates),
-  /// which covers every node whose in-range relationship can flip. Whether
+  /// position and grids are updated). The candidates are the packed grid
+  /// entries of the union of id's `from` and `to` blocks, walked span by
+  /// span (SpatialGrid::visit_union) with the same layer filter as
+  /// gather_link_candidates; they cover every node whose in-range
+  /// relationship can flip, and their entries hold the positions and
+  /// ranges of positions_ and profiles_. Whether
   /// a link existed is read from linked_, set from id's adjacency row
   /// before the walk and cleared after, so each candidate costs one range
   /// test. It only flips edges, in gather order: add_edge_sorted and
@@ -393,7 +393,7 @@ class Network : public sim::Checkpointable {
   // radio's cell size.
   std::vector<SpatialGrid> layer_grids_;
   SpatialGrid gateway_grid_{0.0};
-  /// Id scratch buffer for moves, attaches, detaches, gateway flips and the
+  /// Id scratch buffer for attaches, detaches, gateway flips and the
   /// restore reseed (avoids an allocation per call); mutable because the
   /// const reseed reuses it. Broadcast must not use it: its transmit hook
   /// can run any of those.
@@ -406,7 +406,8 @@ class Network : public sim::Checkpointable {
   /// scratch_.
   mutable std::vector<Edge> edge_scratch_;
   /// One move's flipped links (patch_links_for_move): `now` tells whether
-  /// the link appears or vanishes.
+  /// the link appears or vanishes. Only the move's first n_flips entries
+  /// are meaningful; the buffer keeps the size of the longest walk.
   struct LinkPatch {
     NodeId other;
     bool now;

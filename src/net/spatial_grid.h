@@ -1,22 +1,51 @@
 #pragma once
-// Uniform hash-grid spatial index over node positions.
+// Dense, tiled cell-list spatial index over node positions.
 //
 // The wireless substrate's geometric queries (link patching on moves and
 // liveness flips, the restore-time connectivity rebuild, disc scans) were
 // all O(N) or O(N^2) scans over the node table, which is the quadratic wall
 // the paper's "1,000s to 10,000s of nodes" claim runs into. The grid
-// buckets nodes by cell. Its owner keeps the cell size >= the radio range
-// of every node it indexes, so any two indexed nodes that can be in radio
-// range of each other lie within one Chebyshev cell of each other: the 3x3
-// cell neighborhood of a member's position is a SUPERSET of its radio
+// buckets nodes by cell. Its cells are at least as wide as the radio range
+// of every member, so any two members that can be in radio range of each
+// other lie within one Chebyshev cell of each other: the 3x3 cell
+// neighborhood of a member's position is a SUPERSET of its radio
 // neighborhood among the members. net::Network keeps one grid per layer
-// and one of gateways, each sized to its own members' longest radio, and
-// uses them to keep its edge store exact; broadcasts read the store, not
-// the grid. Queries return raw candidates, unsorted; callers apply the
-// exact in_range/distance filter and any ordering they need themselves.
+// and one of gateways and uses them to keep its edge store exact;
+// broadcasts read the store, not the grid. Queries return raw candidates,
+// unsorted; callers apply the exact in_range/distance filter and any
+// ordering they need themselves.
+//
+// Layout. The cells form a dense box (w x h cells) over the members'
+// cells, with a margin of kMargin empty cells on every side. Each row of
+// the box is cut into tiles of kTile cells; a tile holds the packed
+// entries {position, range, id} of its cells contiguously, in cell order,
+// with one end offset per cell. A 3x3 block is then at most six
+// contiguous spans (three rows, each cut at most once by a tile edge),
+// and the hot caller reads a candidate's position and range from the
+// entry itself. A per-id slot (tiled cell, index in tile) makes a move
+// within one cell an in-place write of the position; a move to another
+// cell of the tile swaps the entry across the cell boundaries between
+// them, and a move to another tile swaps it to the end of its tile and in
+// from the end of the new one: O(kTile) either way, never O(row width).
+// Packed entries hold exactly the position last given to insert/move: for
+// net::Network that is positions_ of every live node.
+//
+// Box and cell policy. The grid's cell is base * 2^k, where base is the
+// larger of the size asked for at construction/reset and the longest
+// range ever inserted since, and k is the smallest that keeps the box
+// within max(kMinCells, kCellsPerMember * members) cells and every cell
+// index within +-2^30. A member landing outside the box's interior, a
+// longer range, or (while k > 0) a doubling of the member count replans:
+// the box and k are recomputed from the packed entries, with some slack
+// for growth, and every entry is re-bucketed. Query points outside the
+// box are clamped into its edge cells (clamping is 1-Lipschitz, so the
+// covering invariant holds); the margin keeps those edge cells free of
+// members with finite coordinates. A non-finite coordinate (NaN, +-inf)
+// can fit no box: it is pinned to the edge cell, NaN and -inf low, +inf
+// high, for members and queries alike.
 
+#include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/message.h"
@@ -26,60 +55,145 @@ namespace iobt::net {
 
 class SpatialGrid {
  public:
-  explicit SpatialGrid(double cell_size_m = 250.0) { set_cell_size(cell_size_m); }
+  /// One member as the grid stores it: the position and radio range last
+  /// given for `id`.
+  struct Entry {
+    sim::Vec2 p;
+    double range_m;
+    NodeId id;
+  };
 
-  /// Edge of a cell; a non-positive size given at construction or reset
-  /// reads as 1 m.
+  explicit SpatialGrid(double cell_size_m = 250.0) { set_base(cell_size_m); }
+
+  /// Edge of a cell: at least the size asked for (a non-positive size
+  /// given at construction or reset reads as 1 m) and every member's range.
   double cell_size() const { return cell_; }
   /// Number of ids currently indexed.
   std::size_t size() const { return count_; }
 
-  /// Inserts `id` at `p`. The caller guarantees `id` is not already present.
-  void insert(NodeId id, sim::Vec2 p);
+  /// Inserts `id` at `p` with radio range `range_m`. The caller guarantees
+  /// `id` is not already present. A range longer than the cells replans
+  /// the grid around it.
+  void insert(NodeId id, sim::Vec2 p, double range_m);
   /// Removes `id`, which must have been inserted at (or moved to) `p`.
   void remove(NodeId id, sim::Vec2 p);
-  /// Relocates `id` from `from` to `to`; a no-op when both map to one cell.
+  /// Relocates `id` from `from` (its current position) to `to`.
   void move(NodeId id, sim::Vec2 from, sim::Vec2 to);
 
-  /// Drops every entry and adopts a new cell size (used when a node with a
-  /// longer radio joins and the covering guarantee must be restored).
+  /// Drops every entry and adopts a new base cell size.
   void reset(double cell_size_m);
+
+  /// Calls visit(first, last) once per contiguous span of entries in the
+  /// union of the 3x3 cell neighborhoods of `from` and `to`: each member
+  /// of that union is in exactly one span, in no particular order. Cells
+  /// of `to`'s block that `from`'s block already holds are skipped, so a
+  /// move within one cell visits one block. The grid must not change
+  /// during the walk.
+  template <typename Visit>
+  void visit_union(sim::Vec2 from, sim::Vec2 to, Visit&& visit) const;
 
   /// Appends every id in the 3x3 cell neighborhood of `p`. Output is
   /// unsorted but duplicate-free (each id lives in exactly one cell).
   void neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const;
 
   /// Appends every id in the union of the 3x3 cell neighborhoods of `from`
-  /// and `to`, each id once, unsorted: the candidates of a move from `from`
-  /// to `to`. Cells of `to`'s block that `from`'s block already holds are
-  /// skipped, so a move within one cell gathers one block.
+  /// and `to`, each id once, unsorted: the ids visit_union walks.
   void neighborhood_union(sim::Vec2 from, sim::Vec2 to, std::vector<NodeId>& out) const;
 
   /// Appends every id in cells intersecting the disc (p, radius) — a
-  /// superset of the ids within `radius` of `p`, unsorted. When the
-  /// covering square spans more cells than are occupied (a huge, infinite
-  /// or NaN radius) it appends every indexed id instead.
+  /// superset of the ids within `radius` of `p`, unsorted. A square wider
+  /// than the box (a huge, infinite or NaN radius) covers the whole box:
+  /// every indexed id.
   void near(sim::Vec2 p, double radius, std::vector<NodeId>& out) const;
 
-  /// Bytes held by the cell buckets (container capacities x element sizes
-  /// plus per-entry hash-node overhead — a structural estimate, not
-  /// allocator truth). Deterministic for a given operation sequence; feeds
-  /// the memory-per-node bench column.
+  /// Bytes held by the tiles, cell offsets and slots (container capacities
+  /// x element sizes — a structural estimate, not allocator truth).
+  /// Deterministic for a given operation sequence; feeds the
+  /// memory-per-node bench column.
   std::size_t memory_bytes() const;
 
  private:
-  std::int32_t coord(double v) const;
-  static std::uint64_t key(std::int32_t cx, std::int32_t cy) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
-  }
-  void append_cell(std::int32_t cx, std::int32_t cy, std::vector<NodeId>& out) const;
-  void set_cell_size(double c);
+  /// Cells per tile. Fixed, so a move costs O(kTile) swaps at most.
+  static constexpr int kTile = 8;
+  /// Empty cells kept between the members' cells and the box edge.
+  static constexpr int kMargin = 2;
+  /// Cell budget of the box: max(kMinCells, kCellsPerMember * members).
+  static constexpr double kMinCells = 65536.0;
+  static constexpr double kCellsPerMember = 4.0;
+  static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
 
-  double cell_ = 250.0;
-  double inv_cell_ = 1.0 / 250.0;
+  /// Where an id lives: its cell, as a tiled index (tile * kTile + column
+  /// within the tile), and its index in the tile's entries.
+  struct Slot {
+    std::uint32_t cell = kNoCell;
+    std::uint32_t pos = 0;
+  };
+
+  void set_base(double c);
+  /// Cell coordinate of `v` relative to origin `o`, before clamping.
+  double rel(double v, double o) const { return std::floor(v * inv_cell_) - o; }
+  /// Clamps a relative cell coordinate into [0, n); NaN goes low. Plain
+  /// compares: std::fmin/fmax are library calls here, on the path of
+  /// every move and query (EXPERIMENTS.md N7).
+  static int clamp_cell(double c, int n) {
+    if (!(c > 0.0)) return 0;
+    if (c < n - 1) return static_cast<int>(c);
+    return n - 1;
+  }
+  int col(double x) const { return clamp_cell(rel(x, ox_), w_); }
+  int row(double y) const { return clamp_cell(rel(y, oy_), h_); }
+  std::uint32_t tiled_cell(int c, int r) const {
+    return static_cast<std::uint32_t>((r * tiles_per_row_ + c / kTile) * kTile + c % kTile);
+  }
+  std::uint32_t tiled_cell(sim::Vec2 p) const { return tiled_cell(col(p.x), row(p.y)); }
+  /// True iff `p` lies in the box's interior: every finite coordinate at
+  /// least kMargin cells from the edge. False on an empty box.
+  bool interior(sim::Vec2 p) const;
+  /// Recomputes the cell size and box from every entry, plus `extra` (an
+  /// entry being inserted) when given, and re-buckets them all.
+  void replan(const Entry* extra);
+  /// Puts `e` into `cell` (tiled index) and records its slot.
+  void place(const Entry& e, std::uint32_t cell);
+  /// Takes the entry in `s` out of its tile; the entry's slot is cleared.
+  void take(Slot s);
+
+  /// The non-empty spans of a union of two 3x3 blocks. A row in both
+  /// blocks holds at most four (two column ranges, each cut at most once
+  /// by a tile edge), a row of one block at most two; k shared rows leave
+  /// 6 - 2k others, so 4k + 2(6 - 2k) = 12 spans at most.
+  struct Spans {
+    int n = 0;
+    const Entry* first[12];
+    const Entry* last[12];
+  };
+  void union_spans(sim::Vec2 from, sim::Vec2 to, Spans& out) const;
+  /// Calls visit(first, last) on the non-empty spans of row `r`, columns
+  /// [c0, c1] (clipped to the box).
+  template <typename Visit>
+  void visit_row(int r, int c0, int c1, Visit&& visit) const;
+
+  double base_ = 1.0;     ///< cell size asked for
+  double widest_ = 0.0;   ///< longest range inserted since the last reset
+  double cell_ = 1.0;
+  double inv_cell_ = 1.0;
+  double ox_ = 0.0, oy_ = 0.0;  ///< cell coordinate of the box's corner
+  int w_ = 0, h_ = 0;           ///< box size in cells; 0 until first insert
+  int tiles_per_row_ = 0;
   std::size_t count_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> cells_;
+  std::size_t planned_count_ = 0;  ///< count_ at the last replan
+  /// h_ * tiles_per_row_ tiles, row-major; entries in cell order.
+  std::vector<std::vector<Entry>> tiles_;
+  /// Per tiled cell: end of its entries within its tile.
+  std::vector<std::uint32_t> end_;
+  std::vector<Slot> slot_;  ///< by id
 };
+
+template <typename Visit>
+void SpatialGrid::visit_union(sim::Vec2 from, sim::Vec2 to, Visit&& visit) const {
+  // The spans are listed first, so the visitor has one call site.
+  Spans spans;
+  union_spans(from, to, spans);
+  for (int i = 0; i < spans.n; ++i) visit(spans.first[i], spans.last[i]);
+}
 
 }  // namespace iobt::net

@@ -21,11 +21,11 @@ constexpr std::uint64_t kFormatVersion = 2;
 // The checksum is FNV-1a over the payload bytes — cheap, deterministic,
 // and enough to catch truncation and bit rot (adversarial tampering is out
 // of scope; the stamp check catches honest cross-key mixups).
-std::string header_line(std::uint64_t key, const std::string& payload) {
+// get() accepts only the exact line this writes for the fields it parses.
+std::string header_line(std::uint64_t key, std::uint64_t size, std::uint64_t checksum) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %" PRIu64 " %016" PRIx64 " %zu %016" PRIx64 "\n",
-                kMagic, kFormatVersion, key, payload.size(),
-                fnv1a(payload));
+  std::snprintf(buf, sizeof(buf), "%s %" PRIu64 " %016" PRIx64 " %" PRIu64 " %016" PRIx64 "\n",
+                kMagic, kFormatVersion, key, size, checksum);
   return buf;
 }
 
@@ -54,7 +54,7 @@ bool SnapshotStore::put(std::uint64_t key, const std::string& payload) {
       final_path.string() + ".tmp";
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    out << header_line(key, payload);
+    out << header_line(key, payload.size(), fnv1a(payload));
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     out.flush();
     if (!out) {
@@ -91,6 +91,9 @@ SnapshotStore::GetStatus SnapshotStore::get(std::uint64_t key,
       !parse_hex64_token(checksum_hex, checksum)) {
     return GetStatus::kRejected;
   }
+  // Byte equality with the canonical line rejects what the token parse
+  // lets through: leading or repeated blanks, tabs, trailing tokens.
+  if (header + '\n' != header_line(stamp, payload_size, checksum)) return GetStatus::kRejected;
   if (stamp != key) return GetStatus::kRejected;
 
   // Read what the file holds, never what the header claims: a corrupt

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -669,7 +671,7 @@ TEST(SpatialGrid, NeighborhoodIsSupersetOfRadioDisc) {
   std::vector<Vec2> pts;
   for (NodeId i = 0; i < 300; ++i) {
     pts.push_back({rng.uniform(0, 2000), rng.uniform(0, 2000)});
-    grid.insert(i, pts.back());
+    grid.insert(i, pts.back(), 250.0);
   }
   std::vector<NodeId> out;
   for (NodeId q = 0; q < 300; q += 17) {
@@ -687,8 +689,8 @@ TEST(SpatialGrid, NeighborhoodIsSupersetOfRadioDisc) {
 
 TEST(SpatialGrid, MoveTracksCellMembership) {
   SpatialGrid grid(100.0);
-  grid.insert(0, {10, 10});
-  grid.insert(1, {50, 50});
+  grid.insert(0, {10, 10}, 100.0);
+  grid.insert(1, {50, 50}, 100.0);
   std::vector<NodeId> out;
   grid.neighborhood({10, 10}, out);
   std::sort(out.begin(), out.end());
@@ -721,8 +723,8 @@ TEST(SpatialGrid, FarAndNonFiniteCoordinatesSaturate) {
   // saturate instead of overflowing: opposite far ends stay apart, and a
   // query at the edge of the index space does not wrap around.
   SpatialGrid grid(100.0);
-  grid.insert(1, {1e300, 1e300});
-  grid.insert(2, {std::nan(""), 0.0});
+  grid.insert(1, {1e300, 1e300}, 100.0);
+  grid.insert(2, {std::nan(""), 0.0}, 100.0);
   std::vector<NodeId> out;
   grid.neighborhood({-1e300, -1e300}, out);
   EXPECT_TRUE(out.empty());
@@ -744,7 +746,7 @@ TEST(SpatialGrid, NeighborhoodUnionIsBothBlocksEachIdOnce) {
     for (int cy = 0; cy < 10; ++cy) {
       for (const double off : {20.0, 70.0}) {
         at.push_back({cx * 100.0 + off, cy * 100.0 + off});
-        grid.insert(static_cast<NodeId>(at.size() - 1), at.back());
+        grid.insert(static_cast<NodeId>(at.size() - 1), at.back(), 100.0);
       }
     }
   }
@@ -773,6 +775,134 @@ TEST(SpatialGrid, NeighborhoodUnionIsBothBlocksEachIdOnce) {
     }
     EXPECT_EQ(sorted, want) << "move (" << from.x << ", " << from.y << ") -> ("
                             << to.x << ", " << to.y << ")";
+  }
+}
+
+TEST(SpatialGrid, UnionVisitMatchesBruteFilterUnderChurn) {
+  // Seeded churn against a brute model: inserts, removes, local steps,
+  // cross-row teleports, moves out of the box and far away, and resets.
+  // After every operation the union visit from random endpoint pairs must
+  // hold every member whose cell is within one cell of either endpoint's
+  // cell exactly once, with the position and range last given, and no
+  // other id twice or any non-member. Three cell sizes; the 10 m grid is
+  // 250 columns wide, so its rows span many tiles.
+  struct Case {
+    double cell, width, height;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Case& c : {Case{10, 2500, 200}, Case{100, 2500, 2000}, Case{1000, 2500, 2000}}) {
+    SpatialGrid grid(c.cell);
+    constexpr std::size_t kIds = 300;
+    std::vector<std::optional<SpatialGrid::Entry>> model(kIds);
+    std::size_t members = 0;
+    Rng rng(static_cast<std::uint64_t>(c.cell) * 7919 + 5);
+    const auto area_point = [&] {
+      return Vec2{rng.uniform(0, c.width), rng.uniform(0, c.height)};
+    };
+    const auto any_member = [&]() -> std::optional<NodeId> {
+      if (members == 0) return std::nullopt;
+      for (;;) {
+        const auto id = static_cast<NodeId>(rng.uniform_int(0, kIds - 1));
+        if (model[id]) return id;
+      }
+    };
+    const auto endpoint = [&] {
+      switch (rng.uniform_int(0, 3)) {
+        case 0: return area_point();
+        case 1: {
+          if (const auto id = any_member()) return model[*id]->p;
+          return area_point();
+        }
+        case 2: return Vec2{rng.uniform(-5 * c.cell, c.width + 5 * c.cell), -3 * c.cell};
+        default: return Vec2{-1e12, rng.uniform(0, c.height)};
+      }
+    };
+    const auto move_to = [&](NodeId id, Vec2 to) {
+      grid.move(id, model[id]->p, to);
+      model[id]->p = to;
+    };
+
+    for (int op = 0; op < 700; ++op) {
+      std::string what;
+      const std::int64_t kind = rng.uniform_int(0, 99);
+      const std::optional<NodeId> m = any_member();
+      if (kind < 30 || !m) {
+        const auto id = static_cast<NodeId>(rng.uniform_int(0, kIds - 1));
+        if (model[id]) continue;
+        // Ranges up to 1.3 cells: a longer one widens the cells.
+        const SpatialGrid::Entry e{area_point(), rng.uniform(0.2, 1.3) * c.cell, id};
+        grid.insert(id, e.p, e.range_m);
+        model[id] = e;
+        ++members;
+        what = "insert";
+      } else if (kind < 45) {
+        grid.remove(*m, model[*m]->p);
+        model[*m].reset();
+        --members;
+        what = "remove";
+      } else if (kind < 75) {
+        const Vec2 p = model[*m]->p;
+        move_to(*m, {p.x + rng.uniform(-0.6, 0.6) * c.cell, p.y + rng.uniform(-0.6, 0.6) * c.cell});
+        what = "local step";
+      } else if (kind < 90) {
+        move_to(*m, area_point());
+        what = "teleport";
+      } else if (kind < 96) {
+        move_to(*m, {c.width + rng.uniform(1, 20) * c.cell, -rng.uniform(1, 20) * c.cell});
+        what = "out-of-box move";
+      } else if (kind < 98) {
+        move_to(*m, kind == 96 ? Vec2{1e9, -1e9} : Vec2{std::nan(""), 50.0});
+        what = "far move";
+      } else {
+        grid.reset(c.cell);
+        for (auto& slot : model) slot.reset();
+        members = 0;
+        what = "reset";
+      }
+      ASSERT_EQ(grid.size(), members) << "cell " << c.cell << " op " << op << " " << what;
+
+      const double inv = 1.0 / grid.cell_size();
+      const auto near_cell = [&](Vec2 a, Vec2 b) {
+        return std::abs(std::floor(a.x * inv) - std::floor(b.x * inv)) <= 1.0 &&
+               std::abs(std::floor(a.y * inv) - std::floor(b.y * inv)) <= 1.0;
+      };
+      for (int q = 0; q < 6; ++q) {
+        const Vec2 from = endpoint();
+        const Vec2 to = rng.bernoulli(0.5)
+                            ? Vec2{from.x + rng.uniform(-2, 2) * c.cell,
+                                   from.y + rng.uniform(-2, 2) * c.cell}
+                            : endpoint();
+        std::vector<int> seen(kIds, 0);
+        std::size_t stale = 0;
+        grid.visit_union(from, to, [&](const SpatialGrid::Entry* e,
+                                       const SpatialGrid::Entry* last) {
+          for (; e != last; ++e) {
+            if (e->id >= kIds || !model[e->id]) {
+              ++stale;
+              continue;
+            }
+            ++seen[e->id];
+            const SpatialGrid::Entry& want = *model[e->id];
+            if (bits(e->p.x) != bits(want.p.x) || bits(e->p.y) != bits(want.p.y) ||
+                bits(e->range_m) != bits(want.range_m)) {
+              ++stale;
+            }
+          }
+        });
+        const std::string where = "cell " + std::to_string(c.cell) + " op " +
+                                  std::to_string(op) + " after " + what + ", query (" +
+                                  std::to_string(from.x) + ", " + std::to_string(from.y) +
+                                  ") -> (" + std::to_string(to.x) + ", " +
+                                  std::to_string(to.y) + ")";
+        ASSERT_EQ(stale, 0u) << "non-member or stale entry visited, " << where;
+        for (NodeId id = 0; id < kIds; ++id) {
+          ASSERT_LE(seen[id], 1) << "id " << id << " visited twice, " << where;
+          if (model[id] && (near_cell(model[id]->p, from) || near_cell(model[id]->p, to))) {
+            ASSERT_EQ(seen[id], 1) << "id " << id << " missing, " << where;
+          }
+        }
+      }
+    }
   }
 }
 

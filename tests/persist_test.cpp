@@ -598,6 +598,39 @@ TEST(SnapshotStore, CorruptHeaderTruncationAndVersionSkewAreRejected) {
   EXPECT_EQ(sink, payload);
 }
 
+TEST(SnapshotStore, NonCanonicalHeaderIsRejected) {
+  // A header whose tokens all parse is still rejected unless it is the
+  // exact line the writer emits: a trailing token, a leading space or a
+  // trailing tab. The payload itself stays intact, so only the header can
+  // reject these.
+  const std::string dir = scratch_dir("noncanonical");
+  SnapshotStore store(dir);
+  const std::string payload(64, 'y');
+  const std::string path = dir + "/" + SnapshotStore::file_name(7);
+  const std::function<std::string(std::string)> edits[] = {
+      [](std::string line) { return line + " trailing junk"; },
+      [](std::string line) { return " " + line; },
+      [](std::string line) { return line + "\t"; },
+  };
+  for (const auto& edit : edits) {
+    ASSERT_TRUE(store.put(7, payload));
+    std::ifstream in(path, std::ios::binary);
+    std::string all((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    in.close();
+    const std::size_t eol = all.find('\n');
+    const std::string edited = edit(all.substr(0, eol));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << edited << all.substr(eol);
+    std::string sink;
+    EXPECT_EQ(store.get(7, sink), SnapshotStore::GetStatus::kRejected)
+        << "header '" << edited << "'";
+  }
+  // The canonical file reads back.
+  ASSERT_TRUE(store.put(7, payload));
+  std::string out;
+  EXPECT_EQ(store.get(7, out), SnapshotStore::GetStatus::kHit);
+  EXPECT_EQ(out, payload);
+}
+
 TEST(SnapshotStore, MutatedFilesAreRejectedOrReadBackExactly) {
   // Seeded mutants of a valid file written in its place: bit flips,
   // truncations, splices with another key's file, duplicated header
