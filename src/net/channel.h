@@ -7,6 +7,7 @@
 // regime of the paper. Jammers (an adversarial action, §II) raise loss to
 // near-certainty inside their footprint while active.
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -88,11 +89,13 @@ class ChannelModel {
   /// the candidates are out of range, so a branch on the distance is
   /// mispredicted often (EXPERIMENTS.md N5).
   /// The primitive takes the two ranges: Network's per-move loop reads a
-  /// candidate's position and range from its grid entry.
+  /// candidate's position and range from its grid entry. d2 <= lim^2 is
+  /// false for NaN; std::islessequal keeps it branch-free in that loop,
+  /// where GCC compiles `<=` to a branch (EXPERIMENTS.md N10).
   [[gnu::always_inline]]
   bool in_range(sim::Vec2 a, double range_a, sim::Vec2 b, double range_b) const {
     const double lim = std::min(range_a, range_b);
-    const bool within = !(sim::distance2(a, b) > lim * lim);
+    const bool within = std::islessequal(sim::distance2(a, b), lim * lim);
     if (buildings_.empty()) return within;
     return within && !line_of_sight_blocked(a, b);
   }

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 #include "net/network.h"
 
@@ -34,30 +36,57 @@ void Network::rebuild_grids() {
   }
 }
 
-void Network::gather_link_candidates(NodeId id, sim::Vec2 from, sim::Vec2 to,
-                                     std::vector<NodeId>& out) const {
+template <typename Visit>
+void Network::visit_link_candidates(NodeId id, sim::Vec2 p, Visit&& visit) const {
   const LayerId layer = layers_[id];
-  layer_grids_[layer].neighborhood_union(from, to, out);
+  layer_grids_[layer].visit_block(p, visit);
   if (!gateway_[id]) return;
-  const std::size_t mark = out.size();
-  gateway_grid_.neighborhood_union(from, to, out);
-  out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(mark), out.end(),
-                           [&](NodeId n) { return layers_[n] == layer; }),
-            out.end());
+  // Gateways of id's own layer were candidates in its layer grid.
+  gateway_grid_.visit_block(p, [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
+    for (; e != last; ++e) {
+      if (layers_[e->id] != layer) visit(e, e + 1);
+    }
+  });
 }
 
-bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
-  // Any node whose in-range relationship with `id` can flip lies in id's
-  // blocks around `from` or `to` (covering invariant, per grid). The grids
-  // are not touched until the walk below is done.
+void Network::move_batch(std::span<const Move> moves) {
+  // An unknown id throws before anything moves.
+  for (const Move& m : moves) {
+    if (m.id >= node_count()) throw std::out_of_range("Network::move_batch: unknown node");
+  }
+  // Every position and grid entry first: each block walked below shows
+  // every node at its final position.
+  scratch_.clear();
+  for (const Move& m : moves) {
+    assert(std::isfinite(m.to.x) && std::isfinite(m.to.y) && "Network: non-finite position");
+    const sim::Vec2 from = positions_[m.id];
+    if (from == m.to) continue;
+    positions_[m.id] = m.to;
+    // A down node is invisible to the topology (and absent from the
+    // grids): it repositions silently.
+    if (!up_[m.id]) continue;
+    layer_grids_[layers_[m.id]].move(m.id, from, m.to);
+    if (gateway_[m.id]) gateway_grid_.move(m.id, from, m.to);
+    scratch_.push_back(m.id);
+  }
+  // A batch that flips no link leaves every cached route intact.
+  bool changed = false;
+  for (const NodeId id : scratch_) changed |= patch_links_for_move(id);
+  if (changed) invalidate_routes();
+}
+
+bool Network::patch_links_for_move(NodeId id) {
+  // Every node in range of id's final position lies in the block around
+  // it (covering invariant, per grid).
+  const sim::Vec2 to = positions_[id];
   const std::vector<Topology::Neighbor>& row = links_.neighbors(id);
   for (const Topology::Neighbor& nb : row) linked_[nb.id] = 1;
   // One pass over the candidates' packed entries, no branch on a
   // candidate's outcome: every candidate's entry is written and kept only
   // if its link flips. in_range's line-of-sight test runs only on
   // candidates within range. `id` itself is a candidate with no link to
-  // itself. The flip buffer grows to the longest span walk seen, never to
-  // the grid's size.
+  // itself. The flip buffer grows to the longest block walk seen, never
+  // to the grid's size.
   const double range = profiles_[id].range_m;
   std::size_t n_flips = 0, retained = 0;
   const auto test = [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
@@ -75,51 +104,49 @@ bool Network::patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to) {
     n_flips = flipped;
     retained = kept;
   };
-  const LayerId layer = layers_[id];
-  layer_grids_[layer].visit_union(from, to, test);
-  if (gateway_[id]) {
-    // Gateways of id's own layer were candidates in its layer grid.
-    gateway_grid_.visit_union(from, to, [&](const SpatialGrid::Entry* e,
-                                            const SpatialGrid::Entry* last) {
-      for (; e != last; ++e) {
-        if (layers_[e->id] != layer) test(e, e + 1);
-      }
-    });
-  }
+  visit_link_candidates(id, to, test);
   for (const Topology::Neighbor& nb : row) linked_[nb.id] = 0;
-  const LinkPatch* flips = patch_scratch_.data();
-  // Covering invariant: every neighbor was a candidate.
-  assert(retained + static_cast<std::size_t>(std::count_if(
-                        flips, flips + n_flips,
-                        [](const LinkPatch& p) { return !p.now; })) == row.size());
-  // Retained links keep the weights of the old position until a reader
+  // Retained links keep the weights of older positions until a reader
   // syncs them (sync_link_weights).
   if (retained != 0 && !stale_flag_[id]) {
     stale_flag_[id] = 1;
     stale_.push_back(id);
   }
+  // Removals first, so no row holds a mover's old and new neighbours at
+  // once: row capacities follow the larger of the two, not their sum.
+  const LinkPatch* flips = patch_scratch_.data();
   for (std::size_t i = 0; i < n_flips; ++i) {
-    const LinkPatch& p = flips[i];
-    if (p.now) {
-      links_.add_edge_sorted(id, p.other, sim::distance(to, positions_[p.other]));
-    } else {
-      links_.remove_edge(id, p.other);
+    if (!flips[i].now) links_.remove_edge(id, flips[i].other);
+  }
+  // The row now holds the retained links and any neighbour the walk did
+  // not meet, which left the block and so is out of range. Found by count,
+  // so the loop above stores nothing per row member; rare.
+  const bool departed = row.size() != retained;
+  if (departed) [[unlikely]] {
+    for (std::size_t i = row.size(); i-- > 0;) {
+      const NodeId other = row[i].id;
+      if (!channel_.in_range(to, range, positions_[other], profiles_[other].range_m)) {
+        links_.remove_edge(id, other);
+      }
     }
   }
-  return n_flips != 0;
+  for (std::size_t i = 0; i < n_flips; ++i) {
+    const NodeId other = flips[i].other;
+    if (flips[i].now) links_.add_edge_sorted(id, other, sim::distance(to, positions_[other]));
+  }
+  return n_flips != 0 || departed;
 }
 
 void Network::attach_links(NodeId id) {
   const sim::Vec2 p = positions_[id];
-  const RadioProfile& pr = profiles_[id];
-  scratch_.clear();
-  gather_link_candidates(id, p, p, scratch_);
-  for (const NodeId other : scratch_) {
-    if (other == id) continue;
-    if (channel_.in_range(p, pr, positions_[other], profiles_[other])) {
-      links_.add_edge_sorted(id, other, sim::distance(p, positions_[other]));
+  const double range = profiles_[id].range_m;
+  visit_link_candidates(id, p, [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
+    for (; e != last; ++e) {
+      if (e->id != id && channel_.in_range(p, range, e->p, e->range_m)) {
+        links_.add_edge_sorted(id, e->id, sim::distance(p, e->p));
+      }
     }
-  }
+  });
 }
 
 void Network::detach_links(NodeId id) {
@@ -141,7 +168,9 @@ Topology Network::full_connectivity() const {
     if (!up_[a]) continue;
     const sim::Vec2 p = positions_[a];
     scratch_.clear();
-    gather_link_candidates(a, p, p, scratch_);
+    visit_link_candidates(a, p, [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
+      for (; e != last; ++e) scratch_.push_back(e->id);
+    });
     std::sort(scratch_.begin(), scratch_.end());
     for (const NodeId b : scratch_) {
       if (b <= a) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -57,6 +58,8 @@ void Network::resolve_metric_handles() {
 }
 
 NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer) {
+  assert(std::isfinite(position.x) && std::isfinite(position.y) &&
+         std::isfinite(profile.range_m) && "Network::add_node: non-finite position or range");
   const auto id = static_cast<NodeId>(positions_.size());
   positions_.push_back(position);
   profiles_.push_back(profile);
@@ -80,28 +83,6 @@ NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer
 }
 
 void Network::set_handler(NodeId id, Handler h) { handlers_.at(id) = std::move(h); }
-
-void Network::set_position(NodeId id, sim::Vec2 p) {
-  const sim::Vec2 from = positions_.at(id);
-  if (from == p) return;
-  if (!up_[id]) {
-    // A down node is invisible to the topology (and absent from the grid):
-    // reposition silently.
-    positions_[id] = p;
-    return;
-  }
-  // Patch the edge store BEFORE the slab position and grid moves, so the
-  // 3x3 blocks around `from` still contain the node's old candidates.
-  const bool changed = patch_links_for_move(id, from, p);
-  positions_[id] = p;
-  layer_grids_[layers_[id]].move(id, from, p);
-  if (gateway_[id]) gateway_grid_.move(id, from, p);
-  // Region-scoped invalidation: a move that gains or loses no link leaves
-  // every cached route structurally intact, so the epoch — and with it
-  // every Dijkstra restart downstream — is only paid when an in-range
-  // relationship actually changed.
-  if (changed) invalidate_routes();
-}
 
 void Network::set_node_up(NodeId id, bool up) {
   if ((up_.at(id) != 0) == up) return;
@@ -494,13 +475,19 @@ bool Network::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
   if (!r.ok() || nodes > r.remaining()) return false;
   const auto n = static_cast<std::size_t>(nodes);
   handlers_.resize(n);
+  // A non-finite position or range fits no grid cell and no in_range
+  // test: the image is rejected.
   positions_.resize(n);
-  for (sim::Vec2& p : positions_) p = r.vec2();
+  for (sim::Vec2& p : positions_) {
+    p = r.vec2();
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
+  }
   profiles_.resize(n);
   for (RadioProfile& p : profiles_) {
     p.range_m = r.f64();
     p.data_rate_bps = r.f64();
     p.base_loss = r.f64();
+    if (!std::isfinite(p.range_m)) return false;
   }
   up_.resize(n);
   for (std::uint8_t& v : up_) {

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,12 +62,32 @@ class Network : public sim::Checkpointable {
   /// defaults to kLayerGround, so a caller that never mentions layers gets
   /// a flat network: every pair is same-layer and the layer predicate
   /// never blocks a link.
+  /// The position and range must be finite (asserted).
   NodeId add_node(sim::Vec2 position, RadioProfile profile = {},
                   LayerId layer = kLayerGround);
   std::size_t node_count() const { return positions_.size(); }
 
   void set_handler(NodeId id, Handler h);
-  void set_position(NodeId id, sim::Vec2 p);
+
+  /// One node's new position. Positions must be finite (asserted).
+  struct Move {
+    NodeId id;
+    sim::Vec2 to;
+  };
+  /// Writes every move's position and grid entry first, then patches each
+  /// live mover's links once against the final positions, so the edge set
+  /// equals that of the same moves made one at a time. The epoch bumps at
+  /// most once, iff the edge set changed. A node's last move counts, a
+  /// down node repositions silently, and an unknown id throws
+  /// std::out_of_range before anything moves. No topology reader may run
+  /// inside a batch: World::tick collects its moves and flushes before
+  /// anything that can read the topology.
+  void move_batch(std::span<const Move> moves);
+  /// A batch of one.
+  void set_position(NodeId id, sim::Vec2 p) {
+    const Move m{id, p};
+    move_batch({&m, 1});
+  }
   sim::Vec2 position(NodeId id) const { return positions_.at(id); }
   const RadioProfile& profile(NodeId id) const { return profiles_.at(id); }
 
@@ -144,7 +165,7 @@ class Network : public sim::Checkpointable {
   // or with anything else on the same Network.
 
   /// Copy of the current connectivity graph among live nodes (edge weight
-  /// = distance): the persistent edge store, which add_node / set_position
+  /// = distance): the persistent edge store, which add_node / move_batch
   /// / set_node_up / set_gateway patch from grid neighborhood deltas, so
   /// this is O(edges) with no node scan. Adjacency lists are ascending by
   /// neighbor id. Syncs the weights of nodes that moved since the last read
@@ -162,8 +183,8 @@ class Network : public sim::Checkpointable {
   }
 
   /// Monotone counter bumped whenever the connectivity graph may have
-  /// changed (node added, liveness flipped, or a move that changed at
-  /// least one in-range relationship). Route caches — ours and callers' —
+  /// changed (node added, liveness flipped, or a move batch that changed
+  /// at least one in-range relationship). Route caches — ours and callers' —
   /// key on it. A move that changes no in-range relationship does NOT bump
   /// the epoch: cached routes stay structurally valid (their hop sequences
   /// still exist) even though link distances drift slightly. A move only
@@ -300,34 +321,28 @@ class Network : public sim::Checkpointable {
   /// Refills every grid from the slabs, each widened to the longest radio
   /// among its live members: restore's counterpart of grid_insert.
   void rebuild_grids();
-  /// Appends, each once and unsorted, every live node that may link with
-  /// `id` at `from` or at `to`: the union of the 3x3 blocks of its layer
-  /// grid, plus, for a gateway, the union of the gateway grid's blocks
-  /// minus its own layer (already in the first union). Every candidate
-  /// passes link_allowed by construction.
-  void gather_link_candidates(NodeId id, sim::Vec2 from, sim::Vec2 to,
-                              std::vector<NodeId>& out) const;
+  /// Calls visit(first, last) on spans of packed grid entries that hold,
+  /// each once, every live node that may link with `id` at `p`: the 3x3
+  /// block of its layer grid, plus, for a gateway, the gateway grid's block
+  /// minus its own layer, one entry per call. Every candidate passes
+  /// link_allowed by construction. Defined in links.cpp, its only user.
+  template <typename Visit>
+  void visit_link_candidates(NodeId id, sim::Vec2 p, Visit&& visit) const;
 
   /// Bulk connectivity build from grid neighborhoods (each node's
-  /// gather_link_candidates, sorted): reseeds the edge store on restore,
+  /// visit_link_candidates, sorted): reseeds the edge store on restore,
   /// where patching from a delta is impossible.
   Topology full_connectivity() const;
-  /// Patches links_ for a move of live node `id` (must run BEFORE the slab
-  /// position and grids are updated). The candidates are the packed grid
-  /// entries of the union of id's `from` and `to` blocks, walked span by
-  /// span (SpatialGrid::visit_union) with the same layer filter as
-  /// gather_link_candidates; they cover every node whose in-range
-  /// relationship can flip, and their entries hold the positions and
-  /// ranges of positions_ and profiles_. Whether
-  /// a link existed is read from linked_, set from id's adjacency row
-  /// before the walk and cleared after, so each candidate costs one range
-  /// test. It only flips edges, in gather order: add_edge_sorted and
-  /// remove_edge keep every row id-sorted and a new edge gets the new
-  /// distance, so the store does not depend on that order. If any edge is
-  /// retained, `id` is marked stale for sync_link_weights; neither retained
-  /// weights nor route trees are touched. Returns whether any edge appeared
-  /// or vanished, i.e. whether the topology epoch must bump.
-  bool patch_links_for_move(NodeId id, sim::Vec2 from, sim::Vec2 to);
+  /// Patches links_ for live node `id`, moved by the current batch, once
+  /// every position and grid entry of the batch is final. Each candidate
+  /// of visit_link_candidates at id's position costs one range test:
+  /// whether a link existed is read from linked_, set from id's row before
+  /// the walk and cleared after. A row member the walk did not meet left
+  /// the block and is removed. add_edge_sorted and remove_edge keep every
+  /// row id-sorted and a new edge gets the final distance, so the store
+  /// depends on neither flip nor patch order. A retained edge marks `id`
+  /// stale for sync_link_weights. Returns whether any edge flipped.
+  bool patch_links_for_move(NodeId id);
   /// Sets every link of every stale node to the distance between its
   /// endpoints' current positions, after freezing growing route trees: the
   /// only code that rewrites weights, run by every reader of them. Each
@@ -393,10 +408,10 @@ class Network : public sim::Checkpointable {
   // radio's cell size.
   std::vector<SpatialGrid> layer_grids_;
   SpatialGrid gateway_grid_{0.0};
-  /// Id scratch buffer for attaches, detaches, gateway flips and the
-  /// restore reseed (avoids an allocation per call); mutable because the
-  /// const reseed reuses it. Broadcast must not use it: its transmit hook
-  /// can run any of those.
+  /// Id scratch buffer for attaches, detaches, gateway flips, the restore
+  /// reseed and a move batch's movers (avoids an allocation per call);
+  /// mutable because the const reseed reuses it. Broadcast must not use
+  /// it: its transmit hook can run any of those.
   mutable std::vector<NodeId> scratch_;
   /// Per-node 0/1 "linked to the mover" flags for patch_links_for_move;
   /// all zero between calls.
@@ -415,7 +430,7 @@ class Network : public sim::Checkpointable {
   std::vector<LinkPatch> patch_scratch_;
 
   /// Persistent connectivity edge store, patched in place by add_node /
-  /// set_position / set_node_up / set_gateway. Adjacency lists are kept
+  /// move_batch / set_node_up / set_gateway. Adjacency lists are kept
   /// sorted ascending by neighbor id — the order a from-scratch build in
   /// (a, b > a) pair order produces — so Dijkstra tie-breaks and digests
   /// do not depend on the order edges were patched in. Derived state:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -252,59 +251,8 @@ void SpatialGrid::reset(double cell_size_m) {
   set_base(cell_size_m);
 }
 
-template <typename Visit>
-void SpatialGrid::visit_row(int r, int c0, int c1, Visit&& visit) const {
-  if (r < 0 || r >= h_) return;
-  c0 = std::max(c0, 0);
-  c1 = std::min(c1, w_ - 1);
-  for (int c = c0; c <= c1;) {
-    const int last = std::min(c1, c - c % kTile + kTile - 1);
-    const std::uint32_t first_cell = tiled_cell(c, r);
-    const std::uint32_t last_cell = first_cell + static_cast<std::uint32_t>(last - c);
-    const std::uint32_t begin = first_cell % kTile == 0 ? 0 : end_[first_cell - 1];
-    const std::uint32_t end = end_[last_cell];
-    if (begin != end) {
-      const Entry* data = tiles_[first_cell / kTile].data();
-      visit(data + begin, data + end);
-    }
-    c = last + 1;
-  }
-}
-
-void SpatialGrid::union_spans(sim::Vec2 from, sim::Vec2 to, Spans& out) const {
-  if (count_ == 0) return;
-  const int fx = col(from.x), fy = row(from.y);
-  const int tx = col(to.x), ty = row(to.y);
-  const auto add = [&out](const Entry* first, const Entry* last) {
-    out.first[out.n] = first;
-    out.last[out.n] = last;
-    ++out.n;
-  };
-  // One pass per distinct row, each cell of the union once: a row in both
-  // blocks gets one column range when the two ranges touch, else two.
-  const auto row_spans = [&](int r) {
-    const bool in_from = std::abs(r - fy) <= 1;
-    const bool in_to = std::abs(r - ty) <= 1;
-    if (in_from && in_to && std::abs(fx - tx) <= 3) {
-      visit_row(r, std::min(fx, tx) - 1, std::max(fx, tx) + 1, add);
-      return;
-    }
-    if (in_from) visit_row(r, fx - 1, fx + 1, add);
-    if (in_to) visit_row(r, tx - 1, tx + 1, add);
-  };
-  for (int r = fy - 1; r <= fy + 1; ++r) row_spans(r);
-  for (int r = ty - 1; r <= ty + 1; ++r) {
-    if (std::abs(r - fy) > 1) row_spans(r);
-  }
-}
-
 void SpatialGrid::neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const {
-  neighborhood_union(p, p, out);
-}
-
-void SpatialGrid::neighborhood_union(sim::Vec2 from, sim::Vec2 to,
-                                     std::vector<NodeId>& out) const {
-  visit_union(from, to, [&out](const Entry* e, const Entry* last) {
+  visit_block(p, [&out](const Entry* e, const Entry* last) {
     for (; e != last; ++e) out.push_back(e->id);
   });
 }
@@ -317,11 +265,16 @@ void SpatialGrid::near(sim::Vec2 p, double radius, std::vector<NodeId>& out) con
   const double half = std::ceil(std::max(radius, 0.0) * inv_cell_);
   const int r = half < w_ + h_ ? static_cast<int>(half) : w_ + h_;
   const int cx = col(p.x), cy = row(p.y);
+  const int c0 = std::max(cx - r, 0), c1 = std::min(cx + r, w_ - 1);
   auto append = [&out](const Entry* e, const Entry* last) {
     for (; e != last; ++e) out.push_back(e->id);
   };
   for (int y = std::max(cy - r, 0); y <= std::min(cy + r, h_ - 1); ++y) {
-    visit_row(y, cx - r, cx + r, append);
+    for (int c = c0; c <= c1;) {  // one run per tile
+      const int last = std::min(c1, c - c % kTile + kTile - 1);
+      visit_run(y, c, last, append);
+      c = last + 1;
+    }
   }
 }
 

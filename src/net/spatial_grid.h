@@ -11,7 +11,8 @@
 // neighborhood of a member's position is a SUPERSET of its radio
 // neighborhood among the members. net::Network keeps one grid per layer
 // and one of gateways and uses them to keep its edge store exact;
-// broadcasts read the store, not the grid. Queries return raw candidates,
+// broadcasts read the store, not the grid; a batch of moves updates every
+// entry before it walks any block. Queries return raw candidates,
 // unsorted; callers apply the exact in_range/distance filter and any
 // ordering they need themselves.
 //
@@ -44,6 +45,7 @@
 // can fit no box: it is pinned to the edge cell, NaN and -inf low, +inf
 // high, for members and queries alike.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -84,21 +86,16 @@ class SpatialGrid {
   void reset(double cell_size_m);
 
   /// Calls visit(first, last) once per contiguous span of entries in the
-  /// union of the 3x3 cell neighborhoods of `from` and `to`: each member
-  /// of that union is in exactly one span, in no particular order. Cells
-  /// of `to`'s block that `from`'s block already holds are skipped, so a
-  /// move within one cell visits one block. The grid must not change
+  /// 3x3 cell block around `p`: each member of the block is in exactly one
+  /// span, in no particular order, and there are at most six spans (three
+  /// rows, each cut at most once by a tile edge). The grid must not change
   /// during the walk.
   template <typename Visit>
-  void visit_union(sim::Vec2 from, sim::Vec2 to, Visit&& visit) const;
+  void visit_block(sim::Vec2 p, Visit&& visit) const;
 
   /// Appends every id in the 3x3 cell neighborhood of `p`. Output is
   /// unsorted but duplicate-free (each id lives in exactly one cell).
   void neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const;
-
-  /// Appends every id in the union of the 3x3 cell neighborhoods of `from`
-  /// and `to`, each id once, unsorted: the ids visit_union walks.
-  void neighborhood_union(sim::Vec2 from, sim::Vec2 to, std::vector<NodeId>& out) const;
 
   /// Appends every id in cells intersecting the disc (p, radius) — a
   /// superset of the ids within `radius` of `p`, unsorted. A square wider
@@ -157,20 +154,10 @@ class SpatialGrid {
   /// Takes the entry in `s` out of its tile; the entry's slot is cleared.
   void take(Slot s);
 
-  /// The non-empty spans of a union of two 3x3 blocks. A row in both
-  /// blocks holds at most four (two column ranges, each cut at most once
-  /// by a tile edge), a row of one block at most two; k shared rows leave
-  /// 6 - 2k others, so 4k + 2(6 - 2k) = 12 spans at most.
-  struct Spans {
-    int n = 0;
-    const Entry* first[12];
-    const Entry* last[12];
-  };
-  void union_spans(sim::Vec2 from, sim::Vec2 to, Spans& out) const;
-  /// Calls visit(first, last) on the non-empty spans of row `r`, columns
-  /// [c0, c1] (clipped to the box).
+  /// Calls visit(first, last) on the entries of columns [a, b] of row
+  /// `r` (all in the box, all in one tile), unless there are none.
   template <typename Visit>
-  void visit_row(int r, int c0, int c1, Visit&& visit) const;
+  void visit_run(int r, int a, int b, Visit&& visit) const;
 
   double base_ = 1.0;     ///< cell size asked for
   double widest_ = 0.0;   ///< longest range inserted since the last reset
@@ -189,11 +176,28 @@ class SpatialGrid {
 };
 
 template <typename Visit>
-void SpatialGrid::visit_union(sim::Vec2 from, sim::Vec2 to, Visit&& visit) const {
-  // The spans are listed first, so the visitor has one call site.
-  Spans spans;
-  union_spans(from, to, spans);
-  for (int i = 0; i < spans.n; ++i) visit(spans.first[i], spans.last[i]);
+void SpatialGrid::visit_block(sim::Vec2 p, Visit&& visit) const {
+  if (count_ == 0) return;
+  const int cx = col(p.x), cy = row(p.y);
+  // The block's columns, clipped to the box, are cut at most once by a
+  // tile edge, at the same column in each of its rows.
+  const int c0 = std::max(cx - 1, 0), c1 = std::min(cx + 1, w_ - 1);
+  const int cut = std::min(c1, c0 - c0 % kTile + kTile - 1);
+  const int r1 = std::min(cy + 1, h_ - 1);
+  for (int r = std::max(cy - 1, 0); r <= r1; ++r) {
+    visit_run(r, c0, cut, visit);
+    if (cut < c1) visit_run(r, cut + 1, c1, visit);
+  }
+}
+
+template <typename Visit>
+void SpatialGrid::visit_run(int r, int a, int b, Visit&& visit) const {
+  const std::uint32_t first_cell = tiled_cell(a, r);
+  const std::uint32_t begin = first_cell % kTile == 0 ? 0 : end_[first_cell - 1];
+  const std::uint32_t end = end_[first_cell + static_cast<std::uint32_t>(b - a)];
+  if (begin == end) return;
+  const Entry* data = tiles_[first_cell / kTile].data();
+  visit(data + begin, data + end);
 }
 
 }  // namespace iobt::net

@@ -124,11 +124,17 @@ void World::tick(double dt_s) {
   // The hot sweep runs on the slabs: liveness + energy are flat arrays,
   // and the cold record is only touched for its node id when a mobile
   // asset actually moves.
+  // Moves are collected and handed to the network as one batch, which
+  // patches links once against the final positions. The batch is flushed
+  // before destroy_asset, whose down-hooks may recruit or promote and so
+  // must see the topology of the moves so far, and at the end of the tick:
+  // moves_ is empty between events.
   const std::size_t count = assets_.size();
   for (std::size_t i = 0; i < count; ++i) {
     if (!alive_[i]) continue;
     energy_[i].drain_idle(dt_s);
     if (energy_[i].depleted()) {
+      flush_moves();
       destroy_asset(static_cast<AssetId>(i));
       continue;
     }
@@ -136,12 +142,18 @@ void World::tick(double dt_s) {
       const net::NodeId node = assets_[i].node;
       const sim::Vec2 from = net_.position(node);
       const sim::Vec2 to = area_.clamp(mobility_[i]->step(from, dt_s));
-      if (!(to == from)) net_.set_position(node, to);
+      if (!(to == from)) moves_.push_back({node, to});
     }
   }
+  flush_moves();
   for (Target& t : targets_) {
     if (t.active && t.mobility) t.position = area_.clamp(t.mobility->step(t.position, dt_s));
   }
+}
+
+void World::flush_moves() {
+  net_.move_batch(moves_);
+  moves_.clear();
 }
 
 std::vector<Observation> World::sense(AssetId asset_id, Modality modality) {

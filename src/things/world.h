@@ -163,6 +163,8 @@ class World : public sim::Checkpointable {
   void arm_tick();
   void run_tick();
   void tick(double dt_s);
+  /// Hands the tick's collected moves to the network as one batch.
+  void flush_moves();
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -190,6 +192,9 @@ class World : public sim::Checkpointable {
   sim::SimTime next_tick_at_;
   sim::EventId tick_event_ = sim::kNoEvent;
   sim::TagId tick_tag_ = sim::kUntagged;
+  /// The current tick's moves not yet flushed: empty between events, so
+  /// never checkpointed. Reused across ticks.
+  std::vector<net::Network::Move> moves_;
 };
 
 }  // namespace iobt::things

@@ -429,6 +429,97 @@ TEST(NetworkIncremental, StoreMatchesRebuildUnderLivenessChurnAndGrowth) {
   });
 }
 
+TEST(NetworkIncremental, BatchMatchesSequentialAndOracleUnderChurn) {
+  // Seeded batches of local steps and cross-row teleports over three
+  // layers with gateways and down nodes. A batch may move a node to where
+  // it is, or away and back to its start. After each batch the store,
+  // weights synced, must equal the brute-force oracle and a twin network
+  // given the same moves one set_position at a time, and the epoch must
+  // bump iff the batch changed the edge set.
+  Simulator sim;
+  Network batched{sim, ChannelModel(2.0, 0.0), Rng(11)};
+  Network twin{sim, ChannelModel(2.0, 0.0), Rng(11)};
+  Rng drive(0xBA7C4);
+  constexpr double kSide = 1200.0;
+  const double ranges[] = {140.0, 230.0, 360.0};
+  for (int i = 0; i < 90; ++i) {
+    const Vec2 p{drive.uniform(0, kSide), drive.uniform(0, kSide)};
+    const auto layer = static_cast<LayerId>(i % 3);
+    const RadioProfile radio{.range_m = ranges[layer], .data_rate_bps = 1e6};
+    const NodeId a = batched.add_node(p, radio, layer);
+    const NodeId b = twin.add_node(p, radio, layer);
+    ASSERT_EQ(a, b);
+    if (i % 5 == 0) {
+      batched.set_gateway(a, true);
+      twin.set_gateway(b, true);
+    }
+  }
+  const auto n = static_cast<std::int64_t>(batched.node_count());
+  const auto pick = [&] { return static_cast<NodeId>(drive.uniform_int(0, n - 1)); };
+  int changed_batches = 0, quiet_batches = 0;
+  std::vector<Network::Move> moves;
+  for (int batch = 0; batch < 150; ++batch) {
+    // Liveness and gateway churn between batches, on both networks.
+    if (batch % 4 == 0) {
+      const NodeId id = pick();
+      batched.set_node_up(id, !batched.node_up(id));
+      twin.set_node_up(id, !twin.node_up(id));
+    }
+    if (batch % 7 == 0) {
+      const NodeId id = pick();
+      batched.set_gateway(id, !batched.is_gateway(id));
+      twin.set_gateway(id, !twin.is_gateway(id));
+    }
+    moves.clear();
+    // Every third batch is small, with short steps, so many keep their
+    // edge set.
+    const bool small = batch % 3 == 2;
+    const int count = static_cast<int>(drive.uniform_int(1, small ? 3 : 40));
+    const double step = small ? 4.0 : 80.0;
+    for (int m = 0; m < count; ++m) {
+      const NodeId id = pick();
+      const Vec2 at = batched.position(id);
+      const double kind = drive.uniform();
+      if (kind < 0.55 || (small && kind < 0.85)) {
+        moves.push_back({id, {at.x + drive.uniform(-step, step), at.y + drive.uniform(-step, step)}});
+      } else if (kind < 0.85) {
+        moves.push_back({id, {drive.uniform(0, kSide), drive.uniform(0, kSide)}});
+      } else if (kind < 0.93) {
+        moves.push_back({id, at});
+      } else {
+        moves.push_back({id, {drive.uniform(0, kSide), drive.uniform(0, kSide)}});
+        moves.push_back({id, at});
+      }
+    }
+    const auto before = edge_pairs(brute_connectivity(batched));
+    const std::uint64_t epoch = batched.topology_epoch();
+    batched.move_batch(moves);
+    for (const Network::Move& m : moves) twin.set_position(m.id, m.to);
+    const std::string what = "batch " + std::to_string(batch);
+    const Topology want = brute_connectivity(batched);
+    expect_identical_topologies(batched.connectivity(), want, (what + ": store vs oracle").c_str());
+    expect_identical_topologies(batched.connectivity(), twin.connectivity(),
+                                (what + ": batch vs one move at a time").c_str());
+    if (::testing::Test::HasFatalFailure()) return;
+    const bool changed = edge_pairs(want) != before;
+    EXPECT_EQ(batched.topology_epoch() != epoch, changed) << what;
+    EXPECT_LE(batched.topology_epoch(), epoch + 1) << what << ": one bump per batch at most";
+    (changed ? changed_batches : quiet_batches) += 1;
+  }
+  // Both sides of the iff were exercised.
+  EXPECT_GT(changed_batches, 40);
+  EXPECT_GT(quiet_batches, 10);
+  // An unknown id throws before anything moves.
+  const Vec2 at0 = batched.position(0);
+  const std::uint64_t epoch = batched.topology_epoch();
+  const Network::Move bad[] = {{0, {at0.x + 300, at0.y}}, {static_cast<NodeId>(n), {1, 1}}};
+  EXPECT_THROW(batched.move_batch(bad), std::out_of_range);
+  EXPECT_EQ(batched.position(0), at0);
+  EXPECT_EQ(batched.topology_epoch(), epoch);
+  expect_identical_topologies(batched.connectivity(), brute_connectivity(batched),
+                              "store vs oracle after a rejected batch");
+}
+
 TEST_F(NetFixture, MemoryFootprintTracksNodeCount) {
   const auto before = net.memory_footprint();
   Rng r(9);
@@ -731,14 +822,13 @@ TEST(SpatialGrid, FarAndNonFiniteCoordinatesSaturate) {
   grid.neighborhood({1e300, 1e300}, out);
   EXPECT_EQ(out, (std::vector<NodeId>{1}));
   out.clear();
-  grid.neighborhood_union({-1e300, 0.0}, {1e300, 1e300}, out);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<NodeId>{1, 2}));
+  grid.neighborhood({-1e300, 0.0}, out);
+  EXPECT_EQ(out, (std::vector<NodeId>{2}));
   grid.remove(2, {std::nan(""), 0.0});
   EXPECT_EQ(grid.size(), 1u);
 }
 
-TEST(SpatialGrid, NeighborhoodUnionIsBothBlocksEachIdOnce) {
+TEST(SpatialGrid, BlockIsNineCellsEachIdOnce) {
   // Two ids per cell over a 10x10-cell patch of 100 m cells.
   SpatialGrid grid(100.0);
   std::vector<Vec2> at;
@@ -754,38 +844,43 @@ TEST(SpatialGrid, NeighborhoodUnionIsBothBlocksEachIdOnce) {
     return std::abs(std::floor(p.x / 100.0) - std::floor(q.x / 100.0)) <= 1.0 &&
            std::abs(std::floor(p.y / 100.0) - std::floor(q.y / 100.0)) <= 1.0;
   };
-  const std::pair<Vec2, Vec2> moves[] = {
-      {{450, 450}, {480, 410}},  // same cell
-      {{450, 450}, {550, 450}},  // adjacent cell
-      {{450, 450}, {350, 550}},  // diagonal cell
-      {{150, 150}, {850, 750}},  // far jump: disjoint blocks
-      {{250, 450}, {450, 450}},  // two cells over: blocks share a column
-      {{30, 30}, {130, 30}},     // at the patch corner
-  };
-  for (const auto& [from, to] : moves) {
+  // Every cell of the patch and a ring of empty cells around it, so the
+  // blocks meet the patch's edges and corners and straddle tile edges at
+  // every column offset.
+  std::vector<Vec2> queries;
+  for (int cx = -2; cx < 12; ++cx) {
+    for (int cy = -2; cy < 12; ++cy) queries.push_back({cx * 100.0 + 45, cy * 100.0 + 55});
+  }
+  for (const Vec2 q : queries) {
     std::vector<NodeId> got;
-    grid.neighborhood_union(from, to, got);
-    std::vector<NodeId> sorted = got;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
-        << "an id appears twice";
+    int spans = 0;
+    grid.visit_block(q, [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
+      ++spans;
+      EXPECT_NE(e, last) << "empty span";
+      for (; e != last; ++e) got.push_back(e->id);
+    });
+    EXPECT_LE(spans, 6);
+    std::vector<NodeId> listed;
+    grid.neighborhood(q, listed);
+    EXPECT_EQ(listed, got) << "neighborhood is not the visited ids";
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end()) << "an id appears twice";
     std::vector<NodeId> want;
     for (NodeId id = 0; id < at.size(); ++id) {
-      if (in_block(at[id], from) || in_block(at[id], to)) want.push_back(id);
+      if (in_block(at[id], q)) want.push_back(id);
     }
-    EXPECT_EQ(sorted, want) << "move (" << from.x << ", " << from.y << ") -> ("
-                            << to.x << ", " << to.y << ")";
+    EXPECT_EQ(got, want) << "block at (" << q.x << ", " << q.y << ")";
   }
 }
 
-TEST(SpatialGrid, UnionVisitMatchesBruteFilterUnderChurn) {
+TEST(SpatialGrid, BlockVisitMatchesBruteFilterUnderChurn) {
   // Seeded churn against a brute model: inserts, removes, local steps,
   // cross-row teleports, moves out of the box and far away, and resets.
-  // After every operation the union visit from random endpoint pairs must
-  // hold every member whose cell is within one cell of either endpoint's
-  // cell exactly once, with the position and range last given, and no
-  // other id twice or any non-member. Three cell sizes; the 10 m grid is
-  // 250 columns wide, so its rows span many tiles.
+  // After every operation the block visit at each of random point pairs
+  // must hold every member whose cell is within one cell of the point's
+  // cell exactly once, with the position and range last given, no other
+  // id twice and no non-member, in at most six spans. Three cell sizes;
+  // the 10 m grid is 250 columns wide, so its rows span many tiles.
   struct Case {
     double cell, width, height;
   };
@@ -872,33 +967,35 @@ TEST(SpatialGrid, UnionVisitMatchesBruteFilterUnderChurn) {
                             ? Vec2{from.x + rng.uniform(-2, 2) * c.cell,
                                    from.y + rng.uniform(-2, 2) * c.cell}
                             : endpoint();
-        std::vector<int> seen(kIds, 0);
-        std::size_t stale = 0;
-        grid.visit_union(from, to, [&](const SpatialGrid::Entry* e,
-                                       const SpatialGrid::Entry* last) {
-          for (; e != last; ++e) {
-            if (e->id >= kIds || !model[e->id]) {
-              ++stale;
-              continue;
+        for (const Vec2 p : {from, to}) {
+          std::vector<int> seen(kIds, 0);
+          std::size_t stale = 0;
+          int spans = 0;
+          grid.visit_block(p, [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
+            ++spans;
+            for (; e != last; ++e) {
+              if (e->id >= kIds || !model[e->id]) {
+                ++stale;
+                continue;
+              }
+              ++seen[e->id];
+              const SpatialGrid::Entry& want = *model[e->id];
+              if (bits(e->p.x) != bits(want.p.x) || bits(e->p.y) != bits(want.p.y) ||
+                  bits(e->range_m) != bits(want.range_m)) {
+                ++stale;
+              }
             }
-            ++seen[e->id];
-            const SpatialGrid::Entry& want = *model[e->id];
-            if (bits(e->p.x) != bits(want.p.x) || bits(e->p.y) != bits(want.p.y) ||
-                bits(e->range_m) != bits(want.range_m)) {
-              ++stale;
+          });
+          const std::string where = "cell " + std::to_string(c.cell) + " op " +
+                                    std::to_string(op) + " after " + what + ", block at (" +
+                                    std::to_string(p.x) + ", " + std::to_string(p.y) + ")";
+          ASSERT_LE(spans, 6) << where;
+          ASSERT_EQ(stale, 0u) << "non-member or stale entry visited, " << where;
+          for (NodeId id = 0; id < kIds; ++id) {
+            ASSERT_LE(seen[id], 1) << "id " << id << " visited twice, " << where;
+            if (model[id] && near_cell(model[id]->p, p)) {
+              ASSERT_EQ(seen[id], 1) << "id " << id << " missing, " << where;
             }
-          }
-        });
-        const std::string where = "cell " + std::to_string(c.cell) + " op " +
-                                  std::to_string(op) + " after " + what + ", query (" +
-                                  std::to_string(from.x) + ", " + std::to_string(from.y) +
-                                  ") -> (" + std::to_string(to.x) + ", " +
-                                  std::to_string(to.y) + ")";
-        ASSERT_EQ(stale, 0u) << "non-member or stale entry visited, " << where;
-        for (NodeId id = 0; id < kIds; ++id) {
-          ASSERT_LE(seen[id], 1) << "id " << id << " visited twice, " << where;
-          if (model[id] && (near_cell(model[id]->p, from) || near_cell(model[id]->p, to))) {
-            ASSERT_EQ(seen[id], 1) << "id " << id << " missing, " << where;
           }
         }
       }

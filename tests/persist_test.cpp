@@ -386,8 +386,21 @@ TEST(RegistrySerialization, MutatedImagesAreRejectedOrReachAFixedPoint) {
         // the restored stack once decoded here and threw mid-run.
         dissem::DissemScenario run(q.spec, q.seed);
         run.sim.checkpoint().restore(*snap);
+        // No restored position and no synced link weight is NaN.
+        for (net::NodeId v = 0; v < run.net.node_count(); ++v) {
+          const sim::Vec2 p = run.net.position(v);
+          ASSERT_TRUE(std::isfinite(p.x) && std::isfinite(p.y)) << "node " << v << ", " << repro;
+        }
+        const auto no_nan_weight = [&](const char* when) {
+          for (const net::Edge& e : run.net.topology_view().edges()) {
+            ASSERT_FALSE(std::isnan(e.weight))
+                << "link " << e.a << "-" << e.b << " " << when << ", " << repro;
+          }
+        };
+        no_nan_weight("after restore");
         run.sim.run_until(sim::SimTime::seconds(q.spec.horizon_s));
         EXPECT_GE(run.outcome().reach, 0.0) << repro;
+        no_nan_weight("at the horizon");
       }
       const sim::Snapshot once = first.sim.checkpoint().save(snap->prefix_hash());
       dissem::DissemScenario second(q.spec, q.seed);
@@ -511,6 +524,28 @@ TEST(RestoreBounds, PromotionPastTheNetworkIsRejected) {
     ASSERT_EQ(join_tokens(t), "0 ");
     t[0] = "1 " + std::to_string(nodes) + " 0 0";
   }).has_value());
+}
+
+TEST(RestoreBounds, NonFinitePositionIsRejected) {
+  // Node count n, then n positions (x, y), then n profiles (range, data
+  // rate, base loss). A position or range that fits no grid cell and no
+  // range test is rejected; the same token set to a finite value is not.
+  constexpr const char* kNaN = "7ff8000000000000";
+  constexpr const char* kInf = "7ff0000000000000";
+  constexpr const char* kMinusInf = "fff0000000000000";
+  constexpr const char* kZero = "0000000000000000";
+  const auto edit = [](std::size_t token, const char* value) {
+    return decode_edited("net.network", [=](auto& t, std::uint64_t nodes) {
+      t[token == 0 ? 2 * nodes + 1 : token] = value;
+    });
+  };
+  EXPECT_FALSE(edit(1, kNaN).has_value()) << "x of node 0 NaN";
+  EXPECT_FALSE(edit(4, kInf).has_value()) << "y of node 1 +inf";
+  EXPECT_FALSE(edit(3, kMinusInf).has_value()) << "x of node 1 -inf";
+  EXPECT_FALSE(edit(0, kNaN).has_value()) << "range of node 0 NaN";
+  EXPECT_FALSE(edit(0, kInf).has_value()) << "range of node 0 +inf";
+  EXPECT_TRUE(edit(1, kZero).has_value()) << "x of node 0 zero";
+  EXPECT_TRUE(edit(0, kZero).has_value()) << "range of node 0 zero";
 }
 
 // -------------------------------------------------------- Snapshot store ----
