@@ -5,7 +5,8 @@
 // measures what that buys operationally:
 //   1. snapshot/restore cost vs world size (save writes the state as one
 //      wire image, restore decodes it; cost should scale linearly with
-//      assets + in-flight frames),
+//      assets + in-flight frames); each rewound store is also checked
+//      against the brute_connectivity oracle (tests/net_oracle.h),
 //   2. the identity matrix — 8 seeds x workers {1,2,8}, every restore
 //      digest-checked against its uninterrupted run; its merged digest
 //      goes into the JSON as merged_digest, which CI pins to a golden,
@@ -27,6 +28,7 @@
 
 #include "bench_util.h"
 #include "net/network.h"
+#include "net_oracle.h"
 #include "security/attacks.h"
 #include "sim/checkpoint.h"
 #include "sim/hash.h"
@@ -221,10 +223,11 @@ int main() {
     double restore_ms;
     double rewind_run_ms;
     bool identical;
+    bool store_identical;  ///< restored edge store == brute_connectivity
   };
   std::vector<LadderRow> ladder;
-  row("%-12s %-10s %-12s %-14s %-10s", "population", "save_ms", "restore_ms",
-      "rewind_run_ms", "identical");
+  row("%-12s %-10s %-12s %-14s %-10s %-10s", "population", "save_ms", "restore_ms",
+      "rewind_run_ms", "identical", "store");
   for (const std::size_t population : {std::size_t{250}, std::size_t{1000},
                                        std::size_t{4000}}) {
     Scenario s(kSeedBase, population);
@@ -240,16 +243,18 @@ int main() {
     WallTimer restore_t;
     s.sim.checkpoint().restore(snap);
     const double restore_ms = restore_t.ms();
+    const bool store_identical = iobt::testing::store_matches_oracle(s.net);
 
     WallTimer rewind_t;
     s.sim.run_until(sim::SimTime::seconds(45));
     const double rewind_run_ms = rewind_t.ms();
 
     const bool identical = s.digest() == uninterrupted;
-    all_identical = all_identical && identical;
-    ladder.push_back({population, save_ms, restore_ms, rewind_run_ms, identical});
-    row("%-12zu %-10.3f %-12.3f %-14.1f %-10s", population, save_ms, restore_ms,
-        rewind_run_ms, identical ? "yes" : "NO");
+    all_identical = all_identical && identical && store_identical;
+    ladder.push_back(
+        {population, save_ms, restore_ms, rewind_run_ms, identical, store_identical});
+    row("%-12zu %-10.3f %-12.3f %-14.1f %-10s %-10s", population, save_ms, restore_ms,
+        rewind_run_ms, identical ? "yes" : "NO", store_identical ? "== oracle" : "DIVERGED");
   }
 
   // ---- 2. Identity matrix: seeds x workers -----------------------------
@@ -406,7 +411,8 @@ int main() {
       w.begin_object().key("population").integer(r.population);
       w.key("save_ms").number(r.save_ms, 3).key("restore_ms").number(r.restore_ms, 3);
       w.key("rewind_run_ms").number(r.rewind_run_ms, 3);
-      w.key("identical").boolean(r.identical).end_object();
+      w.key("identical").boolean(r.identical);
+      w.key("store_identical").boolean(r.store_identical).end_object();
     }
     w.end_array();
     w.key("matrix").begin_object().key("seeds").integer(seeds.size());

@@ -127,19 +127,6 @@ double time_maintenance(Substrate& s, std::uint64_t seed, std::size_t* edges) {
   return t.ms();
 }
 
-/// Edge lists equal field by field. Topology::edges() walks adjacency
-/// order, so a neighbor-order difference shows up here too.
-bool same_edges(const net::Topology& a, const net::Topology& b) {
-  const auto ea = a.edges();
-  const auto eb = b.edges();
-  if (ea.size() != eb.size()) return false;
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    if (ea[i].a != eb[i].a || ea[i].b != eb[i].b || ea[i].weight != eb[i].weight)
-      return false;
-  }
-  return true;
-}
-
 struct Rung {
   std::size_t n = 0;
   bool brute_checked = false;  ///< oracle checks run only up to kBruteCeiling
@@ -166,12 +153,11 @@ Rung run_rung(std::size_t n) {
   std::nth_element(bcast.begin(), bcast.begin() + kBroadcastRuns / 2, bcast.end());
   r.bcast_ms = bcast[kBroadcastRuns / 2];
   if (r.brute_checked) {
-    r.identical = same_edges(s.net.topology_view(), iobt::testing::brute_connectivity(s.net));
+    r.identical = iobt::testing::store_matches_oracle(s.net);
   }
   r.maint_ms = time_maintenance(s, /*seed=*/7, &r.edges);
   if (r.brute_checked) {
-    r.incr_identical =
-        same_edges(s.net.topology_view(), iobt::testing::brute_connectivity(s.net));
+    r.incr_identical = iobt::testing::store_matches_oracle(s.net);
   }
 
   const net::Network::MemoryFootprint mem = s.net.memory_footprint();
@@ -228,7 +214,7 @@ MobilityOutcome mobility_scenario(std::uint64_t seed) {
     sim.run();
   }
   out.digest = net.metrics().digest();
-  out.store_identical = same_edges(net.topology_view(), iobt::testing::brute_connectivity(net));
+  out.store_identical = iobt::testing::store_matches_oracle(net);
   return out;
 }
 

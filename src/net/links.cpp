@@ -1,8 +1,9 @@
 // Link maintenance of net::Network: the spatial grids and the edge store
-// they keep exact. The move patch's candidate loop is the hottest code of
-// the mobile workloads, and the code GCC emits for it depends on what else
-// shares its translation unit (EXPERIMENTS.md N8, N9), so it lives apart
-// from delivery (network.cpp) and routing (routing.cpp).
+// they keep exact through one routine, patch_links. Its candidate loop is
+// the hottest code of the mobile workloads, and the code GCC emits for it
+// depends on what else shares its translation unit (EXPERIMENTS.md N8,
+// N9), so it lives apart from delivery (network.cpp) and routing
+// (routing.cpp).
 
 #include <algorithm>
 #include <cassert>
@@ -56,7 +57,7 @@ void Network::move_batch(std::span<const Move> moves) {
   }
   // Every position and grid entry first: each block walked below shows
   // every node at its final position.
-  scratch_.clear();
+  movers_.clear();
   for (const Move& m : moves) {
     assert(std::isfinite(m.to.x) && std::isfinite(m.to.y) && "Network: non-finite position");
     const sim::Vec2 from = positions_[m.id];
@@ -67,17 +68,18 @@ void Network::move_batch(std::span<const Move> moves) {
     if (!up_[m.id]) continue;
     layer_grids_[layers_[m.id]].move(m.id, from, m.to);
     if (gateway_[m.id]) gateway_grid_.move(m.id, from, m.to);
-    scratch_.push_back(m.id);
+    movers_.push_back(m.id);
   }
   // A batch that flips no link leaves every cached route intact.
   bool changed = false;
-  for (const NodeId id : scratch_) changed |= patch_links_for_move(id);
+  for (const NodeId id : movers_) changed |= patch_links(id);
   if (changed) invalidate_routes();
 }
 
-bool Network::patch_links_for_move(NodeId id) {
-  // Every node in range of id's final position lies in the block around
-  // it (covering invariant, per grid).
+bool Network::patch_links(NodeId id) {
+  // Every node in range of id's position lies in the block around it
+  // (covering invariant, per grid). A down node walks nothing, so its
+  // whole row departs below.
   const sim::Vec2 to = positions_[id];
   const std::vector<Topology::Neighbor>& row = links_.neighbors(id);
   for (const Topology::Neighbor& nb : row) linked_[nb.id] = 1;
@@ -104,7 +106,7 @@ bool Network::patch_links_for_move(NodeId id) {
     n_flips = flipped;
     retained = kept;
   };
-  visit_link_candidates(id, to, test);
+  if (up_[id]) visit_link_candidates(id, to, test);
   for (const Topology::Neighbor& nb : row) linked_[nb.id] = 0;
   // Retained links keep the weights of older positions until a reader
   // syncs them (sync_link_weights).
@@ -112,20 +114,23 @@ bool Network::patch_links_for_move(NodeId id) {
     stale_flag_[id] = 1;
     stale_.push_back(id);
   }
-  // Removals first, so no row holds a mover's old and new neighbours at
+  // Removals first, so no row holds a node's old and new neighbours at
   // once: row capacities follow the larger of the two, not their sum.
   const LinkPatch* flips = patch_scratch_.data();
   for (std::size_t i = 0; i < n_flips; ++i) {
     if (!flips[i].now) links_.remove_edge(id, flips[i].other);
   }
   // The row now holds the retained links and any neighbour the walk did
-  // not meet, which left the block and so is out of range. Found by count,
-  // so the loop above stores nothing per row member; rare.
+  // not meet: one that left the block, one a gateway demotion cut off, or
+  // every neighbour of a node gone down. Found by count, so the loop above
+  // stores nothing per row member; rare. The re-test is the whole link
+  // predicate, so it keeps exactly the retained links.
   const bool departed = row.size() != retained;
   if (departed) [[unlikely]] {
     for (std::size_t i = row.size(); i-- > 0;) {
       const NodeId other = row[i].id;
-      if (!channel_.in_range(to, range, positions_[other], profiles_[other].range_m)) {
+      if (!up_[id] || !link_allowed(id, other) ||
+          !channel_.in_range(to, range, positions_[other], profiles_[other].range_m)) {
         links_.remove_edge(id, other);
       }
     }
@@ -135,51 +140,6 @@ bool Network::patch_links_for_move(NodeId id) {
     if (flips[i].now) links_.add_edge_sorted(id, other, sim::distance(to, positions_[other]));
   }
   return n_flips != 0 || departed;
-}
-
-void Network::attach_links(NodeId id) {
-  const sim::Vec2 p = positions_[id];
-  const double range = profiles_[id].range_m;
-  visit_link_candidates(id, p, [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
-    for (; e != last; ++e) {
-      if (e->id != id && channel_.in_range(p, range, e->p, e->range_m)) {
-        links_.add_edge_sorted(id, e->id, sim::distance(p, e->p));
-      }
-    }
-  });
-}
-
-void Network::detach_links(NodeId id) {
-  // Copy the ids out first: remove_edge mutates the list being walked.
-  scratch_.clear();
-  for (const Topology::Neighbor& n : links_.neighbors(id)) scratch_.push_back(n.id);
-  for (const NodeId other : scratch_) links_.remove_edge(id, other);
-}
-
-Topology Network::full_connectivity() const {
-  // Edges are collected into a flat scratch list (reused across restores,
-  // so the build allocates nothing once warm) and the Topology is built in
-  // one bulk pass with exact-size adjacency reserves. The list order (a
-  // ascending, then b > a ascending) leaves every adjacency list id-sorted,
-  // the invariant the patched store keeps, so each node's candidates are
-  // sorted before they are tested.
-  edge_scratch_.clear();
-  for (NodeId a = 0; a < node_count(); ++a) {
-    if (!up_[a]) continue;
-    const sim::Vec2 p = positions_[a];
-    scratch_.clear();
-    visit_link_candidates(a, p, [&](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
-      for (; e != last; ++e) scratch_.push_back(e->id);
-    });
-    std::sort(scratch_.begin(), scratch_.end());
-    for (const NodeId b : scratch_) {
-      if (b <= a) continue;
-      if (channel_.in_range(p, profiles_[a], positions_[b], profiles_[b])) {
-        edge_scratch_.push_back({a, b, sim::distance(p, positions_[b])});
-      }
-    }
-  }
-  return Topology(node_count(), edge_scratch_);
 }
 
 }  // namespace iobt::net

@@ -77,7 +77,7 @@ NodeId Network::add_node(sim::Vec2 position, RadioProfile profile, LayerId layer
   // every existing link depends on the min of two unchanged ranges.
   grid_insert(id, false);
   links_.add_node();
-  attach_links(id);
+  patch_links(id);
   invalidate_routes();
   return id;
 }
@@ -90,40 +90,18 @@ void Network::set_node_up(NodeId id, bool up) {
   if (up) {
     grid_insert(id, false);
     if (gateway_[id]) grid_insert(id, true);
-    attach_links(id);
   } else {
     layer_grids_[layers_[id]].remove(id, positions_[id]);
     if (gateway_[id]) gateway_grid_.remove(id, positions_[id]);
-    detach_links(id);
   }
+  patch_links(id);
   invalidate_routes();
 }
 
 void Network::set_gateway(NodeId id, bool on) {
   if ((gateway_.at(id) != 0) == on) return;
-  bool changed = false;
-  if (up_[id]) {
-    // Affected links are exactly the cross-layer links to other live
-    // in-range gateways: same-layer links ignore the flag, and a non-
-    // gateway peer blocks the bridge regardless. The gateway grid's 3x3
-    // block holds every gateway in range: its cells cover every member's
-    // radio, and a link is bounded by the shorter radio of its pair.
-    const sim::Vec2 p = positions_[id];
-    const RadioProfile& pr = profiles_[id];
-    scratch_.clear();
-    gateway_grid_.neighborhood(p, scratch_);
-    for (const NodeId other : scratch_) {
-      if (other == id || layers_[other] == layers_[id]) continue;
-      if (!channel_.in_range(p, pr, positions_[other], profiles_[other])) continue;
-      changed = true;
-      if (on) {
-        links_.add_edge_sorted(id, other, sim::distance(p, positions_[other]));
-      } else {
-        links_.remove_edge(id, other);
-      }
-    }
-  }
   gateway_[id] = on ? 1 : 0;
+  // A down node is in no grid; its patch finds an empty row and no walk.
   if (up_[id]) {
     if (on) {
       grid_insert(id, true);
@@ -131,7 +109,7 @@ void Network::set_gateway(NodeId id, bool on) {
       gateway_grid_.remove(id, positions_[id]);
     }
   }
-  if (changed) invalidate_routes();
+  if (patch_links(id)) invalidate_routes();
 }
 
 void Network::sync_link_weights() const {
@@ -573,13 +551,17 @@ bool Network::restore(sim::WireReader& r, sim::RestoreArmer& armer) {
   epoch_trees_.clear();
   unfrozen_from_ = 0;
   // The grids and the edge store are derived state: rebuild them from the
-  // restored slabs, cell sizes included. Layer tags and gateway flags are
-  // in place: full_connectivity consults link_allowed.
+  // restored slabs, cell sizes included, then patch every node into an
+  // empty store in id order. Layer tags and gateway flags are in place.
   rebuild_grids();
-  links_ = full_connectivity();
+  links_ = Topology(node_count());
   stale_.clear();
   stale_flag_.assign(node_count(), 0);
   linked_.assign(node_count(), 0);
+  for (NodeId id = 0; id < node_count(); ++id) patch_links(id);
+  // Every link was just weighed at the restored positions: none is stale.
+  for (const NodeId v : stale_) stale_flag_[v] = 0;
+  stale_.clear();
   return true;
 }
 

@@ -329,31 +329,27 @@ class Network : public sim::Checkpointable {
   template <typename Visit>
   void visit_link_candidates(NodeId id, sim::Vec2 p, Visit&& visit) const;
 
-  /// Bulk connectivity build from grid neighborhoods (each node's
-  /// visit_link_candidates, sorted): reseeds the edge store on restore,
-  /// where patching from a delta is impossible.
-  Topology full_connectivity() const;
-  /// Patches links_ for live node `id`, moved by the current batch, once
-  /// every position and grid entry of the batch is final. Each candidate
-  /// of visit_link_candidates at id's position costs one range test:
-  /// whether a link existed is read from linked_, set from id's row before
-  /// the walk and cleared after. A row member the walk did not meet left
-  /// the block and is removed. add_edge_sorted and remove_edge keep every
-  /// row id-sorted and a new edge gets the final distance, so the store
-  /// depends on neither flip nor patch order. A retained edge marks `id`
-  /// stale for sync_link_weights. Returns whether any edge flipped.
-  bool patch_links_for_move(NodeId id);
+  /// The one routine that writes links_: makes id's row equal to its live,
+  /// link-allowed, in-range peers, given that id's liveness, gateway flag,
+  /// position and grid entries, and those of every other node, are final.
+  /// add_node, set_node_up, set_gateway, move_batch and restore all call
+  /// it. A live node walks visit_link_candidates at its position, one
+  /// range test per candidate: whether a link existed is read from
+  /// linked_, set from id's row before the walk and cleared after. A down
+  /// node walks nothing. A row member the walk did not meet is re-tested
+  /// against the whole predicate (id up, link_allowed, in range) and
+  /// removed if it fails: it left the block, lost its gateway bridge, or
+  /// id went down. add_edge_sorted and remove_edge keep every row id-sorted
+  /// and a new edge gets distance(p_a, p_b), so the store depends on
+  /// neither flip nor patch order. A retained edge marks `id` stale for
+  /// sync_link_weights. Returns whether any edge appeared or vanished.
+  bool patch_links(NodeId id);
   /// Sets every link of every stale node to the distance between its
   /// endpoints' current positions, after freezing growing route trees: the
   /// only code that rewrites weights, run by every reader of them. Each
   /// weight is a pure function of positions (hypot is symmetric in sign),
   /// so the store equals a from-scratch rebuild after the sync.
   void sync_link_weights() const;
-  /// Adds every edge of a node that just came up / joined (grid must
-  /// already contain it).
-  void attach_links(NodeId id);
-  /// Removes every edge of a node that just went down.
-  void detach_links(NodeId id);
 
   sim::Simulator& sim_;
   ChannelModel channel_;
@@ -408,34 +404,28 @@ class Network : public sim::Checkpointable {
   // radio's cell size.
   std::vector<SpatialGrid> layer_grids_;
   SpatialGrid gateway_grid_{0.0};
-  /// Id scratch buffer for attaches, detaches, gateway flips, the restore
-  /// reseed and a move batch's movers (avoids an allocation per call);
-  /// mutable because the const reseed reuses it. Broadcast must not use
-  /// it: its transmit hook can run any of those.
-  mutable std::vector<NodeId> scratch_;
-  /// Per-node 0/1 "linked to the mover" flags for patch_links_for_move;
-  /// all zero between calls.
+  /// A move batch's live movers, reused so a batch allocates nothing once
+  /// warm. Broadcast must not use it: its transmit hook can move nodes.
+  std::vector<NodeId> movers_;
+  /// Per-node 0/1 "linked to the patched node" flags for patch_links; all
+  /// zero between calls.
   std::vector<std::uint8_t> linked_;
-  /// Edge scratch for the restore-time bulk build — reused so repeated
-  /// restores stop allocating once warm; mutable for the same reason as
-  /// scratch_.
-  mutable std::vector<Edge> edge_scratch_;
-  /// One move's flipped links (patch_links_for_move): `now` tells whether
-  /// the link appears or vanishes. Only the move's first n_flips entries
-  /// are meaningful; the buffer keeps the size of the longest walk.
+  /// One patch's flipped links (patch_links): `now` tells whether the
+  /// link appears or vanishes. Only the patch's first n_flips entries are
+  /// meaningful; the buffer keeps the size of the longest walk.
   struct LinkPatch {
     NodeId other;
     bool now;
   };
   std::vector<LinkPatch> patch_scratch_;
 
-  /// Persistent connectivity edge store, patched in place by add_node /
-  /// move_batch / set_node_up / set_gateway. Adjacency lists are kept
-  /// sorted ascending by neighbor id — the order a from-scratch build in
-  /// (a, b > a) pair order produces — so Dijkstra tie-breaks and digests
-  /// do not depend on the order edges were patched in. Derived state:
-  /// never saved, reseeded by full_connectivity on restore. Mutable, like
-  /// the stale bookkeeping below, because the const readers sync weights.
+  /// Persistent connectivity edge store, written only by patch_links.
+  /// Adjacency lists are kept sorted ascending by neighbor id — the order
+  /// a from-scratch build in (a, b > a) pair order produces — so Dijkstra
+  /// tie-breaks and digests do not depend on the order edges were patched
+  /// in. Derived state: never saved; restore patches every node into an
+  /// empty store. Mutable, like the stale bookkeeping below, because the
+  /// const readers sync weights.
   mutable Topology links_;
   /// Nodes that moved keeping links since the last sync: their links still
   /// carry an older distance. stale_flag_ (per node) keeps stale_ unique.

@@ -2,11 +2,11 @@
 // exactness margin, and source trees (see network.h, route_and_send).
 //
 // A translation unit of its own on purpose. Compiled into network.cpp,
-// this code changed GCC's inlining and register allocation of
-// patch_links_for_move (a push_back went out of line and the candidate
-// loop gained a spill), and epidemic, which never routes, read 20% slower
-// (EXPERIMENTS.md N8). Apart, network.cpp compiles to the same
-// link-maintenance code as before.
+// this code changed GCC's inlining and register allocation of the move
+// patch, now Network::patch_links in links.cpp (a push_back went out of
+// line and the candidate loop gained a spill), and epidemic, which never
+// routes, read 20% slower (EXPERIMENTS.md N8). Apart, network.cpp
+// compiled to the same link-maintenance code as before.
 
 #include "net/network.h"
 

@@ -251,12 +251,6 @@ void SpatialGrid::reset(double cell_size_m) {
   set_base(cell_size_m);
 }
 
-void SpatialGrid::neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const {
-  visit_block(p, [&out](const Entry* e, const Entry* last) {
-    for (; e != last; ++e) out.push_back(e->id);
-  });
-}
-
 void SpatialGrid::near(sim::Vec2 p, double radius, std::vector<NodeId>& out) const {
   if (count_ == 0) return;
   // Half-width of the query square in cells, kept in double: an infinite,

@@ -1,20 +1,21 @@
 #pragma once
 // Dense, tiled cell-list spatial index over node positions.
 //
-// The wireless substrate's geometric queries (link patching on moves and
-// liveness flips, the restore-time connectivity rebuild, disc scans) were
-// all O(N) or O(N^2) scans over the node table, which is the quadratic wall
-// the paper's "1,000s to 10,000s of nodes" claim runs into. The grid
-// buckets nodes by cell. Its cells are at least as wide as the radio range
-// of every member, so any two members that can be in radio range of each
-// other lie within one Chebyshev cell of each other: the 3x3 cell
-// neighborhood of a member's position is a SUPERSET of its radio
+// The wireless substrate's geometric queries (link patching, disc scans)
+// were all O(N) or O(N^2) scans over the node table, which is the
+// quadratic wall the paper's "1,000s to 10,000s of nodes" claim runs into.
+// The grid buckets nodes by cell. Its cells are at least as wide as the
+// radio range of every member, so any two members that can be in radio
+// range of each other lie within one Chebyshev cell of each other: the
+// 3x3 cell block around a member's position is a SUPERSET of its radio
 // neighborhood among the members. net::Network keeps one grid per layer
-// and one of gateways and uses them to keep its edge store exact;
-// broadcasts read the store, not the grid; a batch of moves updates every
-// entry before it walks any block. Queries return raw candidates,
-// unsorted; callers apply the exact in_range/distance filter and any
-// ordering they need themselves.
+// and one of gateways, and its one link routine (Network::patch_links)
+// walks their blocks through visit_block to keep the edge store exact,
+// for a move, a liveness or gateway flip, a new node and the restore
+// reseed alike; broadcasts read the store, not the grid; a batch of moves
+// updates every entry before it walks any block. Queries return raw
+// candidates, unsorted; callers apply the exact in_range/distance filter
+// and any ordering they need themselves.
 //
 // Layout. The cells form a dense box (w x h cells) over the members'
 // cells, with a margin of kMargin empty cells on every side. Each row of
@@ -92,10 +93,6 @@ class SpatialGrid {
   /// during the walk.
   template <typename Visit>
   void visit_block(sim::Vec2 p, Visit&& visit) const;
-
-  /// Appends every id in the 3x3 cell neighborhood of `p`. Output is
-  /// unsorted but duplicate-free (each id lives in exactly one cell).
-  void neighborhood(sim::Vec2 p, std::vector<NodeId>& out) const;
 
   /// Appends every id in cells intersecting the disc (p, radius) — a
   /// superset of the ids within `radius` of `p`, unsorted. A square wider

@@ -39,29 +39,6 @@ void ShortestPaths::path_to(NodeId v, std::vector<NodeId>& out) const {
   std::reverse(out.begin(), out.end());
 }
 
-Topology::Topology(std::size_t node_count, const std::vector<Edge>& edge_list)
-    : adjacency_(node_count) {
-  std::vector<std::uint32_t> degree(node_count, 0);
-  for (const Edge& e : edge_list) {
-    if (e.a == e.b) continue;
-    if (e.a >= node_count || e.b >= node_count) {
-      throw std::out_of_range("Topology: edge endpoint out of range");
-    }
-    ++degree[e.a];
-    ++degree[e.b];
-  }
-  for (std::size_t v = 0; v < node_count; ++v) {
-    if (degree[v] > 0) adjacency_[v].reserve(degree[v]);
-  }
-  for (const Edge& e : edge_list) {
-    if (e.a == e.b) continue;
-    assert(!has_edge(e.a, e.b) && "Topology bulk constructor: duplicate edge");
-    adjacency_[e.a].push_back({e.b, e.weight});
-    adjacency_[e.b].push_back({e.a, e.weight});
-    ++edge_count_;
-  }
-}
-
 NodeId Topology::add_node() {
   adjacency_.emplace_back();
   return static_cast<NodeId>(adjacency_.size() - 1);

@@ -45,13 +45,6 @@ class Topology {
  public:
   Topology() = default;
   explicit Topology(std::size_t node_count) : adjacency_(node_count) {}
-  /// Bulk constructor: builds the graph from a prepared edge list in one
-  /// pass, reserving each adjacency list at its exact final size (the
-  /// incremental path pays ~log(degree) reallocations per node). The list
-  /// must contain each unordered pair at most once; adjacency order —
-  /// and thus every tie-break downstream — matches calling
-  /// add_edge_unique in list order.
-  Topology(std::size_t node_count, const std::vector<Edge>& edge_list);
 
   std::size_t node_count() const { return adjacency_.size(); }
   std::size_t edge_count() const { return edge_count_; }
@@ -72,9 +65,9 @@ class Topology {
   /// adjacency list at its id-sorted position. For graphs whose adjacency
   /// lists are maintained in ascending-id order (the Network's incremental
   /// connectivity store), this keeps insertion-order-independent adjacency
-  /// — and thus Dijkstra tie-breaks — identical to a bulk build from the
-  /// sorted edge list. The pair must not already be present (asserts in
-  /// debug builds).
+  /// — and thus Dijkstra tie-breaks — identical to add_edge_unique calls
+  /// in (a, b > a) pair order. The pair must not already be present
+  /// (asserts in debug builds).
   void add_edge_sorted(NodeId a, NodeId b, double weight = 1.0);
   /// Updates the weight of an edge that MUST already exist (asserts in
   /// debug builds): unlike add_edge it can never append. Finds

@@ -203,10 +203,14 @@ bool MetricsRegistry::restore(WireReader& r) {
     st.min = r.f64();
     st.max = r.f64();
     st.seen_for_reservoir = r.u64();
-    // A corrupt length must not drive a giant allocation; real reservoirs
-    // are bounded by kReservoirCap.
+    // An honest summary holds min(seen, kReservoirCap) samples, which also
+    // keeps a corrupt length from driving a giant allocation, and its
+    // counter is below kMaxSeen: a wrapped counter would make the next
+    // offer compute % 0.
     const std::uint64_t reservoir_size = r.u64();
-    if (!r.ok() || reservoir_size > Summary::kReservoirCap ||
+    if (!r.ok() || st.seen_for_reservoir >= Summary::kMaxSeen ||
+        reservoir_size !=
+            std::min<std::uint64_t>(st.seen_for_reservoir, Summary::kReservoirCap) ||
         reservoir_size > r.remaining()) {
       return false;
     }

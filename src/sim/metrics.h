@@ -70,6 +70,10 @@ class Summary {
 
   /// Reservoir capacity — also the upper bound deserializers accept.
   static constexpr std::size_t kReservoirCap = 4096;
+  /// Deserializers reject a sample counter (State::seen_for_reservoir) at
+  /// or past this: no run reaches it, and it leaves 2^63 offers before the
+  /// counter could wrap.
+  static constexpr std::uint64_t kMaxSeen = std::uint64_t{1} << 63;
 
  private:
   void offer_to_reservoir(double x);
@@ -146,8 +150,10 @@ class MetricsRegistry {
   /// save throws std::logic_error otherwise.
   void save(WireWriter& w) const;
   /// Reads a save() image over this registry. False on malformed input —
-  /// a bad token, a reservoir past kReservoirCap, keys out of order or not
-  /// save-safe — leaving the registry unspecified. Reads exactly one image:
+  /// a bad token, keys out of order or not save-safe, a summary whose
+  /// reservoir does not hold min(seen, kReservoirCap) samples or whose
+  /// sample counter is at or past Summary::kMaxSeen — leaving the registry
+  /// unspecified. Reads exactly one image:
   /// a caller holding a standalone image also checks WireReader::at_end.
   bool restore(WireReader& r);
  private:

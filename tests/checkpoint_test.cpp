@@ -14,6 +14,7 @@
 #include "checkpoint_scenario.h"
 #include "dissem/scenario.h"
 #include "net/network.h"
+#include "net_oracle.h"
 #include "security/attacks.h"
 #include "sim/checkpoint.h"
 #include "sim/simulator.h"
@@ -464,7 +465,10 @@ TEST(DissemCheckpoint, MidEpidemicInPlaceRewindIsBitIdentical) {
 TEST(DissemCheckpoint, LayerAndGatewaySlabsRoundTrip) {
   // Promote/demote against the snapshot state and check restore puts the
   // layer topology back exactly: layers, gateway flags, and the
-  // inter-layer edges they induce.
+  // inter-layer edges they induce. The restored edge store must be, bit
+  // for bit (edges, neighbour order, weights), both the brute-force
+  // oracle's graph and the saved stack's store after a weight sync, after
+  // an in-place rewind and after a restore into a fresh branch stack.
   dissem::DissemScenario a(mid_epidemic_spec(), 911);
   a.sim.run_until(kEpidemicSnapAt);
   std::vector<net::LayerId> layers;
@@ -473,16 +477,35 @@ TEST(DissemCheckpoint, LayerAndGatewaySlabsRoundTrip) {
     layers.push_back(a.net.layer(id));
     gateways.push_back(a.net.is_gateway(id));
   }
-  const std::size_t edges_at_snap = a.net.connectivity().edge_count();
+  const net::Topology store_at_snap = a.net.connectivity();
   const sim::Snapshot snap = a.sim.checkpoint().save();
+  const auto expect_restored = [&](const net::Network& net, const char* how) {
+    for (net::NodeId id = 0; id < net.node_count(); ++id) {
+      EXPECT_EQ(net.layer(id), layers[id]) << how << ", node " << id;
+      EXPECT_EQ(net.is_gateway(id), gateways[id]) << how << ", node " << id;
+    }
+    EXPECT_EQ(testing::topology_difference(net.topology_view(), testing::brute_connectivity(net)),
+              "")
+        << how << ": store vs oracle";
+    EXPECT_EQ(testing::topology_difference(net.topology_view(), store_at_snap), "")
+        << how << ": store vs the saved stack's";
+  };
 
   a.sim.run_until(SimTime::seconds(60));  // hunt kills + promotions mutate
   a.sim.checkpoint().restore(snap);
-  for (net::NodeId id = 0; id < a.net.node_count(); ++id) {
-    EXPECT_EQ(a.net.layer(id), layers[id]) << "node " << id;
-    EXPECT_EQ(a.net.is_gateway(id), gateways[id]) << "node " << id;
-  }
-  EXPECT_EQ(a.net.connectivity().edge_count(), edges_at_snap);
+  expect_restored(a.net, "in-place rewind");
+
+  dissem::DissemScenario branch(mid_epidemic_spec(), 911);
+  branch.sim.checkpoint().restore(snap);
+  expect_restored(branch.net, "fresh branch stack");
+
+  // The reseed leaves no stale mark behind: moves after it still reach
+  // the weights.
+  branch.sim.run_until(SimTime::seconds(60));
+  EXPECT_EQ(testing::topology_difference(branch.net.topology_view(),
+                                         testing::brute_connectivity(branch.net)),
+            "")
+      << "branch at 60 s: store vs oracle";
 }
 
 }  // namespace

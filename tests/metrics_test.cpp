@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -302,6 +303,45 @@ TEST(MetricsRegistryTest, DeserializeRejectsMalformedInput) {
   }
   // Trailing garbage as well.
   EXPECT_FALSE(read_image(image + "extra").has_value());
+}
+
+TEST(MetricsRegistryTest, DeserializeRejectsSummaryStateNoRunReaches) {
+  // An honest summary holds min(seen, kReservoirCap) samples and a sample
+  // counter far from 2^64. A full reservoir whose counter is 2^64 - 1 once
+  // restored, and the next observe wrapped the counter to 0 and took a
+  // replacement index % 0 (SIGFPE).
+  MetricsRegistry m;
+  const std::uint64_t seen = Summary::kReservoirCap + 100;
+  for (std::uint64_t i = 0; i < seen; ++i) m.observe("big", static_cast<double>(i));
+  m.observe("few", 1.0);
+  m.observe("few", 2.0);
+  const std::string image = image_of(m);
+  // The summaries' (seen, reservoir size) token pairs, each unique here.
+  const auto with = [&image](const std::string& from, const std::string& to) {
+    const std::size_t at = image.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    EXPECT_EQ(image.find(from, at + 1), std::string::npos) << from;
+    return image.substr(0, at) + to + image.substr(at + from.size());
+  };
+  const std::string full = " " + std::to_string(seen) + " 4096 ";
+  const auto full_with_seen = [&](std::uint64_t v) {
+    return with(full, " " + std::to_string(v) + " 4096 ");
+  };
+  ASSERT_TRUE(read_image(image).has_value());
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t bad : {kMax, kMax - 1, Summary::kMaxSeen, std::uint64_t{4095},
+                                  std::uint64_t{0}}) {
+    EXPECT_FALSE(read_image(full_with_seen(bad)).has_value()) << "seen " << bad;
+  }
+  EXPECT_FALSE(read_image(with(" 2 2 ", " 3 2 ")).has_value());
+  EXPECT_FALSE(read_image(with(" 2 2 ", " 1 2 ")).has_value());
+  // The largest counter accepted still takes a merge and a sample.
+  auto edge = read_image(full_with_seen(Summary::kMaxSeen - 1));
+  ASSERT_TRUE(edge.has_value());
+  MetricsRegistry copy = *edge;
+  copy.merge_from(*edge);
+  edge->observe("big", 1.0);
+  EXPECT_EQ(edge->summary("big")->count(), seen + 1);
 }
 
 TEST(MetricsRegistryTest, SerializeRejectsUnescapableKeys) {

@@ -1,19 +1,23 @@
 #pragma once
-// Brute-force references for net::Network, shared by the net and property
-// tests and by bench_network: connectivity (brute_connectivity) and route
-// answers (EagerRouteCache).
+// Brute-force references for net::Network, shared by the net, property
+// and checkpoint tests and by bench_network and bench_checkpoint:
+// connectivity (brute_connectivity), the bit-for-bit comparison of two
+// graphs (topology_difference, store_matches_oracle), and route answers
+// (EagerRouteCache).
 //
 // Network has one production path: grid-enumerated candidates feeding an
 // edge store patched in place on every move, liveness flip and gateway
 // flip. This oracle recomputes the same graph from scratch with an
 // O(N^2) scan over every live pair, using only Network's public accessors,
 // so it shares no enumeration or maintenance code with what it checks.
-// Edges are emitted in (a ascending, then b > a ascending) order, which
+// Edges are added in (a ascending, then b > a ascending) order, which
 // leaves every adjacency list sorted by neighbor id — the order the store
 // keeps — so neighbor order and exact weights compare bit for bit.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "net/channel.h"
@@ -38,7 +42,7 @@ inline net::Topology brute_connectivity(const net::Network& net) {
     layer[v] = net.layer(v);
   }
   const net::ChannelModel& channel = net.channel();
-  std::vector<net::Edge> edges;
+  net::Topology t(n);
   for (net::NodeId a = 0; a < n; ++a) {
     if (!up[a]) continue;
     for (net::NodeId b = a + 1; b < n; ++b) {
@@ -46,10 +50,48 @@ inline net::Topology brute_connectivity(const net::Network& net) {
       // Same layer, or a gateway at both ends.
       if (layer[a] != layer[b] && !(gateway[a] && gateway[b])) continue;
       if (!channel.in_range(pos[a], radio[a], pos[b], radio[b])) continue;
-      edges.push_back({a, b, sim::distance(pos[a], pos[b])});
+      t.add_edge_unique(a, b, sim::distance(pos[a], pos[b]));
     }
   }
-  return net::Topology(n, edges);
+  return t;
+}
+
+/// The first difference between two graphs, bit for bit: node and edge
+/// counts, then every row's neighbour ids in order (Dijkstra tie-breaks)
+/// and exact weights. Empty when they are identical.
+inline std::string topology_difference(const net::Topology& got, const net::Topology& want) {
+  if (got.node_count() != want.node_count()) {
+    return "node count " + std::to_string(got.node_count()) + " != " +
+           std::to_string(want.node_count());
+  }
+  if (got.edge_count() != want.edge_count()) {
+    return "edge count " + std::to_string(got.edge_count()) + " != " +
+           std::to_string(want.edge_count());
+  }
+  for (net::NodeId v = 0; v < want.node_count(); ++v) {
+    const auto& gn = got.neighbors(v);
+    const auto& wn = want.neighbors(v);
+    if (gn.size() != wn.size()) {
+      return "node " + std::to_string(v) + " degree " + std::to_string(gn.size()) +
+             " != " + std::to_string(wn.size());
+    }
+    for (std::size_t i = 0; i < wn.size(); ++i) {
+      if (gn[i].id != wn[i].id || gn[i].weight != wn[i].weight) {
+        char line[160];
+        std::snprintf(line, sizeof line, "node %u slot %zu: (%u, %.17g) != (%u, %.17g)",
+                      static_cast<unsigned>(v), i, static_cast<unsigned>(gn[i].id),
+                      gn[i].weight, static_cast<unsigned>(wn[i].id), wn[i].weight);
+        return line;
+      }
+    }
+  }
+  return {};
+}
+
+/// True iff net's edge store, after its weight sync, is bit for bit
+/// brute_connectivity(net).
+inline bool store_matches_oracle(const net::Network& net) {
+  return topology_difference(net.topology_view(), brute_connectivity(net)).empty();
 }
 
 /// Reference for Network's route answers. Network answers a lookup from a

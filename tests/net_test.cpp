@@ -354,19 +354,7 @@ namespace {
 
 void expect_identical_topologies(const Topology& got, const Topology& want,
                                  const char* what) {
-  ASSERT_EQ(got.node_count(), want.node_count()) << what;
-  ASSERT_EQ(got.edge_count(), want.edge_count()) << what;
-  for (NodeId v = 0; v < want.node_count(); ++v) {
-    const auto& gn = got.neighbors(v);
-    const auto& wn = want.neighbors(v);
-    ASSERT_EQ(gn.size(), wn.size()) << what << " node " << v;
-    for (std::size_t i = 0; i < wn.size(); ++i) {
-      // Bit-identical: same neighbor order (Dijkstra tie-breaks) and the
-      // exact same FP weight.
-      EXPECT_EQ(gn[i].id, wn[i].id) << what << " node " << v << " slot " << i;
-      EXPECT_EQ(gn[i].weight, wn[i].weight) << what << " node " << v << " slot " << i;
-    }
-  }
+  EXPECT_EQ(iobt::testing::topology_difference(got, want), "") << what;
 }
 
 /// Edge pairs without weights: a move that keeps every link still drifts
@@ -756,6 +744,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetDeterminism, ::testing::Values(1ULL, 7ULL, 12
 
 // ---------------------------------------------------------- SpatialGrid ----
 
+namespace {
+
+/// Every id in the 3x3 block around `p`, in visit order.
+std::vector<NodeId> block_ids(const SpatialGrid& grid, Vec2 p) {
+  std::vector<NodeId> out;
+  grid.visit_block(p, [&out](const SpatialGrid::Entry* e, const SpatialGrid::Entry* last) {
+    for (; e != last; ++e) out.push_back(e->id);
+  });
+  return out;
+}
+
+}  // namespace
+
 TEST(SpatialGrid, NeighborhoodIsSupersetOfRadioDisc) {
   SpatialGrid grid(250.0);
   Rng rng(7);
@@ -764,10 +765,8 @@ TEST(SpatialGrid, NeighborhoodIsSupersetOfRadioDisc) {
     pts.push_back({rng.uniform(0, 2000), rng.uniform(0, 2000)});
     grid.insert(i, pts.back(), 250.0);
   }
-  std::vector<NodeId> out;
   for (NodeId q = 0; q < 300; q += 17) {
-    out.clear();
-    grid.neighborhood(pts[q], out);
+    std::vector<NodeId> out = block_ids(grid, pts[q]);
     std::sort(out.begin(), out.end());
     for (NodeId i = 0; i < 300; ++i) {
       if (sim::distance(pts[q], pts[i]) <= 250.0) {
@@ -782,30 +781,21 @@ TEST(SpatialGrid, MoveTracksCellMembership) {
   SpatialGrid grid(100.0);
   grid.insert(0, {10, 10}, 100.0);
   grid.insert(1, {50, 50}, 100.0);
-  std::vector<NodeId> out;
-  grid.neighborhood({10, 10}, out);
+  std::vector<NodeId> out = block_ids(grid, {10, 10});
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<NodeId>{0, 1}));
 
-  // Move across cells: the id leaves the old neighborhood, joins the new.
+  // Move across cells: the id leaves the old block, joins the new.
   grid.move(1, {50, 50}, {950, 950});
-  out.clear();
-  grid.neighborhood({10, 10}, out);
-  EXPECT_EQ(out, (std::vector<NodeId>{0}));
-  out.clear();
-  grid.neighborhood({950, 950}, out);
-  EXPECT_EQ(out, (std::vector<NodeId>{1}));
+  EXPECT_EQ(block_ids(grid, {10, 10}), (std::vector<NodeId>{0}));
+  EXPECT_EQ(block_ids(grid, {950, 950}), (std::vector<NodeId>{1}));
 
   // Within-cell move: membership unchanged.
   grid.move(0, {10, 10}, {90, 90});
-  out.clear();
-  grid.neighborhood({10, 10}, out);
-  EXPECT_EQ(out, (std::vector<NodeId>{0}));
+  EXPECT_EQ(block_ids(grid, {10, 10}), (std::vector<NodeId>{0}));
 
   grid.remove(0, {90, 90});
-  out.clear();
-  grid.neighborhood({10, 10}, out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(block_ids(grid, {10, 10}).empty());
   EXPECT_EQ(grid.size(), 1u);
 }
 
@@ -816,14 +806,9 @@ TEST(SpatialGrid, FarAndNonFiniteCoordinatesSaturate) {
   SpatialGrid grid(100.0);
   grid.insert(1, {1e300, 1e300}, 100.0);
   grid.insert(2, {std::nan(""), 0.0}, 100.0);
-  std::vector<NodeId> out;
-  grid.neighborhood({-1e300, -1e300}, out);
-  EXPECT_TRUE(out.empty());
-  grid.neighborhood({1e300, 1e300}, out);
-  EXPECT_EQ(out, (std::vector<NodeId>{1}));
-  out.clear();
-  grid.neighborhood({-1e300, 0.0}, out);
-  EXPECT_EQ(out, (std::vector<NodeId>{2}));
+  EXPECT_TRUE(block_ids(grid, {-1e300, -1e300}).empty());
+  EXPECT_EQ(block_ids(grid, {1e300, 1e300}), (std::vector<NodeId>{1}));
+  EXPECT_EQ(block_ids(grid, {-1e300, 0.0}), (std::vector<NodeId>{2}));
   grid.remove(2, {std::nan(""), 0.0});
   EXPECT_EQ(grid.size(), 1u);
 }
@@ -860,9 +845,6 @@ TEST(SpatialGrid, BlockIsNineCellsEachIdOnce) {
       for (; e != last; ++e) got.push_back(e->id);
     });
     EXPECT_LE(spans, 6);
-    std::vector<NodeId> listed;
-    grid.neighborhood(q, listed);
-    EXPECT_EQ(listed, got) << "neighborhood is not the visited ids";
     std::sort(got.begin(), got.end());
     EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end()) << "an id appears twice";
     std::vector<NodeId> want;
@@ -1001,43 +983,6 @@ TEST(SpatialGrid, BlockVisitMatchesBruteFilterUnderChurn) {
       }
     }
   }
-}
-
-// ------------------------------------------------- Topology bulk build ----
-
-TEST(Topology, BulkConstructorMatchesIncrementalBuild) {
-  Rng rng(3);
-  std::vector<Edge> list;
-  std::set<std::pair<NodeId, NodeId>> seen;
-  for (int i = 0; i < 200; ++i) {
-    NodeId a = static_cast<NodeId>(rng.uniform_int(0, 39));
-    NodeId b = static_cast<NodeId>(rng.uniform_int(0, 39));
-    if (a == b) continue;
-    if (!seen.insert({std::min(a, b), std::max(a, b)}).second) continue;
-    list.push_back({a, b, rng.uniform(1, 10)});
-  }
-  Topology incremental(40);
-  for (const Edge& e : list) incremental.add_edge_unique(e.a, e.b, e.weight);
-  const Topology bulk(40, list);
-
-  EXPECT_EQ(bulk.edge_count(), incremental.edge_count());
-  for (NodeId v = 0; v < 40; ++v) {
-    const auto& bn = bulk.neighbors(v);
-    const auto& in = incremental.neighbors(v);
-    ASSERT_EQ(bn.size(), in.size()) << "node " << v;
-    for (std::size_t i = 0; i < bn.size(); ++i) {
-      EXPECT_EQ(bn[i].id, in[i].id) << "node " << v << " slot " << i;
-      EXPECT_DOUBLE_EQ(bn[i].weight, in[i].weight);
-    }
-  }
-}
-
-TEST(Topology, BulkConstructorSkipsSelfLoopsAndValidates) {
-  const std::vector<Edge> ok{{0, 1, 1.0}, {2, 2, 5.0}, {1, 2, 2.0}};
-  const Topology t(3, ok);
-  EXPECT_EQ(t.edge_count(), 2u);  // the self-loop is ignored
-  const std::vector<Edge> bad{{0, 7, 1.0}};
-  EXPECT_THROW(Topology(3, bad), std::out_of_range);
 }
 
 // ----------------------------------------- Brute-force oracle identity ----

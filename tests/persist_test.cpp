@@ -5,19 +5,25 @@
 // worker counts, corrupt/truncated/mismatched/mutated images and store
 // files, ids past the restored stack and old-version files rejected back
 // to a cold simulation, mutated replication records re-run or replayed exactly,
-// and failed store writes surfaced.
+// mutated metrics images rejected or left usable, and failed store writes
+// surfaced.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -142,13 +148,14 @@ TEST(WirePersistence, ReaderFailsSoftOnMalformedInput) {
 
 TEST(RegistrySerialization, MetricsImageWithNonCanonicalNumbersIsRejected) {
   // No counters, no gauges, one summary "k": count, mean, m2, min, max,
-  // seen, reservoir size — sim/wire.h tokens, each followed by one space.
+  // seen, reservoir size and its one sample — sim/wire.h tokens, each
+  // followed by one space.
   const std::string one = "3ff0000000000000";
   const std::string zero = "0000000000000000";
   const auto image = [&](const std::string& count, const std::string& mean,
                          const std::string& seen) {
     return "0 0 1 1 k " + count + " " + mean + " " + zero + " " + one + " " +
-           one + " " + seen + " 0 ";
+           one + " " + seen + " 1 " + one + " ";
   };
   // One standalone image: restore must accept it AND end on its last byte.
   const auto reads = [](const std::string& text, sim::MetricsRegistry& m) {
@@ -276,6 +283,23 @@ std::string frame(const Framed& f) {
   return w.take();
 }
 
+/// Space-separated tokens of `a` as [begin, end); with `decimal_only`,
+/// only those that read as a decimal u64 (every count and length prefix).
+std::vector<std::pair<std::size_t, std::size_t>> token_spans(const std::string& a,
+                                                             bool decimal_only) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t begin = 0; begin < a.size();) {
+    const std::size_t end = std::min(a.find(' ', begin), a.size());
+    std::uint64_t v = 0;
+    if (!decimal_only ||
+        sim::parse_u64_token(std::string_view(a).substr(begin, end - begin), v)) {
+      out.emplace_back(begin, end);
+    }
+    begin = end + 1;
+  }
+  return out;
+}
+
 /// One seeded mutation of `a`: a bit flip, a truncation, a splice with
 /// `b`, a duplicated token, or a decimal token (a count or length prefix)
 /// replaced by one larger than the image. Tokens are picked uniformly, so
@@ -286,17 +310,8 @@ std::string mutate(const std::string& a, const std::string& b, sim::Rng& rng,
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
   };
-  // Space-separated tokens as [begin, end), and the decimal ones.
-  std::vector<std::pair<std::size_t, std::size_t>> tokens, decimals;
-  for (std::size_t begin = 0; begin < a.size();) {
-    const std::size_t end = std::min(a.find(' ', begin), a.size());
-    std::uint64_t v = 0;
-    tokens.emplace_back(begin, end);
-    if (sim::parse_u64_token(std::string_view(a).substr(begin, end - begin), v)) {
-      decimals.emplace_back(begin, end);
-    }
-    begin = end + 1;
-  }
+  const auto tokens = token_spans(a, false);
+  const auto decimals = token_spans(a, true);
   std::string m = a;
   switch (rng.uniform_int(0, 4)) {
     case 0: {
@@ -410,6 +425,134 @@ TEST(RegistrySerialization, MutatedImagesAreRejectedOrReachAFixedPoint) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << repro << " threw: " << e.what();
     }
+  }
+  // The budget exercises both outcomes.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
+}
+
+/// While set, prints `line` if a signal (a trap, a fault or an abort)
+/// kills the process, then hands the signal to its previous action: a
+/// fuzz input that crashes still leaves its one-line repro.
+class CrashRepro {
+ public:
+  CrashRepro() {
+    struct sigaction act {};
+    act.sa_handler = on_signal;
+    sigemptyset(&act.sa_mask);
+    for (std::size_t i = 0; i < kSignals.size(); ++i) sigaction(kSignals[i], &act, &old_[i]);
+  }
+  ~CrashRepro() {
+    for (std::size_t i = 0; i < kSignals.size(); ++i) sigaction(kSignals[i], &old_[i], nullptr);
+  }
+  CrashRepro(const CrashRepro&) = delete;
+  CrashRepro& operator=(const CrashRepro&) = delete;
+
+  void set(const std::string& line) {
+    len_ = std::min(line.size(), sizeof line_ - 1);
+    std::memcpy(line_, line.data(), len_);
+    line_[len_++] = '\n';
+  }
+
+ private:
+  static constexpr std::array<int, 5> kSignals{SIGFPE, SIGSEGV, SIGBUS, SIGILL, SIGABRT};
+  static void on_signal(int sig) {
+    [[maybe_unused]] const ssize_t n = write(STDERR_FILENO, line_, len_);
+    for (std::size_t i = 0; i < kSignals.size(); ++i) {
+      if (kSignals[i] == sig) sigaction(sig, &old_[i], nullptr);
+    }
+    raise(sig);  // delivered by the previous action once this returns
+  }
+  static inline char line_[512] = {};
+  static inline std::size_t len_ = 0;
+  static inline struct sigaction old_[kSignals.size()] = {};
+};
+
+/// mutate(), or, one time in three, a decimal token set to a counter value
+/// at an edge: next to 0, Summary::kReservoirCap, Summary::kMaxSeen or
+/// 2^64.
+std::string mutate_counters(const std::string& a, const std::string& b, sim::Rng& rng,
+                            std::string& what) {
+  if (!rng.bernoulli(1.0 / 3.0)) return mutate(a, b, rng, what);
+  constexpr std::uint64_t kCap = sim::Summary::kReservoirCap;
+  constexpr std::uint64_t kHalf = sim::Summary::kMaxSeen;
+  constexpr std::array<std::uint64_t, 10> kEdges{
+      0, 1, kCap - 1, kCap, kCap + 1, kHalf - 1, kHalf, ~0ULL - kCap, ~0ULL - 1, ~0ULL};
+  const auto decimals = token_spans(a, true);
+  const auto [begin, end] = decimals[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(decimals.size()) - 1))];
+  const std::string edge = std::to_string(
+      kEdges[static_cast<std::size_t>(rng.uniform_int(0, kEdges.size() - 1))]);
+  what = "decimal token at byte " + std::to_string(begin) + " set to " + edge;
+  return a.substr(0, begin) + edge + a.substr(end);
+}
+
+TEST(RegistrySerialization, MutatedMetricsImagesAreRejectedOrStayUsable) {
+  // A direct target for MetricsRegistry::restore, which every Network
+  // snapshot, store file and replication record embeds. Every mutant of a
+  // seed image is rejected, or restores to a registry that re-encodes to
+  // the mutant's bytes, survives a merge_from into a copy of itself, and
+  // survives one observe into each of its summaries. The seeds: a
+  // registry with every kind of entry and a full reservoir, a network's
+  // registry after a run, and the hand-written image of
+  // MetricsImageWithNonCanonicalNumbersIsRejected.
+  constexpr std::uint64_t kSeed = 0x3e7c5f0a2ULL;
+  constexpr int kMutants = 3000;
+  const auto image_of = [](const sim::MetricsRegistry& m) {
+    sim::WireWriter w;
+    m.save(w);
+    return w.take();
+  };
+  std::vector<std::string> seeds;
+  {
+    sim::MetricsRegistry m;
+    m.count("frames.delivered", 12345);
+    m.count("neg.zero", -0.0);
+    m.gauge("nan.gauge", std::nan(""));
+    m.gauge("inf.gauge", std::numeric_limits<double>::infinity());
+    m.observe("lat", 0.25);
+    m.observe("lat", -1e308);
+    for (std::size_t i = 0; i < sim::Summary::kReservoirCap + 500; ++i) {
+      m.observe("big", static_cast<double>(i) * 1.0000001);
+    }
+    seeds.push_back(image_of(m));
+    const Query q = tiny_query();
+    dissem::DissemScenario s(q.spec, q.seed);
+    s.sim.run_until(sim::SimTime::seconds(q.spec.horizon_s));
+    seeds.push_back(image_of(s.net.metrics()));
+    const std::string one = "3ff0000000000000";
+    seeds.push_back("0 0 1 1 k 1 " + one + " 0000000000000000 " + one + " " + one + " 1 1 " +
+                    one + " ");
+  }
+  const sim::Rng root(kSeed);
+  CrashRepro crash;
+  int rejected = 0, accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    sim::Rng rng = root.child(static_cast<std::uint64_t>(i));
+    const auto pick = [&rng, &seeds] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(seeds.size()) - 1));
+    };
+    const std::size_t a = pick(), b = pick();
+    std::string what;
+    const std::string mutant = mutate_counters(seeds[a], seeds[b], rng, what);
+    const std::string repro =
+        "repro: persist_test --gtest_filter=RegistrySerialization."
+        "MutatedMetricsImagesAreRejectedOrStayUsable (seed " +
+        std::to_string(kSeed) + ", mutant " + std::to_string(i) + " of seed image " +
+        std::to_string(a) + ": " + what + ")";
+    crash.set(repro);
+    sim::WireReader r(mutant);
+    sim::MetricsRegistry m;
+    if (!m.restore(r) || !r.at_end()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(image_of(m), mutant) << repro;
+    sim::MetricsRegistry copy = m;
+    copy.merge_from(m);
+    for (const auto& entry : m.summaries()) m.observe(entry.first, 1.0);
   }
   // The budget exercises both outcomes.
   EXPECT_GT(rejected, 0);
